@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="problem JSON file")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p.add_argument("--tol-r", type=float, default=DEFAULT_TOL_R,
-                   help="bisection width tolerance (default 1e-12)")
+                   help="refinement bracket width tolerance (default 1e-12)")
     p.add_argument("--tol-v", type=float, default=DEFAULT_TOL_V,
                    help="terminal slope tolerance (default 1e-10)")
     p.add_argument("--step", type=float, default=1e-4,

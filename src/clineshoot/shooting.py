@@ -1,5 +1,6 @@
 """Shooting pipeline: sweep the initial-height segment, bracket sign changes
-of the terminal slope, and bisect each bracket down to a steady state.
+of the terminal slope, and refine each bracket down to a steady state by
+safeguarded Illinois regula falsi.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -128,7 +129,7 @@ class Bracket:
 
 
 class BracketLostError(RuntimeError):
-    """Bisection hit a blow-up inside the bracket; the sign change is lost."""
+    """Refinement hit a blow-up inside the bracket; the sign change is lost."""
 
     def __init__(self, bracket: Bracket, r: float, cause: BlowupError):
         self.bracket = bracket
@@ -143,7 +144,7 @@ def find_brackets(g: GammaCurve, zero_tol: float = EXACT_ROOT_TOL) -> list[Brack
 
     Endpoints r=0 and r=1 are the trivial equilibria and never bracket;
     blow-up entries are skipped, so a bracket may span a blow-up gap (the
-    sign change is then confirmed or lost during bisection). Entries with
+    sign change is then confirmed or lost during refinement). Entries with
     |v| <= zero_tol come back as degenerate brackets and separate their
     neighbours.
     """
@@ -211,35 +212,62 @@ def _build_cline(p: Problem, cfg: IntegratorConfig, root: float, b: Bracket) -> 
                  rejected=rejected, rejection_reason=reason)
 
 
+def _check_tolerances(tol_r: float, tol_v: float) -> None:
+    for name, tol in (("tol_r", tol_r), ("tol_v", tol_v)):
+        if not tol > 0.0:
+            raise ValueError(f"{name} must be > 0, got {tol}")
+
+
 def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
                  tol_r: float = DEFAULT_TOL_R, tol_v: float = DEFAULT_TOL_V) -> Cline:
-    """Bisect the terminal-v sign change down to a root of r -> v(omega2).
+    """Refine the terminal-v sign change down to a root of r -> v(omega2).
 
-    Stops when the bracket width falls below tol_r or the terminal slope
-    magnitude falls below tol_v, whichever comes first.
+    Each step is a safeguarded Illinois regula falsi step (Dowell & Jarratt,
+    BIT 11, 1971): the next point is the secant point of the bracket, and
+    when the same endpoint is kept twice in a row its stored v is halved,
+    which pulls the next secant point toward it. A plain midpoint is taken
+    instead whenever the secant point is not strictly inside the bracket or
+    the bracket has not halved over the last two evaluations, so any three
+    consecutive evaluations at least halve the bracket. The first secant
+    point uses the endpoint slopes stored in the bracket, which come from
+    the gamma sweep at no extra cost.
+
+    Stops when the bracket width falls below tol_r, the terminal slope
+    magnitude falls below tol_v, or the bracket no longer splits in floating
+    point, whichever comes first.
     """
-    if not (tol_r > 0.0 and tol_v > 0.0):
-        raise ValueError(f"tolerances must be > 0, got tol_r={tol_r}, tol_v={tol_v}")
+    _check_tolerances(tol_r, tol_v)
     if b.is_exact:
         return _build_cline(p, cfg, b.r_lo, b)
     lo, hi = b.r_lo, b.r_hi
-    v_lo = b.v_lo
+    v_lo, v_hi = b.v_lo, b.v_hi
+    kept = None  # endpoint kept by the last step: "lo" or "hi"
+    width_1, width_2 = math.inf, math.inf  # widths before the last two evaluations
     root = None
     while hi - lo > tol_r:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer splittable in floating point
+        r = hi - v_hi * (hi - lo) / (v_hi - v_lo)
+        if not lo < r < hi or hi - lo > 0.5 * width_2:
+            r = 0.5 * (lo + hi)
+            if r <= lo or r >= hi:
+                break  # interval no longer splittable in floating point
+        width_2, width_1 = width_1, hi - lo
         try:
-            z = poincare_map(p, cfg, PhasePoint(mid, 0.0))
+            z = poincare_map(p, cfg, PhasePoint(r, 0.0))
         except BlowupError as exc:
-            raise BracketLostError(b, mid, exc) from exc
+            raise BracketLostError(b, r, exc) from exc
         if abs(z.v) < tol_v:
-            root = mid
+            root = r
             break
         if v_lo * z.v < 0.0:
-            hi = mid
+            hi, v_hi = r, z.v
+            if kept == "lo":
+                v_lo *= 0.5
+            kept = "lo"
         else:
-            lo, v_lo = mid, z.v
+            lo, v_lo = r, z.v
+            if kept == "hi":
+                v_hi *= 0.5
+            kept = "hi"
     if root is None:
         root = 0.5 * (lo + hi)
     return _build_cline(p, cfg, root, b)
@@ -247,7 +275,7 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
 
 @dataclass(eq=False)
 class BracketFailure:
-    """A bracket whose bisection aborted, kept for the result envelope."""
+    """A bracket whose refinement aborted, kept for the result envelope."""
 
     bracket: Bracket
     r: float
@@ -296,11 +324,12 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
                     resolution: int = DEFAULT_RESOLUTION,
                     tol_r: float = DEFAULT_TOL_R,
                     tol_v: float = DEFAULT_TOL_V) -> ClineSearchResult:
-    """Full pipeline: gamma sweep, bracketing, bisection, validation.
+    """Full pipeline: gamma sweep, bracketing, refinement, validation.
 
     Per-bracket blow-ups are recorded in the envelope without aborting the
     other brackets; roots closer than 10*tol_r are deduplicated.
     """
+    _check_tolerances(tol_r, tol_v)
     gamma = build_gamma(p, cfg, resolution)
     brackets = find_brackets(gamma)
     found: list[Cline] = []

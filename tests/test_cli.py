@@ -139,6 +139,27 @@ class TestFind:
         }))
         assert main(["find", str(cfg)]) == 4
 
+    @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")
+    def test_bad_tolerance_rejected_before_sweep(self, out_dir, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the tolerances were checked")
+
+        monkeypatch.setattr("clineshoot.shooting.build_gamma", no_sweep)
+        assert main(["find", str(REPO_CONFIGS / "prop2.json"), "--tol-v", "0"]) == 2
+        assert "tol_v" in capsys.readouterr().err
+        assert not (out_dir / "clines.json").exists()
+
+    def test_bad_tolerance_without_brackets(self, tmp_path, out_dir, capsys):
+        # no bracket means no refinement; the tolerance is still rejected
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": {"kind": "degree_of_dominance", "k": 0.0},
+            "lambda": 0.001,
+        }))
+        assert main(["find", str(cfg), "--tol-r", "-1"]) == 2
+        assert "tol_r" in capsys.readouterr().err
+
     def test_determinism(self, prop1_config, tmp_path, monkeypatch):
         outputs = []
         for sub in ("a", "b"):

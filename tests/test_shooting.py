@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import clineshoot.shooting as shooting
+from clineshoot.integrator import PhasePoint
 from clineshoot.shooting import (
+    DEFAULT_TOL_R,
     Bracket,
     BracketLostError,
     GammaCurve,
     bisect_cline,
     build_gamma,
+    find_all_clines,
     find_brackets,
 )
 
@@ -215,3 +219,86 @@ class TestFindAllClines:
         result, _ = prop1_search
         a, b, c = result.clines
         assert len(_dedupe([a, a, b, c], 1e-11)) == 3
+
+
+def count_maps(monkeypatch, terminal_v=None):
+    """Count poincare_map calls made by the shooting module.
+
+    With terminal_v given, the map is replaced by the synthetic terminal
+    slope r -> terminal_v(r); otherwise the real map runs. Returns the list
+    of evaluated initial heights.
+    """
+    real = shooting.poincare_map
+    evaluated = []
+
+    def counted(p, cfg, z0):
+        evaluated.append(z0.u)
+        if terminal_v is None:
+            return real(p, cfg, z0)
+        return PhasePoint(0.5, terminal_v(z0.u))
+
+    monkeypatch.setattr(shooting, "poincare_map", counted)
+    return evaluated
+
+
+def bisection_count(b, tol_r=DEFAULT_TOL_R):
+    """Evaluations plain bisection needs to shrink the bracket below tol_r."""
+    return math.ceil(math.log2((b.r_hi - b.r_lo) / tol_r))
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("name", ["prop1", "prop2"])
+    def test_maps_per_bracket(self, name, request, default_cfg, monkeypatch):
+        inst = request.getfixturevalue(name)
+        result, _ = request.getfixturevalue(f"{name}_search")
+        # reuse the session's sweep so only refinement and validation run
+        monkeypatch.setattr(shooting, "build_gamma", lambda *args: result.gamma)
+        evaluated = count_maps(monkeypatch)
+        again = find_all_clines(inst.problem, default_cfg)
+        refined = [b for b in again.brackets if not b.is_exact]
+        assert refined
+        assert len(evaluated) <= 10 * len(refined)
+        assert [c.c for c in again.clines] == [c.c for c in result.clines]
+
+    def test_understated_endpoint_slope(self, prop1, default_cfg, prop1_search,
+                                        monkeypatch):
+        # a stored slope 1e6 times too small puts the first secant point
+        # right next to r_lo, so the width safeguard has to step in
+        result, _ = prop1_search
+        ref = result.clines[1]
+        b = ref.bracket
+        skewed = Bracket(b.r_lo, b.r_hi, b.v_lo * 1e-6, b.v_hi)
+        evaluated = count_maps(monkeypatch)
+        cline = bisect_cline(prop1.problem, default_cfg, skewed)
+        assert abs(cline.c - ref.c) < 1e-8
+        assert abs(cline.terminal_v_residual) < 1e-10
+        assert evaluated[0] - b.r_lo < 1e-3 * (b.r_hi - b.r_lo)
+        assert len(evaluated) <= 2 * bisection_count(b) + 2
+
+    @pytest.mark.parametrize("steepness", [1e2, 3e2])
+    def test_one_sided_slope_beats_bisection(self, prop1, default_cfg,
+                                             monkeypatch, steepness):
+        # expm1 is nearly flat left of the root and steep right of it, so
+        # plain regula falsi creeps in from the flat side; the Illinois
+        # halving and the width safeguard each keep the count well under
+        # bisection's
+        c = 0.3
+
+        def terminal_v(r):
+            return math.expm1(steepness * (r - c))
+
+        evaluated = count_maps(monkeypatch, terminal_v)
+        b = Bracket(0.1, 0.4, terminal_v(0.1), terminal_v(0.4))
+        cline = bisect_cline(prop1.problem, default_cfg, b)
+        assert abs(cline.c - c) < 1e-10
+        assert len(evaluated) <= 0.6 * bisection_count(b)
+
+    def test_step_function_still_converges(self, prop1, default_cfg, monkeypatch):
+        # |v| never drops below tol_v, so only the width stop can end it
+        c = 0.3
+        evaluated = count_maps(monkeypatch,
+                               lambda r: -1.0 if r < c else 1.0)
+        b = Bracket(0.1, 0.4, -1.0, 1.0)
+        cline = bisect_cline(prop1.problem, default_cfg, b)
+        assert abs(cline.c - c) <= DEFAULT_TOL_R
+        assert len(evaluated) <= 2 * bisection_count(b) + 2
