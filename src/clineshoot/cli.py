@@ -173,6 +173,7 @@ def cmd_find(args) -> int:
     result = find_all_clines(problem, cfg, resolution=args.resolution,
                              tol_r=args.tol_r, tol_v=args.tol_v)
     elapsed = time.perf_counter() - t0
+    print(result.bracketing.summary(), file=sys.stderr)
     out_dir = _out_dir()
 
     payload = result.to_dict()

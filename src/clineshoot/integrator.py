@@ -102,14 +102,17 @@ def vector_field(p: Problem, x: float, z: PhasePoint) -> PhasePoint:
     return PhasePoint(z.v, -p.lam * p.weight.at(x) * float(p.f.value(z.u)))
 
 
-def _side_steps(length: float, target: float) -> tuple[int, float]:
-    n = max(1, math.ceil(length / target))
-    return n, length / n
+def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float]:
+    """Step counts and sizes (n1, h1, n2, h2) of the left and right sides.
 
-
-def _effective_target(p: Problem, cfg: IntegratorConfig) -> float:
-    # never fewer than MIN_STEPS_PER_SPAN steps across the habitat
-    return min(cfg.target_step, p.weight.span / MIN_STEPS_PER_SPAN)
+    The target is cfg.target_step, clamped so the habitat never gets fewer
+    than MIN_STEPS_PER_SPAN steps; each side takes the largest step not
+    exceeding it that divides the side length exactly.
+    """
+    target = min(cfg.target_step, p.weight.span / MIN_STEPS_PER_SPAN)
+    n1 = max(1, math.ceil(-p.weight.omega1 / target))
+    n2 = max(1, math.ceil(p.weight.omega2 / target))
+    return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2
 
 
 def _rk4_side_scalar(feval, c: float, h: float, n: int, u: float, v: float,
@@ -150,10 +153,8 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
     Two fixed-step RK4 sweeps, one per constant-weight side; u and v are
     continuous across x = 0 (only the second derivative jumps).
     """
-    target = _effective_target(p, cfg)
     w = p.weight
-    n1, h1 = _side_steps(-w.omega1, target)
-    n2, h2 = _side_steps(w.omega2, target)
+    n1, h1, n2, h2 = step_plan(p, cfg)
     xs = np.concatenate([np.linspace(w.omega1, 0.0, n1 + 1),
                          np.linspace(0.0, w.omega2, n2 + 1)[1:]])
     us = np.empty(n1 + n2 + 1)
@@ -177,10 +178,8 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
 
 def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:
     """Terminal phase point at omega2 of the trajectory started at (omega1, z0)."""
-    target = _effective_target(p, cfg)
     w = p.weight
-    n1, h1 = _side_steps(-w.omega1, target)
-    n2, h2 = _side_steps(w.omega2, target)
+    n1, h1, n2, h2 = step_plan(p, cfg)
     feval = p.f.value
     bound = cfg.blowup_bound
     u, v = _rk4_side_scalar(feval, p.lam * w.alpha, h1, n1, z0.u, z0.v, bound, w.omega1)
@@ -235,10 +234,8 @@ def _rk4_side_batch(fvec, c, h, n, u, v, bound, x0, active, exit_x):
 
 def sweep_terminals(p: Problem, cfg: IntegratorConfig, u0: np.ndarray) -> TerminalSweep:
     """Poincare map applied to a whole batch of initial points (u0, 0)."""
-    target = _effective_target(p, cfg)
     w = p.weight
-    n1, h1 = _side_steps(-w.omega1, target)
-    n2, h2 = _side_steps(w.omega2, target)
+    n1, h1, n2, h2 = step_plan(p, cfg)
     u = np.asarray(u0, dtype=float).copy()
     v = np.zeros_like(u)
     active = np.ones(u.shape, dtype=bool)

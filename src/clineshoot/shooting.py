@@ -2,6 +2,13 @@
 of the terminal slope, and refine each bracket down to a steady state by
 safeguarded Illinois regula falsi.
 
+The brackets are those of the sweep at the caller's step, but they are
+usually found without running it: two coarse sweeps settle the sign of the
+terminal slope wherever it clears their step-doubling error estimate by a
+wide margin, and only the other nodes and the bracket endpoints are swept
+again at the caller's step (`sweep_brackets`). Every reported number is
+computed at that step; `build_gamma` still sweeps every node at it.
+
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
 interval map lands back on the u-axis.
@@ -10,7 +17,7 @@ interval map lands back on the u-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, TextIO
 
 import numpy as np
@@ -22,6 +29,7 @@ from .integrator import (
     Trajectory,
     integrate,
     poincare_map,
+    step_plan,
     sweep_terminals,
 )
 from .problem import Problem, neumann_necessary_integral
@@ -37,6 +45,14 @@ EXACT_ROOT_TOL = 1e-13
 # trajectories approaching the trivial equilibria closer than this are
 # rejected as trivial-adjacent rather than reported as clines
 TRIVIAL_MARGIN = 1e-9
+
+# The bracketing pre-pass sweeps at H = span / PREPASS_STEPS_PER_SPAN and
+# H / 2, trusts a coarse sign only where |v| exceeds PREPASS_SAFETY times the
+# largest step-doubling estimate E plus EXACT_ROOT_TOL, and runs only when
+# its two sweeps take at most PREPASS_MAX_SHARE of the fine sweep's steps.
+PREPASS_STEPS_PER_SPAN = 200
+PREPASS_SAFETY = 100.0
+PREPASS_MAX_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -91,12 +107,16 @@ class GammaCurve:
                 out.write(f"{e.r:.17g},nan,nan,blowup\n")
 
 
+def _grid(resolution: int) -> np.ndarray:
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    return np.linspace(0.0, 1.0, resolution)
+
+
 def build_gamma(p: Problem, cfg: IntegratorConfig,
                 resolution: int = DEFAULT_RESOLUTION) -> GammaCurve:
     """Shoot from (r, 0) for every r on a uniform grid over [0, 1]."""
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    rs = np.linspace(0.0, 1.0, resolution)
+    rs = _grid(resolution)
     sweep = sweep_terminals(p, cfg, rs)
     return GammaCurve(rs=rs, u_end=sweep.u_end, v_end=sweep.v_end,
                       ok=sweep.ok, exit_x=sweep.exit_x)
@@ -161,6 +181,118 @@ def find_brackets(g: GammaCurve, zero_tol: float = EXACT_ROOT_TOL) -> list[Brack
         if j + 1 < len(rs) and abs(vs[j + 1]) > zero_tol and vs[j] * vs[j + 1] < 0.0:
             out.append(Bracket(rs[j], rs[j + 1], vs[j], vs[j + 1]))
     return out
+
+
+@dataclass(frozen=True)
+class BracketingReport:
+    """How the brackets were found; `find` prints it, no output file holds it.
+
+    `direct_reason` is None when the certified pre-pass stood and says why
+    the direct fine sweep ran otherwise.
+    """
+
+    nodes: int                          # interior grid nodes
+    coarse_steps: tuple[float, ...] = ()
+    error_estimate: float = math.nan    # E, the largest step-doubling estimate
+    reshot: int = 0                     # nodes swept again at the fine step
+    direct_reason: Optional[str] = None
+
+    def summary(self) -> str:
+        if self.direct_reason is not None:
+            return f"bracketing: direct sweep ({self.direct_reason})"
+        h, h2 = self.coarse_steps
+        return (f"bracketing: coarse steps {h:.6g} and {h2:.6g}, "
+                f"E = {self.error_estimate:.3g}, "
+                f"{self.reshot} of {self.nodes} nodes re-shot at the fine step")
+
+
+def _steps(p: Problem, cfg: IntegratorConfig) -> int:
+    n1, _, n2, _ = step_plan(p, cfg)
+    return n1 + n2
+
+
+def _mixed_curve(rs: np.ndarray, v: np.ndarray, ok: np.ndarray) -> GammaCurve:
+    """Curve over rs from interior values only; find_brackets reads no more."""
+    pad = np.array([np.nan])
+    v = np.concatenate([pad, v, pad])
+    return GammaCurve(rs=rs, u_end=np.full(len(rs), np.nan), v_end=v,
+                      ok=np.concatenate([[False], ok, [False]]),
+                      exit_x=np.full(len(rs), np.nan))
+
+
+def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
+    """Interior-node indices of the bracket endpoints."""
+    rs = [r for b in brackets for r in (b.r_lo, b.r_hi)]
+    return np.searchsorted(inner, rs).astype(int)
+
+
+def sweep_brackets(p: Problem, cfg: IntegratorConfig,
+                   resolution: int = DEFAULT_RESOLUTION
+                   ) -> tuple[list[Bracket], BracketingReport]:
+    """Brackets of the gamma sweep at cfg's step, found mostly from two coarse sweeps.
+
+    Returns what find_brackets(build_gamma(p, cfg, resolution)) returns,
+    field for field, with a report of how it was found.
+
+    The interior nodes are swept at H = span / PREPASS_STEPS_PER_SPAN and at
+    H / 2. E is the largest step-doubling (Richardson) estimate
+    |v_H - v_{H/2}| / 15 of the error of v_{H/2} over the nodes that
+    survived both (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A node's
+    coarse sign is trusted only if it and both neighbours survived both
+    sweeps and |v_{H/2}| > PREPASS_SAFETY * E + EXACT_ROOT_TOL. Every other
+    node, its neighbours and the endpoints of the brackets the coarse signs
+    form are swept again at cfg's step in one batch. A batch column does
+    not depend on the rest of the batch, so they carry the very values the
+    full sweep gives them; a scalar poincare_map can differ from a column
+    in the last bit where f calls exp or arctan. A node that is no endpoint
+    changes no bracket by its value as long as its sign holds, so the
+    brackets then equal the full sweep's, endpoint values included.
+
+    The direct sweep runs instead when the coarse sweeps would take more
+    than PREPASS_MAX_SHARE of the fine sweep's steps, and after the re-shot
+    if one of its brackets ends at a node that still has a coarse value,
+    which only a wrong trusted sign can cause.
+    """
+    rs = _grid(resolution)
+    nodes = resolution - 2
+
+    def direct(report: BracketingReport) -> tuple[list[Bracket], BracketingReport]:
+        return find_brackets(build_gamma(p, cfg, resolution)), report
+
+    h = p.weight.span / PREPASS_STEPS_PER_SPAN
+    coarse = [IntegratorConfig(target_step=t, blowup_bound=cfg.blowup_bound)
+              for t in (h, 0.5 * h)]
+    coarse_steps = sum(_steps(p, c) for c in coarse)
+    fine_steps = _steps(p, cfg)
+    if coarse_steps > PREPASS_MAX_SHARE * fine_steps:
+        reason = (f"coarse sweeps would take {coarse_steps} steps, "
+                  f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
+        return direct(BracketingReport(nodes, direct_reason=reason))
+
+    inner = rs[1:-1]
+    wide, half = (sweep_terminals(p, c, inner) for c in coarse)
+    ok = wide.ok & half.ok
+    error = float(np.max(np.abs(wide.v_end[ok] - half.v_end[ok]), initial=0.0)) / 15.0
+    trusted = ok & (np.abs(half.v_end) > PREPASS_SAFETY * error + EXACT_ROOT_TOL)
+    trusted[1:] &= ok[:-1]
+    trusted[:-1] &= ok[1:]
+    need = ~trusted
+    need[1:] |= ~trusted[:-1]
+    need[:-1] |= ~trusted[1:]
+    v = half.v_end.copy()
+    need[_endpoints(inner, find_brackets(_mixed_curve(rs, v, ok)))] = True
+
+    if need.any():
+        fine = sweep_terminals(p, cfg, inner[need])
+        v[need] = fine.v_end
+        ok[need] = fine.ok
+    brackets = find_brackets(_mixed_curve(rs, v, ok))
+    report = BracketingReport(nodes, (h, 0.5 * h), error, int(need.sum()))
+    if not need[_endpoints(inner, brackets)].all():
+        reason = (f"a bracket ends at a node with a trusted coarse value "
+                  f"after {report.reshot} re-shots, E = {error:.3g}")
+        return direct(replace(report, direct_reason=reason))
+    return brackets, report
 
 
 @dataclass(eq=False)
@@ -294,7 +426,7 @@ class ClineSearchResult:
     rejected: list[Cline]          # converged but trivial-adjacent
     failures: list[BracketFailure]
     brackets: list[Bracket]
-    gamma: GammaCurve
+    bracketing: BracketingReport
     settings: dict
 
     def to_dict(self) -> dict:
@@ -324,14 +456,17 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
                     resolution: int = DEFAULT_RESOLUTION,
                     tol_r: float = DEFAULT_TOL_R,
                     tol_v: float = DEFAULT_TOL_V) -> ClineSearchResult:
-    """Full pipeline: gamma sweep, bracketing, refinement, validation.
+    """Full pipeline: bracketing, refinement, validation.
 
-    Per-bracket blow-ups are recorded in the envelope without aborting the
-    other brackets; roots closer than 10*tol_r are deduplicated.
+    The brackets are those of the gamma sweep at cfg's step, found by the
+    certified coarse pre-pass of `sweep_brackets` when it is cheap enough
+    and by that sweep itself otherwise; refinement and validation always
+    run at cfg's step. Per-bracket blow-ups are recorded in the envelope
+    without aborting the other brackets; roots closer than 10*tol_r are
+    deduplicated.
     """
     _check_tolerances(tol_r, tol_v)
-    gamma = build_gamma(p, cfg, resolution)
-    brackets = find_brackets(gamma)
+    brackets, bracketing = sweep_brackets(p, cfg, resolution)
     found: list[Cline] = []
     failures: list[BracketFailure] = []
     for b in brackets:
@@ -352,6 +487,6 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
         rejected=[c for c in found if c.rejected],
         failures=failures,
         brackets=brackets,
-        gamma=gamma,
+        bracketing=bracketing,
         settings=settings,
     )

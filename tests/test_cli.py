@@ -144,7 +144,7 @@ class TestFind:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran before the tolerances were checked")
 
-        monkeypatch.setattr("clineshoot.shooting.build_gamma", no_sweep)
+        monkeypatch.setattr("clineshoot.shooting.sweep_terminals", no_sweep)
         assert main(["find", str(REPO_CONFIGS / "prop2.json"), "--tol-v", "0"]) == 2
         assert "tol_v" in capsys.readouterr().err
         assert not (out_dir / "clines.json").exists()
@@ -159,6 +159,14 @@ class TestFind:
         }))
         assert main(["find", str(cfg), "--tol-r", "-1"]) == 2
         assert "tol_r" in capsys.readouterr().err
+
+    def test_bracketing_line_on_stderr(self, prop1_config, out_dir, capsys):
+        assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        err = capsys.readouterr().err
+        assert "bracketing: coarse steps 0.00205 and 0.001025, E = " in err
+        assert "bracketing" not in (out_dir / "clines.json").read_text()
+        assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-3"]) == 0
+        assert "bracketing: direct sweep (coarse sweeps would take" in capsys.readouterr().err
 
     def test_determinism(self, prop1_config, tmp_path, monkeypatch):
         outputs = []

@@ -1,11 +1,15 @@
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clineshoot.shooting as shooting
-from clineshoot.integrator import PhasePoint
+from clineshoot.integrator import IntegratorConfig, PhasePoint
+from clineshoot.problem import problem_from_json
+from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import (
     DEFAULT_TOL_R,
     Bracket,
@@ -15,10 +19,12 @@ from clineshoot.shooting import (
     build_gamma,
     find_all_clines,
     find_brackets,
+    sweep_brackets,
 )
 
 PROP1_BRACKET_WINDOWS = [(0.1, 0.4), (0.4, 0.65), (0.65, 0.75)]
 PROP2_BRACKET_WINDOWS = [(0.01, 0.1), (0.1, 0.45), (0.45, 0.9)]
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synthetic_curve(vs, ok=None):
@@ -251,8 +257,9 @@ class TestRefinement:
     def test_maps_per_bracket(self, name, request, default_cfg, monkeypatch):
         inst = request.getfixturevalue(name)
         result, _ = request.getfixturevalue(f"{name}_search")
-        # reuse the session's sweep so only refinement and validation run
-        monkeypatch.setattr(shooting, "build_gamma", lambda *args: result.gamma)
+        # reuse the session's brackets so only refinement and validation run
+        monkeypatch.setattr(shooting, "sweep_brackets",
+                            lambda *args: (result.brackets, result.bracketing))
         evaluated = count_maps(monkeypatch)
         again = find_all_clines(inst.problem, default_cfg)
         refined = [b for b in again.brackets if not b.is_exact]
@@ -302,3 +309,146 @@ class TestRefinement:
         cline = bisect_cline(prop1.problem, default_cfg, b)
         assert abs(cline.c - c) <= DEFAULT_TOL_R
         assert len(evaluated) <= 2 * bisection_count(b) + 2
+
+
+def bracket_fields(brackets):
+    return [(b.r_lo, b.r_hi, b.v_lo, b.v_hi) for b in brackets]
+
+
+def direct_brackets(p, cfg):
+    return find_brackets(build_gamma(p, cfg))
+
+
+def node_index(r, resolution=shooting.DEFAULT_RESOLUTION):
+    """Index of grid height r among the interior nodes the pre-pass sweeps."""
+    return round(r * (resolution - 1)) - 1
+
+
+def record_sweeps(monkeypatch, patch_coarse=None):
+    """Record every sweep_terminals call of the shooting module.
+
+    With patch_coarse given, it is applied to the result of each coarse
+    sweep (any step other than the default one) before the pre-pass sees
+    it. Returns the list of (target_step, initial heights) calls.
+    """
+    real = shooting.sweep_terminals
+    calls = []
+
+    def recorded(p, cfg, u0):
+        calls.append((cfg.target_step, np.array(u0)))
+        out = real(p, cfg, u0)
+        if patch_coarse is not None and cfg.target_step != IntegratorConfig().target_step:
+            patch_coarse(out)
+        return out
+
+    monkeypatch.setattr(shooting, "sweep_terminals", recorded)
+    return calls
+
+
+class TestSweepBrackets:
+    @pytest.mark.parametrize("name", ["prop1", "prop2"])
+    def test_propositions_match_direct_sweep(self, name, request, default_cfg):
+        inst = request.getfixturevalue(name)
+        result, _ = request.getfixturevalue(f"{name}_search")
+        assert result.bracketing.direct_reason is None
+        assert bracket_fields(result.brackets) == bracket_fields(
+            direct_brackets(inst.problem, default_cfg))
+
+    def test_remark_concave_config_matches_direct_sweep(self, default_cfg):
+        p = problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text())
+        brackets, report = sweep_brackets(p, default_cfg)
+        assert report.direct_reason is None
+        assert bracket_fields(brackets) == bracket_fields(direct_brackets(p, default_cfg))
+
+    @pytest.mark.parametrize("lam", [5.0, 45.0, 300.0])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_remark_instances_match_direct_sweep(self, index, lam, default_cfg):
+        p = replace(remark_instances()[index].problem, lam=lam)
+        brackets, report = sweep_brackets(p, default_cfg)
+        gamma = build_gamma(p, default_cfg)
+        if lam == 300.0:
+            assert not gamma.ok.all()  # the case covers blow-up gaps
+        assert bracket_fields(brackets) == bracket_fields(find_brackets(gamma))
+        assert report.direct_reason is None
+
+    def test_wrong_coarse_sign_is_reshot(self, prop1, default_cfg, prop1_search,
+                                         monkeypatch):
+        # a wrong sign mid-run forms two spurious brackets whose endpoints
+        # are re-shot, and the fine value removes them again
+        result, _ = prop1_search
+        r, k = 0.9, node_index(0.9)
+
+        def flip(out):
+            out.v_end[k] = -out.v_end[k]
+
+        calls = record_sweeps(monkeypatch, flip)
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        assert report.direct_reason is None
+        fine = [u0 for step, u0 in calls if step == default_cfg.target_step]
+        assert len(fine) == 1 and r in fine[0]
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    def test_value_within_the_margin_is_reshot(self, prop1, default_cfg,
+                                               prop1_search, monkeypatch):
+        # a coarse value of the right sign but within PREPASS_SAFETY * E of
+        # zero is not trusted
+        result, _ = prop1_search
+        r, k = 0.9, node_index(0.9)
+        v = float(shooting.sweep_terminals(prop1.problem, default_cfg, [r]).v_end[0])
+        small = math.copysign(2.0 * result.bracketing.error_estimate, v)
+
+        def shrink(out):
+            out.v_end[k] = small
+
+        calls = record_sweeps(monkeypatch, shrink)
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        assert report.direct_reason is None
+        assert r in calls[-1][1]
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    def test_reshot_reaches_two_nodes_past_a_blowup(self, prop1, default_cfg,
+                                                    prop1_search, monkeypatch):
+        # the neighbours of a coarse blow-up are not trusted, so the fine
+        # blow-up region may reach one node further without forcing the
+        # direct sweep
+        result, _ = prop1_search
+        k = node_index(0.9)
+
+        def blow_up(out):
+            out.ok[k] = False
+            out.v_end[k] = np.nan
+
+        calls = record_sweeps(monkeypatch, blow_up)
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        inner = np.linspace(0.0, 1.0, shooting.DEFAULT_RESOLUTION)[1:-1]
+        assert set(inner[k - 2:k + 3]) <= set(calls[-1][1])
+        assert report.direct_reason is None
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    def test_wrong_sign_at_an_endpoint_falls_back(self, prop1, default_cfg,
+                                                  prop1_search, monkeypatch):
+        # a wrong sign at a true bracket endpoint hides that bracket from the
+        # coarse curve; its other endpoint keeps a coarse value, so the
+        # direct sweep runs
+        result, _ = prop1_search
+        b = result.brackets[0]
+        k = node_index(b.r_hi)
+
+        def flip(out):
+            out.v_end[k] = -out.v_end[k]
+
+        calls = record_sweeps(monkeypatch, flip)
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        assert report.direct_reason is not None
+        assert len(calls[-1][1]) == shooting.DEFAULT_RESOLUTION
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    def test_cost_gate_runs_the_direct_sweep(self, monkeypatch):
+        p = remark_instances()[0].problem
+        cfg = IntegratorConfig(target_step=1e-3)
+        calls = record_sweeps(monkeypatch)
+        _, report = sweep_brackets(p, cfg)
+        assert report.direct_reason is not None
+        assert len(calls) == 1
+        step, u0 = calls[0]
+        assert step == 1e-3 and len(u0) == shooting.DEFAULT_RESOLUTION
