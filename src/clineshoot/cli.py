@@ -174,6 +174,16 @@ def cmd_find(args) -> int:
                              tol_r=args.tol_r, tol_v=args.tol_v)
     elapsed = time.perf_counter() - t0
     print(result.bracketing.summary(), file=sys.stderr)
+    trivial = []
+    for level, name in ((0.0, "trivial_0.csv"), (1.0, "trivial_1.csv")):
+        try:
+            trivial.append((name, integrate(problem, cfg, PhasePoint(level, 0.0))))
+        except BlowupError as exc:
+            # f(level) != 0: the constant profile is no steady state
+            print(f"blow-up on the trivial profile u = {level:g} ({name}) at "
+                  f"x = {exc.x:.17g} (u = {exc.u:.17g}, v = {exc.v:.17g}); "
+                  f"no files written", file=sys.stderr)
+            return EXIT_BLOWUP
     out_dir = _out_dir()
 
     payload = result.to_dict()
@@ -186,8 +196,7 @@ def cmd_find(args) -> int:
                                        + (f"c: {cline.c:.17g}",))
         csv_names.append(name)
     payload["trajectory_files"] = csv_names
-    for level, name in ((0.0, "trivial_0.csv"), (1.0, "trivial_1.csv")):
-        traj = integrate(problem, cfg, PhasePoint(level, 0.0))
+    for name, traj in trivial:
         with (out_dir / name).open("w") as fh:
             traj.write_csv(fh, header_lines=manifest.comment_lines())
     with (out_dir / "clines.json").open("w") as fh:

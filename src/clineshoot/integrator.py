@@ -23,6 +23,10 @@ DEFAULT_BLOWUP_BOUND = 1e3
 # across the habitat, whatever the requested target.
 MIN_STEPS_PER_SPAN = 100
 
+# CSV writers format this many rows per write, from Python floats; joining
+# a whole file into one string would hold every row in memory at once.
+CSV_CHUNK_ROWS = 1024
+
 
 class BlowupError(RuntimeError):
     """A trajectory left the bounded region before reaching omega2."""
@@ -90,11 +94,13 @@ class Trajectory:
             out.write(f"# {line}\n")
         out.write("x,u,v\n")
         n = len(self.xs)
-        idx = list(range(0, n, decimate))
+        idx = np.arange(0, n, decimate)
         if idx[-1] != n - 1:
-            idx.append(n - 1)
-        for i in idx:
-            out.write(f"{self.xs[i]:.17g},{self.us[i]:.17g},{self.vs[i]:.17g}\n")
+            idx = np.append(idx, n - 1)
+        for start in range(0, len(idx), CSV_CHUNK_ROWS):
+            rows = idx[start:start + CSV_CHUNK_ROWS]
+            out.write("".join(f"{x:.17g},{u:.17g},{v:.17g}\n" for x, u, v in zip(
+                self.xs[rows].tolist(), self.us[rows].tolist(), self.vs[rows].tolist())))
 
 
 def vector_field(p: Problem, x: float, z: PhasePoint) -> PhasePoint:

@@ -5,9 +5,11 @@ safeguarded Illinois regula falsi.
 The brackets are those of the sweep at the caller's step, but they are
 usually found without running it: two coarse sweeps settle the sign of the
 terminal slope wherever it clears their step-doubling error estimate by a
-wide margin, and only the other nodes and the bracket endpoints are swept
-again at the caller's step (`sweep_brackets`). Every reported number is
-computed at that step; `build_gamma` still sweeps every node at it.
+wide margin, and only the other nodes and the bracket endpoints are shot
+again at the caller's step, one scalar Poincare map each
+(`sweep_brackets`). The bracket endpoint slopes are then those of the
+scalar map that refinement iterates with. Every reported number is
+computed at the caller's step; `build_gamma` still sweeps every node at it.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -23,6 +25,7 @@ from typing import Iterator, Optional, TextIO
 import numpy as np
 
 from .integrator import (
+    CSV_CHUNK_ROWS,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -49,10 +52,14 @@ TRIVIAL_MARGIN = 1e-9
 # The bracketing pre-pass sweeps at H = span / PREPASS_STEPS_PER_SPAN and
 # H / 2, trusts a coarse sign only where |v| exceeds PREPASS_SAFETY times the
 # largest step-doubling estimate E plus EXACT_ROOT_TOL, and runs only when
-# its two sweeps take at most PREPASS_MAX_SHARE of the fine sweep's steps.
+# its two sweeps take at most PREPASS_MAX_SHARE of the fine sweep's steps
+# and at most PREPASS_MAX_RESHOTS nodes need a scalar map at the fine step.
+# One scalar map costs about 1/70 of the 2001-node fine sweep on prop-2
+# and about 1/90 on prop-1; 32 leaves a margin below that break-even.
 PREPASS_STEPS_PER_SPAN = 200
 PREPASS_SAFETY = 100.0
 PREPASS_MAX_SHARE = 0.25
+PREPASS_MAX_RESHOTS = 32
 
 
 @dataclass(frozen=True)
@@ -100,11 +107,12 @@ class GammaCurve:
         for line in header_lines:
             out.write(f"# {line}\n")
         out.write("r,u_end,v_end,status\n")
-        for e in self.entries:
-            if e.status == "ok":
-                out.write(f"{e.r:.17g},{e.u_end:.17g},{e.v_end:.17g},ok\n")
-            else:
-                out.write(f"{e.r:.17g},nan,nan,blowup\n")
+        for start in range(0, self.resolution, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            out.write("".join(
+                f"{r:.17g},{u:.17g},{v:.17g},ok\n" if ok else f"{r:.17g},nan,nan,blowup\n"
+                for r, u, v, ok in zip(self.rs[rows].tolist(), self.u_end[rows].tolist(),
+                                       self.v_end[rows].tolist(), self.ok[rows].tolist())))
 
 
 def _grid(resolution: int) -> np.ndarray:
@@ -194,7 +202,7 @@ class BracketingReport:
     nodes: int                          # interior grid nodes
     coarse_steps: tuple[float, ...] = ()
     error_estimate: float = math.nan    # E, the largest step-doubling estimate
-    reshot: int = 0                     # nodes swept again at the fine step
+    reshot: int = 0                     # nodes that need a fine-step value
     direct_reason: Optional[str] = None
 
     def summary(self) -> str:
@@ -231,8 +239,13 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
                    ) -> tuple[list[Bracket], BracketingReport]:
     """Brackets of the gamma sweep at cfg's step, found mostly from two coarse sweeps.
 
-    Returns what find_brackets(build_gamma(p, cfg, resolution)) returns,
-    field for field, with a report of how it was found.
+    Returns the brackets of find_brackets(build_gamma(p, cfg, resolution))
+    with a report of how they were found. When the pre-pass stands, r_lo
+    and r_hi are the full sweep's and v_lo and v_hi are the terminal slopes
+    of poincare_map at cfg's step, the arithmetic bisect_cline iterates
+    with; where f calls exp or arctan a scalar map can differ from a batch
+    column in the last bit. When the direct sweep runs, they are all the
+    sweep's.
 
     The interior nodes are swept at H = span / PREPASS_STEPS_PER_SPAN and at
     H / 2. E is the largest step-doubling (Richardson) estimate
@@ -241,17 +254,16 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     coarse sign is trusted only if it and both neighbours survived both
     sweeps and |v_{H/2}| > PREPASS_SAFETY * E + EXACT_ROOT_TOL. Every other
     node, its neighbours and the endpoints of the brackets the coarse signs
-    form are swept again at cfg's step in one batch. A batch column does
-    not depend on the rest of the batch, so they carry the very values the
-    full sweep gives them; a scalar poincare_map can differ from a column
-    in the last bit where f calls exp or arctan. A node that is no endpoint
-    changes no bracket by its value as long as its sign holds, so the
-    brackets then equal the full sweep's, endpoint values included.
+    form are shot again at cfg's step, one poincare_map each; a BlowupError
+    marks the node blown. A node that is no endpoint changes no bracket by
+    its value as long as its sign holds, so the brackets then equal the
+    full sweep's.
 
     The direct sweep runs instead when the coarse sweeps would take more
-    than PREPASS_MAX_SHARE of the fine sweep's steps, and after the re-shot
-    if one of its brackets ends at a node that still has a coarse value,
-    which only a wrong trusted sign can cause.
+    than PREPASS_MAX_SHARE of the fine sweep's steps, when more than
+    PREPASS_MAX_RESHOTS nodes need a fine value, and after the re-shots if
+    a bracket ends at a node that still has a coarse value, which only a
+    wrong trusted sign can cause.
     """
     rs = _grid(resolution)
     nodes = resolution - 2
@@ -281,13 +293,20 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     need[:-1] |= ~trusted[1:]
     v = half.v_end.copy()
     need[_endpoints(inner, find_brackets(_mixed_curve(rs, v, ok)))] = True
-
-    if need.any():
-        fine = sweep_terminals(p, cfg, inner[need])
-        v[need] = fine.v_end
-        ok[need] = fine.ok
-    brackets = find_brackets(_mixed_curve(rs, v, ok))
     report = BracketingReport(nodes, (h, 0.5 * h), error, int(need.sum()))
+    if report.reshot > PREPASS_MAX_RESHOTS:
+        reason = (f"{report.reshot} nodes need the fine step, "
+                  f"more than {PREPASS_MAX_RESHOTS} scalar re-shots, E = {error:.3g}")
+        return direct(replace(report, direct_reason=reason))
+
+    for i in np.flatnonzero(need):
+        try:
+            v[i] = poincare_map(p, cfg, PhasePoint(float(inner[i]), 0.0)).v
+            ok[i] = True
+        except BlowupError:
+            v[i] = np.nan
+            ok[i] = False
+    brackets = find_brackets(_mixed_curve(rs, v, ok))
     if not need[_endpoints(inner, brackets)].all():
         reason = (f"a bracket ends at a node with a trusted coarse value "
                   f"after {report.reshot} re-shots, E = {error:.3g}")

@@ -139,6 +139,20 @@ class TestFind:
         }))
         assert main(["find", str(cfg)]) == 4
 
+    def test_trivial_profile_blowup_exit_code(self, tmp_path, out_dir, capsys):
+        # f(0) = 5, so u = 0 is no equilibrium and its constant profile is
+        # no solution: it blows up
+        cfg = tmp_path / "offset.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": {"kind": "poly", "coeffs": [5, 1, -1]},
+            "lambda": 400.0,
+        }))
+        assert main(["find", str(cfg), "--resolution", "101"]) == 3
+        err = capsys.readouterr().err
+        assert "blow-up on the trivial profile u = 0 (trivial_0.csv) at x = " in err
+        assert not out_dir.exists()
+
     @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")
     def test_bad_tolerance_rejected_before_sweep(self, out_dir, monkeypatch, capsys):
         def no_sweep(*args, **kwargs):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clineshoot.integrator import (
+    CSV_CHUNK_ROWS,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -150,7 +151,9 @@ class TestBatchAgreement:
         # exact by construction on prop-1, whose f is basic arithmetic done in
         # the same order on both paths; prop-2's f calls np.exp/np.arctan on
         # one path and math.exp/math.atan on the other, which agree at these
-        # nodes but not at every node
+        # nodes but not at every node. The bracketing pre-pass takes bracket
+        # endpoint slopes from poincare_map, so where the paths differ at an
+        # endpoint its v_lo/v_hi differ in the last bit from build_gamma's
         for inst in (prop1, prop2):
             rs = np.linspace(0.02, 0.95, 17)
             sweep = sweep_terminals(inst.problem, default_cfg, rs)
@@ -160,8 +163,8 @@ class TestBatchAgreement:
                 assert z.v == sweep.v_end[i]
 
     def test_columns_do_not_depend_on_the_batch(self, prop2):
-        # the bracketing pre-pass re-sweeps a few columns and relies on them
-        # carrying the full sweep's values bit for bit
+        # a column does not depend on which other heights share its batch,
+        # so a sweep over some heights gives each the full sweep's value
         cfg = IntegratorConfig(target_step=1e-3)
         rs = np.linspace(0.0, 1.0, 2001)
         full = sweep_terminals(prop2.problem, cfg, rs)
@@ -238,6 +241,22 @@ class TestCsvExport:
         traj.write_csv(buf, decimate=7)
         last = buf.getvalue().splitlines()[-1].split(",")
         assert float(last[0]) == prop1.problem.omega2
+
+    @pytest.mark.parametrize("decimate", [1, 7])
+    def test_rows_match_per_element_format(self, prop2, decimate):
+        # at the default step the trajectory has 8551 samples; decimated by
+        # 7 it keeps 1222 rows plus the last, neither a multiple of the chunk
+        traj = integrate(prop2.problem, IntegratorConfig(), PhasePoint(0.4, 0.0))
+        n = len(traj.xs)
+        idx = list(range(0, n, decimate))
+        if idx[-1] != n - 1:
+            idx.append(n - 1)
+        assert len(idx) > CSV_CHUNK_ROWS and len(idx) % CSV_CHUNK_ROWS
+        expected = "x,u,v\n" + "".join(
+            f"{traj.xs[i]:.17g},{traj.us[i]:.17g},{traj.vs[i]:.17g}\n" for i in idx)
+        buf = io.StringIO()
+        traj.write_csv(buf, decimate=decimate)
+        assert buf.getvalue() == expected
 
     def test_decimate_validation(self, prop1):
         traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import clineshoot.shooting as shooting
-from clineshoot.integrator import IntegratorConfig, PhasePoint
+from clineshoot.integrator import BlowupError, IntegratorConfig, PhasePoint, poincare_map
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import (
@@ -66,6 +66,21 @@ class TestGammaCurve:
         assert lines[1] == "r,u_end,v_end,status"
         assert len(lines) == 2 + 11
         assert lines[2] == "0,0,0,ok"
+
+    def test_csv_rows_match_per_element_format(self):
+        rng = np.random.default_rng(7)
+        n = 2 * shooting.CSV_CHUNK_ROWS + 5
+        ok = rng.random(n) > 0.1
+        g = GammaCurve(rs=np.linspace(0.0, 1.0, n), u_end=rng.normal(size=n),
+                       v_end=rng.normal(size=n) * 1e-7, ok=ok,
+                       exit_x=np.where(ok, np.nan, 0.1))
+        expected = "r,u_end,v_end,status\n" + "".join(
+            f"{g.rs[i]:.17g},{g.u_end[i]:.17g},{g.v_end[i]:.17g},ok\n" if ok[i]
+            else f"{g.rs[i]:.17g},nan,nan,blowup\n" for i in range(n))
+        buf = io.StringIO()
+        g.write_csv(buf)
+        assert buf.getvalue() == expected
+        assert buf.getvalue().count(",blowup\n") == int((~ok).sum()) > 0
 
     def test_entries_iterator_blowup_marker(self):
         g = synthetic_curve([0.0, 1.0, -1.0, 2.0, 0.0], ok=[1, 1, 0, 1, 1])
@@ -324,25 +339,35 @@ def node_index(r, resolution=shooting.DEFAULT_RESOLUTION):
     return round(r * (resolution - 1)) - 1
 
 
-def record_sweeps(monkeypatch, patch_coarse=None):
-    """Record every sweep_terminals call of the shooting module.
+def record_sweeps(monkeypatch, patch_coarse=None, blow_up_at=()):
+    """Record the sweeps and scalar re-shots of the shooting module.
 
     With patch_coarse given, it is applied to the result of each coarse
     sweep (any step other than the default one) before the pre-pass sees
-    it. Returns the list of (target_step, initial heights) calls.
+    it. poincare_map raises BlowupError at the heights in blow_up_at.
+    Returns the list of (target_step, initial heights) sweep_terminals
+    calls and the list of heights passed to poincare_map.
     """
-    real = shooting.sweep_terminals
-    calls = []
+    real_sweep = shooting.sweep_terminals
+    real_map = shooting.poincare_map
+    calls, reshot = [], []
 
-    def recorded(p, cfg, u0):
+    def recorded_sweep(p, cfg, u0):
         calls.append((cfg.target_step, np.array(u0)))
-        out = real(p, cfg, u0)
+        out = real_sweep(p, cfg, u0)
         if patch_coarse is not None and cfg.target_step != IntegratorConfig().target_step:
             patch_coarse(out)
         return out
 
-    monkeypatch.setattr(shooting, "sweep_terminals", recorded)
-    return calls
+    def recorded_map(p, cfg, z0):
+        reshot.append(z0.u)
+        if z0.u in blow_up_at:
+            raise BlowupError(0.0, 2.0 * cfg.blowup_bound, 0.0)
+        return real_map(p, cfg, z0)
+
+    monkeypatch.setattr(shooting, "sweep_terminals", recorded_sweep)
+    monkeypatch.setattr(shooting, "poincare_map", recorded_map)
+    return calls, reshot
 
 
 class TestSweepBrackets:
@@ -366,10 +391,29 @@ class TestSweepBrackets:
         p = replace(remark_instances()[index].problem, lam=lam)
         brackets, report = sweep_brackets(p, default_cfg)
         gamma = build_gamma(p, default_cfg)
-        if lam == 300.0:
-            assert not gamma.ok.all()  # the case covers blow-up gaps
         assert bracket_fields(brackets) == bracket_fields(find_brackets(gamma))
-        assert report.direct_reason is None
+        if lam == 300.0:
+            # the case covers blow-up gaps, too many for scalar re-shots
+            assert not gamma.ok.all()
+            assert report.reshot > shooting.PREPASS_MAX_RESHOTS
+            assert report.direct_reason.startswith(
+                f"{report.reshot} nodes need the fine step, more than "
+                f"{shooting.PREPASS_MAX_RESHOTS} scalar re-shots")
+        else:
+            assert report.direct_reason is None
+
+    def test_endpoint_slopes_are_scalar_maps(self, prop1, prop2, prop1_search,
+                                             prop2_search, default_cfg):
+        # v_lo and v_hi are the arithmetic bisect_cline iterates with
+        remark = problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text())
+        cases = [(prop1_search[0].brackets, prop1.problem),
+                 (prop2_search[0].brackets, prop2.problem),
+                 (sweep_brackets(remark, default_cfg)[0], remark)]
+        for brackets, p in cases:
+            assert brackets
+            for b in brackets:
+                for r, v in ((b.r_lo, b.v_lo), (b.r_hi, b.v_hi)):
+                    assert v == poincare_map(p, default_cfg, PhasePoint(r, 0.0)).v
 
     def test_wrong_coarse_sign_is_reshot(self, prop1, default_cfg, prop1_search,
                                          monkeypatch):
@@ -381,11 +425,12 @@ class TestSweepBrackets:
         def flip(out):
             out.v_end[k] = -out.v_end[k]
 
-        calls = record_sweeps(monkeypatch, flip)
+        calls, reshot = record_sweeps(monkeypatch, flip)
         brackets, report = sweep_brackets(prop1.problem, default_cfg)
         assert report.direct_reason is None
-        fine = [u0 for step, u0 in calls if step == default_cfg.target_step]
-        assert len(fine) == 1 and r in fine[0]
+        assert r in reshot
+        assert len(reshot) == len(set(reshot)) == report.reshot
+        assert all(step != default_cfg.target_step for step, _ in calls)
         assert bracket_fields(brackets) == bracket_fields(result.brackets)
 
     def test_value_within_the_margin_is_reshot(self, prop1, default_cfg,
@@ -394,16 +439,16 @@ class TestSweepBrackets:
         # zero is not trusted
         result, _ = prop1_search
         r, k = 0.9, node_index(0.9)
-        v = float(shooting.sweep_terminals(prop1.problem, default_cfg, [r]).v_end[0])
+        v = poincare_map(prop1.problem, default_cfg, PhasePoint(r, 0.0)).v
         small = math.copysign(2.0 * result.bracketing.error_estimate, v)
 
         def shrink(out):
             out.v_end[k] = small
 
-        calls = record_sweeps(monkeypatch, shrink)
+        _, reshot = record_sweeps(monkeypatch, shrink)
         brackets, report = sweep_brackets(prop1.problem, default_cfg)
         assert report.direct_reason is None
-        assert r in calls[-1][1]
+        assert r in reshot
         assert bracket_fields(brackets) == bracket_fields(result.brackets)
 
     def test_reshot_reaches_two_nodes_past_a_blowup(self, prop1, default_cfg,
@@ -418,11 +463,47 @@ class TestSweepBrackets:
             out.ok[k] = False
             out.v_end[k] = np.nan
 
-        calls = record_sweeps(monkeypatch, blow_up)
+        _, reshot = record_sweeps(monkeypatch, blow_up)
         brackets, report = sweep_brackets(prop1.problem, default_cfg)
         inner = np.linspace(0.0, 1.0, shooting.DEFAULT_RESOLUTION)[1:-1]
-        assert set(inner[k - 2:k + 3]) <= set(calls[-1][1])
+        assert set(inner[k - 2:k + 3]) <= set(reshot)
         assert report.direct_reason is None
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    def test_reshot_blowup_marks_the_node_blown(self, prop1, default_cfg,
+                                                prop1_search, monkeypatch):
+        # a re-shot endpoint that blows up drops out of the curve, so its
+        # bracket stretches to the next node, which holds a coarse value:
+        # the direct sweep runs, and its real values give the brackets back
+        result, _ = prop1_search
+        r = result.brackets[0].r_hi
+        calls, reshot = record_sweeps(monkeypatch, blow_up_at={r})
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        assert r in reshot
+        assert report.direct_reason.startswith("a bracket ends at a node with "
+                                               "a trusted coarse value")
+        assert len(calls[-1][1]) == shooting.DEFAULT_RESOLUTION
+        assert bracket_fields(brackets) == bracket_fields(result.brackets)
+
+    @pytest.mark.parametrize("extra", [0, -1])
+    def test_reshot_limit(self, prop1, default_cfg, prop1_search, monkeypatch,
+                          extra):
+        # prop-1 needs 6 re-shots: a limit of 6 keeps the pre-pass, and a
+        # limit of 5 takes the direct sweep before any scalar map runs
+        result, _ = prop1_search
+        needed = result.bracketing.reshot
+        monkeypatch.setattr(shooting, "PREPASS_MAX_RESHOTS", needed + extra)
+        calls, reshot = record_sweeps(monkeypatch)
+        brackets, report = sweep_brackets(prop1.problem, default_cfg)
+        assert report.reshot == needed
+        if extra == 0:
+            assert report.direct_reason is None
+            assert len(reshot) == needed
+        else:
+            assert report.direct_reason.startswith(
+                f"{needed} nodes need the fine step, more than {needed - 1}")
+            assert reshot == []
+            assert len(calls[-1][1]) == shooting.DEFAULT_RESOLUTION
         assert bracket_fields(brackets) == bracket_fields(result.brackets)
 
     def test_wrong_sign_at_an_endpoint_falls_back(self, prop1, default_cfg,
@@ -437,7 +518,7 @@ class TestSweepBrackets:
         def flip(out):
             out.v_end[k] = -out.v_end[k]
 
-        calls = record_sweeps(monkeypatch, flip)
+        calls, _ = record_sweeps(monkeypatch, flip)
         brackets, report = sweep_brackets(prop1.problem, default_cfg)
         assert report.direct_reason is not None
         assert len(calls[-1][1]) == shooting.DEFAULT_RESOLUTION
@@ -446,9 +527,9 @@ class TestSweepBrackets:
     def test_cost_gate_runs_the_direct_sweep(self, monkeypatch):
         p = remark_instances()[0].problem
         cfg = IntegratorConfig(target_step=1e-3)
-        calls = record_sweeps(monkeypatch)
+        calls, reshot = record_sweeps(monkeypatch)
         _, report = sweep_brackets(p, cfg)
         assert report.direct_reason is not None
-        assert len(calls) == 1
+        assert len(calls) == 1 and reshot == []
         step, u0 = calls[0]
         assert step == 1e-3 and len(u0) == shooting.DEFAULT_RESOLUTION
