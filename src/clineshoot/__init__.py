@@ -11,54 +11,38 @@ from .integrator import (
     BlowupError,
     IntegratorConfig,
     PhasePoint,
-    Trajectory,
     energy_profile,
     integrate,
-    piecewise_energy,
     poincare_map,
-    sweep_terminals,
-    vector_field,
 )
 from .nonlinearity import (
     ArctanDamped,
     CustomPolynomial,
     DegreeOfDominance,
-    FStarReport,
     HatFamily,
     Nonlinearity,
     check_f_star,
     nonlinearity_from_dict,
 )
 from .problem import (
-    ConjectureReport,
     Problem,
     StepWeight,
     neumann_necessary_integral,
     problem_from_dict,
     problem_from_json,
     validate_conjecture_hypotheses,
-    weight_at,
-    weight_mean,
 )
 from .reproduction import (
-    ComparisonReport,
     NamedInstance,
     compare,
-    named_instance_from_dict,
-    named_instance_from_json,
     proposition_1,
     proposition_2,
     remark_instances,
-    run_instance,
     sweep_cline_counts,
 )
 from .shooting import (
     Bracket,
     BracketLostError,
-    Cline,
-    ClineSearchResult,
-    GammaCurve,
-    GammaEntry,
     bisect_cline,
     build_gamma,
     find_all_clines,
@@ -70,15 +54,8 @@ __all__ = [
     "BlowupError",
     "Bracket",
     "BracketLostError",
-    "Cline",
-    "ClineSearchResult",
-    "ComparisonReport",
-    "ConjectureReport",
     "CustomPolynomial",
     "DegreeOfDominance",
-    "FStarReport",
-    "GammaCurve",
-    "GammaEntry",
     "HatFamily",
     "IntegratorConfig",
     "NamedInstance",
@@ -86,7 +63,6 @@ __all__ = [
     "PhasePoint",
     "Problem",
     "StepWeight",
-    "Trajectory",
     "bisect_cline",
     "build_gamma",
     "check_f_star",
@@ -95,22 +71,15 @@ __all__ = [
     "find_all_clines",
     "find_brackets",
     "integrate",
-    "named_instance_from_dict",
-    "named_instance_from_json",
     "neumann_necessary_integral",
     "nonlinearity_from_dict",
-    "piecewise_energy",
     "poincare_map",
     "problem_from_dict",
     "problem_from_json",
     "proposition_1",
     "proposition_2",
     "remark_instances",
-    "run_instance",
     "sweep_cline_counts",
     "validate_conjecture_hypotheses",
-    "vector_field",
-    "weight_at",
-    "weight_mean",
     "__version__",
 ]

@@ -16,14 +16,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .integrator import BlowupError, IntegratorConfig, PhasePoint, integrate
 from .problem import Problem, problem_from_dict, validate_conjecture_hypotheses
-from .reproduction import compare, proposition_1, proposition_2, run_instance
+from .reproduction import compare, proposition_1, proposition_2
 from .shooting import (
     DEFAULT_RESOLUTION,
     DEFAULT_TOL_R,
@@ -43,38 +42,6 @@ OUTPUT_DIR_ENV = "CLINE_SEED_DIR"
 
 class ConfigError(Exception):
     """Unreadable or malformed configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every output file."""
-
-    config_digest: str
-    target_step: float
-    blowup_bound: float
-    resolution: Optional[int]
-    tol_r: Optional[float]
-    tol_v: Optional[float]
-    version: str
-
-    def to_dict(self) -> dict:
-        d = {
-            "config_digest": self.config_digest,
-            "target_step": self.target_step,
-            "blowup_bound": self.blowup_bound,
-            "version": self.version,
-        }
-        if self.resolution is not None:
-            d["resolution"] = self.resolution
-        if self.tol_r is not None:
-            d["tol_r"] = self.tol_r
-        if self.tol_v is not None:
-            d["tol_v"] = self.tol_v
-        return d
-
-    def comment_lines(self) -> tuple[str, ...]:
-        return tuple(f"{k}: {v:.17g}" if isinstance(v, float) else f"{k}: {v}"
-                     for k, v in self.to_dict().items())
 
 
 def _load_problem(path: str) -> tuple[Problem, str]:
@@ -105,10 +72,20 @@ def _out_dir() -> Path:
 
 
 def _manifest(digest: str, cfg: IntegratorConfig, resolution: Optional[int] = None,
-              tol_r: Optional[float] = None, tol_v: Optional[float] = None) -> RunManifest:
-    return RunManifest(config_digest=digest, target_step=cfg.target_step,
-                       blowup_bound=cfg.blowup_bound, resolution=resolution,
-                       tol_r=tol_r, tol_v=tol_v, version=__version__)
+              tol_r: Optional[float] = None, tol_v: Optional[float] = None) -> dict:
+    """Provenance block embedded in every output file; unset fields are left out."""
+    manifest = {"config_digest": digest, "target_step": cfg.target_step,
+                "blowup_bound": cfg.blowup_bound, "version": __version__}
+    for key, value in (("resolution", resolution), ("tol_r", tol_r), ("tol_v", tol_v)):
+        if value is not None:
+            manifest[key] = value
+    return manifest
+
+
+def _comment_lines(manifest: dict) -> tuple[str, ...]:
+    """The manifest as CSV comment lines, floats at 17 significant digits."""
+    return tuple(f"{k}: {v:.17g}" if isinstance(v, float) else f"{k}: {v}"
+                 for k, v in manifest.items())
 
 
 def cmd_check_f(args) -> int:
@@ -140,7 +117,7 @@ def cmd_shoot(args) -> int:
         return EXIT_BLOWUP
     out = _out_dir() / f"shoot_r{args.r:g}.csv"
     with out.open("w") as fh:
-        traj.write_csv(fh, header_lines=manifest.comment_lines())
+        traj.write_csv(fh, header_lines=_comment_lines(manifest))
     z = traj.terminal
     print(f"terminal point: ({z.u:.17g}, {z.v:.17g})")
     print(f"wrote {out}")
@@ -156,7 +133,7 @@ def cmd_gamma(args) -> int:
     elapsed = time.perf_counter() - t0
     out = _out_dir() / "gamma.csv"
     with out.open("w") as fh:
-        gamma.write_csv(fh, header_lines=manifest.comment_lines())
+        gamma.write_csv(fh, header_lines=_comment_lines(manifest))
     blowups = int((~gamma.ok).sum())
     print(f"{gamma.resolution} rows, {gamma.sign_changes()} interior sign changes, "
           f"{blowups} blow-ups")
@@ -187,18 +164,18 @@ def cmd_find(args) -> int:
     out_dir = _out_dir()
 
     payload = result.to_dict()
-    payload["manifest"] = manifest.to_dict()
+    payload["manifest"] = manifest
     csv_names = []
     for i, cline in enumerate(result.clines, start=1):
         name = f"cline_{i}.csv"
         with (out_dir / name).open("w") as fh:
-            cline.trajectory.write_csv(fh, header_lines=manifest.comment_lines()
+            cline.trajectory.write_csv(fh, header_lines=_comment_lines(manifest)
                                        + (f"c: {cline.c:.17g}",))
         csv_names.append(name)
     payload["trajectory_files"] = csv_names
     for name, traj in trivial:
         with (out_dir / name).open("w") as fh:
-            traj.write_csv(fh, header_lines=manifest.comment_lines())
+            traj.write_csv(fh, header_lines=_comment_lines(manifest))
     with (out_dir / "clines.json").open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -233,7 +210,7 @@ def cmd_reproduce(args) -> int:
     no_brackets = False
     t0 = time.perf_counter()
     for instance in instances:
-        result = run_instance(instance, cfg, resolution=args.resolution)
+        result = find_all_clines(instance.problem, cfg, resolution=args.resolution)
         if not result.brackets:
             no_brackets = True
         report = compare(instance, result.clines)
@@ -241,7 +218,7 @@ def cmd_reproduce(args) -> int:
         reports.append(report)
         all_pass = all_pass and report.passed
     elapsed = time.perf_counter() - t0
-    payload = {"manifest": manifest.to_dict(),
+    payload = {"manifest": manifest,
                "reports": [r.to_dict() for r in reports]}
     out = _out_dir() / "reproduce.json"
     with out.open("w") as fh:

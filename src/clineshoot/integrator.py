@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -74,38 +74,18 @@ class Trajectory:
     step_right: float
 
     @property
-    def samples(self) -> Iterator[tuple[float, PhasePoint]]:
-        for x, u, v in zip(self.xs, self.us, self.vs):
-            yield float(x), PhasePoint(float(u), float(v))
-
-    @property
-    def initial(self) -> PhasePoint:
-        return PhasePoint(float(self.us[0]), float(self.vs[0]))
-
-    @property
     def terminal(self) -> PhasePoint:
         return PhasePoint(float(self.us[-1]), float(self.vs[-1]))
 
-    def write_csv(self, out: TextIO, decimate: int = 1, header_lines: tuple[str, ...] = ()) -> None:
-        """Write `x,u,v` rows, keeping every `decimate`-th sample plus the last."""
-        if decimate < 1:
-            raise ValueError(f"decimate must be >= 1, got {decimate}")
+    def write_csv(self, out: TextIO, header_lines: tuple[str, ...] = ()) -> None:
+        """Write one `x,u,v` row per sample."""
         for line in header_lines:
             out.write(f"# {line}\n")
         out.write("x,u,v\n")
-        n = len(self.xs)
-        idx = np.arange(0, n, decimate)
-        if idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        for start in range(0, len(idx), CSV_CHUNK_ROWS):
-            rows = idx[start:start + CSV_CHUNK_ROWS]
+        for start in range(0, len(self.xs), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
             out.write("".join(f"{x:.17g},{u:.17g},{v:.17g}\n" for x, u, v in zip(
                 self.xs[rows].tolist(), self.us[rows].tolist(), self.vs[rows].tolist())))
-
-
-def vector_field(p: Problem, x: float, z: PhasePoint) -> PhasePoint:
-    """Right-hand side (v, -lam w(x) f(u)) at a point of the habitat."""
-    return PhasePoint(z.v, -p.lam * p.weight.at(x) * float(p.f.value(z.u)))
 
 
 def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float]:
@@ -255,21 +235,13 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, u0: np.ndarray) -> Termin
     return TerminalSweep(u_end=u, v_end=v, ok=active, exit_x=exit_x)
 
 
-def piecewise_energy(p: Problem, x: float, z: PhasePoint) -> float:
-    """Conserved quantity v^2/2 + lam w F(u) of the side containing x.
-
-    F is the antiderivative of f with F(0) = 0. Constant along trajectories
-    within each constant-weight side, which makes it an integration-accuracy
-    oracle; x = 0 is rejected because it belongs to neither open side.
-    """
-    if x == 0.0:
-        raise ValueError("x = 0 lies on the weight discontinuity; pick a side")
-    w = p.weight.at(x)
-    return 0.5 * z.v * z.v + p.lam * w * float(p.f.antiderivative(z.u))
-
-
 def energy_profile(p: Problem, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-side energy along a trajectory (interface sample included in both)."""
+    """Per-side energy v^2/2 + lam w F(u) along a trajectory.
+
+    F is the antiderivative of f with F(0) = 0. The energy is constant along
+    trajectories within each constant-weight side, which makes it an
+    integration-accuracy oracle; the interface sample belongs to both sides.
+    """
     F = np.asarray(p.f.antiderivative(traj.us), dtype=float)
     kinetic = 0.5 * traj.vs * traj.vs
     split = traj.split_index

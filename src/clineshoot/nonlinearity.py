@@ -57,9 +57,6 @@ class Nonlinearity:
         """F with F' = f and F(0) = 0."""
         raise NotImplementedError
 
-    def __call__(self, s: Scalar) -> Scalar:
-        return self.value(s)
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -232,75 +229,37 @@ class ArctanDamped(Nonlinearity):
         return gpp * a + 2.0 * gp * ap + g * app
 
     def antiderivative(self, s: Scalar) -> Scalar:
-        return self._antideriv_table(s)
-
-    @cached_property
-    def _antideriv_table(self) -> "_TabulatedAntiderivative":
-        return _TabulatedAntiderivative(self.value)
+        return _gauss_legendre_antiderivative(self.value, s)
 
     def to_dict(self) -> dict:
         return {"kind": self.KIND, "m": self.m}
 
 
-class _TabulatedAntiderivative:
-    """Cumulative Gauss-Legendre antiderivative of a smooth integrand.
+def _gauss_legendre_antiderivative(fn, s: Scalar) -> Scalar:
+    """Integral of the smooth vectorised `fn` from 0 to s, elementwise.
 
-    Node values are accumulated on a uniform grid of spacing STEP, extended
-    lazily in either direction; queries add one partial-panel quadrature on
-    top of the nearest node below. 10-point panels on this spacing leave
-    truncation far below double-precision round-off for the families here.
+    Whole panels of width 1/256 run from 0 to the panel holding each query
+    and are summed cumulatively outward from 0; one partial panel from that
+    panel's lower node to the query goes on top, so F(0) is exactly 0.
+    10-point Gauss-Legendre panels on this spacing leave truncation far
+    below double-precision round-off for the families here.
     """
+    step = 1.0 / 256.0
+    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
 
-    STEP = 1.0 / 256.0
-    _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._lo = 0          # lowest tabulated node index
-        self._hi = 0          # highest tabulated node index
-        self._nodes = {0: 0.0}  # node index -> F(index * STEP)
-
-    def _panel(self, a: float, b: float) -> float:
-        mid = 0.5 * (a + b)
+    def panels(a, b):
         half = 0.5 * (b - a)
-        return float(half * np.sum(self._GL_W * self._fn(mid + half * self._GL_X)))
+        points = (0.5 * (a + b))[..., None] + half[..., None] * gl_x
+        return half * np.sum(gl_w * fn(points), axis=-1)
 
-    def _extend_to(self, idx: int) -> None:
-        while self._hi < idx:
-            j = self._hi
-            self._nodes[j + 1] = self._nodes[j] + self._panel(j * self.STEP, (j + 1) * self.STEP)
-            self._hi += 1
-        while self._lo > idx:
-            j = self._lo
-            self._nodes[j - 1] = self._nodes[j] - self._panel((j - 1) * self.STEP, j * self.STEP)
-            self._lo -= 1
-
-    def __call__(self, s: Scalar) -> Scalar:
-        if isinstance(s, np.ndarray):
-            return self._vector(s)
-        return self._scalar(float(s))
-
-    def _scalar(self, s: float) -> float:
-        idx = math.floor(s / self.STEP)
-        self._extend_to(idx)
-        base = idx * self.STEP
-        if s == base:
-            return self._nodes[idx]
-        return self._nodes[idx] + self._panel(base, s)
-
-    def _vector(self, s: np.ndarray) -> np.ndarray:
-        flat = s.ravel().astype(float)
-        idx = np.floor(flat / self.STEP).astype(int)
-        self._extend_to(int(idx.min()))
-        self._extend_to(int(idx.max()))
-        base = idx * self.STEP
-        nodes = np.array([self._nodes[i] for i in idx])
-        mid = 0.5 * (base + flat)
-        half = 0.5 * (flat - base)
-        partial = np.zeros_like(flat)
-        for xj, wj in zip(self._GL_X, self._GL_W):
-            partial += wj * self._fn(mid + half * xj)
-        return (nodes + half * partial).reshape(s.shape)
+    q = np.asarray(s, dtype=float)
+    idx = np.floor(q / step).astype(int)
+    lo, hi = min(int(idx.min()), 0), max(int(idx.max()), 0)
+    edges = np.arange(lo, hi + 1) * step
+    whole = panels(edges[:-1], edges[1:])
+    below, above = whole[:-lo], whole[-lo:]   # panels left and right of 0
+    nodes = np.concatenate([-np.cumsum(below[::-1])[::-1], [0.0], np.cumsum(above)])
+    return nodes[idx - lo] + panels(idx * step, q)
 
 
 @dataclass(frozen=True)
@@ -371,11 +330,29 @@ def check_f_star(f: Nonlinearity, grid_size: int = DEFAULT_GRID_SIZE) -> FStarRe
     )
 
 
+def _config_number(value, key: str) -> float:
+    """A config number as float; ValueError naming `key` for anything else.
+
+    JSON booleans are rejected although Python counts them as ints, and so
+    are the Infinity and NaN that Python's JSON parser accepts.
+    """
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _coefficients(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"'f.coeffs' must be a list of numbers, got {value!r}")
+    return tuple(_config_number(c, f"f.coeffs[{i}]") for i, c in enumerate(value))
+
+
 _KINDS = {
-    DegreeOfDominance.KIND: lambda d: DegreeOfDominance(k=float(d["k"])),
-    HatFamily.KIND: lambda d: HatFamily(h=float(d["h"])),
-    ArctanDamped.KIND: lambda d: ArctanDamped(m=float(d["m"])),
-    CustomPolynomial.KIND: lambda d: CustomPolynomial(coefficients=tuple(d["coeffs"])),
+    DegreeOfDominance.KIND: lambda d: DegreeOfDominance(k=_config_number(d["k"], "f.k")),
+    HatFamily.KIND: lambda d: HatFamily(h=_config_number(d["h"], "f.h")),
+    ArctanDamped.KIND: lambda d: ArctanDamped(m=_config_number(d["m"], "f.m")),
+    CustomPolynomial.KIND: lambda d: CustomPolynomial(coefficients=_coefficients(d["coeffs"])),
 }
 
 
@@ -384,7 +361,7 @@ def nonlinearity_from_dict(d: dict) -> Nonlinearity:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("nonlinearity object must be a mapping with a 'kind' field")
     kind = d["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown nonlinearity kind {kind!r}; expected one of {sorted(_KINDS)}")
     try:
         return _KINDS[kind](d)

@@ -12,6 +12,7 @@ from .nonlinearity import (
     DEFAULT_GRID_SIZE,
     FStarReport,
     Nonlinearity,
+    _config_number,
     check_f_star,
     nonlinearity_from_dict,
 )
@@ -83,14 +84,6 @@ class Problem:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def weight_at(w: StepWeight, x: float) -> float:
-    return w.at(x)
-
-
-def weight_mean(w: StepWeight) -> float:
-    return w.mean
 
 
 @dataclass(frozen=True)
@@ -183,18 +176,13 @@ def problem_from_dict(d: dict) -> Problem:
     wd = d["weight"]
     if not isinstance(wd, dict):
         raise ValueError("'weight' must be an object with alpha/omega1/omega2")
+    sides = {}
     for key in ("alpha", "omega1", "omega2"):
         if key not in wd:
             raise ValueError(f"'weight' is missing required key {key!r}")
-        if not isinstance(wd[key], (int, float)) or isinstance(wd[key], bool):
-            raise ValueError(f"'weight.{key}' must be a number, got {wd[key]!r}")
-    if not isinstance(d["lambda"], (int, float)) or isinstance(d["lambda"], bool):
-        raise ValueError(f"'lambda' must be a number, got {d['lambda']!r}")
-    weight = StepWeight(
-        alpha=float(wd["alpha"]), omega1=float(wd["omega1"]), omega2=float(wd["omega2"])
-    )
-    f = nonlinearity_from_dict(d["f"])
-    return Problem(weight=weight, f=f, lam=float(d["lambda"]))
+        sides[key] = _config_number(wd[key], f"weight.{key}")
+    lam = _config_number(d["lambda"], "lambda")
+    return Problem(weight=StepWeight(**sides), f=nonlinearity_from_dict(d["f"]), lam=lam)
 
 
 def problem_from_json(text: str) -> Problem:

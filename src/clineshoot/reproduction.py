@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .integrator import IntegratorConfig
-from .nonlinearity import ArctanDamped, DegreeOfDominance, HatFamily, nonlinearity_from_dict
-from .problem import Problem, StepWeight, problem_from_dict
-from .shooting import ClineSearchResult, find_all_clines
+from .nonlinearity import ArctanDamped, DegreeOfDominance, HatFamily
+from .problem import Problem, StepWeight
+from .shooting import find_all_clines
 
 DEFAULT_TOLERANCE = 0.005
 
@@ -65,28 +65,6 @@ class NamedInstance:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def named_instance_from_dict(d: dict) -> NamedInstance:
-    def _tuple_or_none(key):
-        val = d.get(key)
-        return None if val is None else tuple(float(x) for x in val)
-
-    return NamedInstance(
-        name=str(d["name"]),
-        problem=problem_from_dict(d["problem"]),
-        expected_cline_count=(None if d.get("expected_cline_count") is None
-                              else int(d["expected_cline_count"])),
-        expected_c=_tuple_or_none("expected_c"),
-        expected_terminal_u=_tuple_or_none("expected_terminal_u"),
-        tolerance=float(d["tolerance"]),
-        count_mode=str(d.get("count_mode", "exact")),
-        notes=str(d.get("notes", "")),
-    )
-
-
-def named_instance_from_json(text: str) -> NamedInstance:
-    return named_instance_from_dict(json.loads(text))
 
 
 def proposition_1() -> NamedInstance:
@@ -242,17 +220,16 @@ def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
     matches: list[MatchRecord] = []
     ok = True
     for i, j in pairing:
-        dev_c = abs(expected[i] - found_c[j])
-        rec = MatchRecord(expected_c=expected[i], found_c=found_c[j], deviation_c=dev_c)
+        eu = fu = dev_u = None
         if instance.expected_terminal_u is not None:
-            eu = instance.expected_terminal_u[i]
-            fu = found[j].terminal_u
-            rec = MatchRecord(expected_c=expected[i], found_c=found_c[j],
-                              deviation_c=dev_c, expected_u=eu, found_u=fu,
-                              deviation_u=abs(eu - fu))
-            if rec.deviation_u > instance.tolerance:
+            eu, fu = instance.expected_terminal_u[i], found[j].terminal_u
+            dev_u = abs(eu - fu)
+            if dev_u > instance.tolerance:
                 ok = False
-        if dev_c > instance.tolerance:
+        rec = MatchRecord(expected_c=expected[i], found_c=found_c[j],
+                          deviation_c=abs(expected[i] - found_c[j]),
+                          expected_u=eu, found_u=fu, deviation_u=dev_u)
+        if rec.deviation_c > instance.tolerance:
             ok = False
         matches.append(rec)
     matched_e = {i for i, _ in pairing}
@@ -271,14 +248,6 @@ def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
         count_found=len(found_c),
         passed=ok,
     )
-
-
-def run_instance(instance: NamedInstance, cfg: Optional[IntegratorConfig] = None,
-                 resolution: int = 2001) -> ClineSearchResult:
-    """Convenience wrapper: full cline search on a named instance."""
-    if cfg is None:
-        cfg = IntegratorConfig()
-    return find_all_clines(instance.problem, cfg, resolution=resolution)
 
 
 def sweep_cline_counts(instance: NamedInstance, lams: Sequence[float],

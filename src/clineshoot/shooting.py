@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -62,17 +62,6 @@ PREPASS_MAX_SHARE = 0.25
 PREPASS_MAX_RESHOTS = 32
 
 
-@dataclass(frozen=True)
-class GammaEntry:
-    """Terminal state of the trajectory started at (r, 0)."""
-
-    r: float
-    u_end: float
-    v_end: float
-    status: str  # "ok" or "blowup"
-    exit_x: float = math.nan
-
-
 @dataclass(eq=False)
 class GammaCurve:
     """Image of the segment {(r, 0): r in [0,1]} under the interval map."""
@@ -86,16 +75,6 @@ class GammaCurve:
     @property
     def resolution(self) -> int:
         return len(self.rs)
-
-    @property
-    def entries(self) -> Iterator[GammaEntry]:
-        for i in range(len(self.rs)):
-            if self.ok[i]:
-                yield GammaEntry(float(self.rs[i]), float(self.u_end[i]),
-                                 float(self.v_end[i]), "ok")
-            else:
-                yield GammaEntry(float(self.rs[i]), math.nan, math.nan,
-                                 "blowup", float(self.exit_x[i]))
 
     def sign_changes(self) -> int:
         """Count of strict sign changes of terminal v over interior ok entries."""
@@ -167,14 +146,14 @@ class BracketLostError(RuntimeError):
                          f"[{bracket.r_lo:.17g}, {bracket.r_hi:.17g}]")
 
 
-def find_brackets(g: GammaCurve, zero_tol: float = EXACT_ROOT_TOL) -> list[Bracket]:
+def find_brackets(g: GammaCurve) -> list[Bracket]:
     """Scan interior ok entries for strict sign changes of terminal v.
 
     Endpoints r=0 and r=1 are the trivial equilibria and never bracket;
     blow-up entries are skipped, so a bracket may span a blow-up gap (the
     sign change is then confirmed or lost during refinement). Entries with
-    |v| <= zero_tol come back as degenerate brackets and separate their
-    neighbours.
+    |v| <= EXACT_ROOT_TOL come back as degenerate brackets and separate
+    their neighbours.
     """
     rs, vs = [], []
     for i in range(1, g.resolution - 1):
@@ -183,10 +162,10 @@ def find_brackets(g: GammaCurve, zero_tol: float = EXACT_ROOT_TOL) -> list[Brack
             vs.append(float(g.v_end[i]))
     out: list[Bracket] = []
     for j in range(len(rs)):
-        if abs(vs[j]) <= zero_tol:
+        if abs(vs[j]) <= EXACT_ROOT_TOL:
             out.append(Bracket(rs[j], rs[j], vs[j], vs[j]))
             continue
-        if j + 1 < len(rs) and abs(vs[j + 1]) > zero_tol and vs[j] * vs[j + 1] < 0.0:
+        if j + 1 < len(rs) and abs(vs[j + 1]) > EXACT_ROOT_TOL and vs[j] * vs[j + 1] < 0.0:
             out.append(Bracket(rs[j], rs[j + 1], vs[j], vs[j + 1]))
     return out
 
@@ -201,7 +180,7 @@ class BracketingReport:
 
     nodes: int                          # interior grid nodes
     coarse_steps: tuple[float, ...] = ()
-    error_estimate: float = math.nan    # E, the largest step-doubling estimate
+    error_estimate: float = math.nan    # E; nan when no node survived both coarse sweeps
     reshot: int = 0                     # nodes that need a fine-step value
     direct_reason: Optional[str] = None
 
@@ -250,7 +229,8 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     The interior nodes are swept at H = span / PREPASS_STEPS_PER_SPAN and at
     H / 2. E is the largest step-doubling (Richardson) estimate
     |v_H - v_{H/2}| / 15 of the error of v_{H/2} over the nodes that
-    survived both (Hairer, Norsett & Wanner, Solving ODEs I, II.4). A node's
+    survived both (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and nan
+    when no node did, which then trusts no coarse sign. A node's
     coarse sign is trusted only if it and both neighbours survived both
     sweeps and |v_{H/2}| > PREPASS_SAFETY * E + EXACT_ROOT_TOL. Every other
     node, its neighbours and the endpoints of the brackets the coarse signs
@@ -284,7 +264,8 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     inner = rs[1:-1]
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
-    error = float(np.max(np.abs(wide.v_end[ok] - half.v_end[ok]), initial=0.0)) / 15.0
+    delta = np.abs(wide.v_end[ok] - half.v_end[ok])
+    error = float(delta.max()) / 15.0 if delta.size else math.nan
     trusted = ok & (np.abs(half.v_end) > PREPASS_SAFETY * error + EXACT_ROOT_TOL)
     trusted[1:] &= ok[:-1]
     trusted[:-1] &= ok[1:]

@@ -70,6 +70,27 @@ class TestCheckF:
         }))
         assert main(["check-f", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("f, key", [
+        ({"kind": "hat", "h": None}, "f.h"),
+        ({"kind": "hat", "h": "x"}, "f.h"),
+        ({"kind": "hat", "h": True}, "f.h"),
+        ({"kind": "hat", "h": float("inf")}, "f.h"),
+        ({"kind": "degree_of_dominance", "k": False}, "f.k"),
+        ({"kind": "arctan_damped", "m": [1]}, "f.m"),
+        ({"kind": "poly", "coeffs": 5}, "f.coeffs"),
+        ({"kind": "poly", "coeffs": [None]}, "f.coeffs[0]"),
+        ({"kind": "poly", "coeffs": [0, 1, True]}, "f.coeffs[2]"),
+    ], ids=["h-null", "h-string", "h-true", "h-infinite", "k-false", "m-list",
+            "coeffs-number", "coeffs-null", "coeffs-true"])
+    def test_non_numeric_f_parameter(self, tmp_path, capsys, f, key):
+        cfg = tmp_path / "bad_f.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": f, "lambda": 45.0,
+        }))
+        assert main(["check-f", str(cfg)]) == 2
+        assert f"'{key}' must be " in capsys.readouterr().err
+
 
 class TestShoot:
     def test_probe_trajectory(self, prop1_config, out_dir, capsys):

@@ -11,10 +11,8 @@ from clineshoot.integrator import (
     PhasePoint,
     energy_profile,
     integrate,
-    piecewise_energy,
     poincare_map,
     sweep_terminals,
-    vector_field,
 )
 from clineshoot.nonlinearity import HatFamily
 from clineshoot.problem import Problem, StepWeight
@@ -37,19 +35,6 @@ class TestConfigAndPoints:
             PhasePoint(math.nan, 0.0)
         with pytest.raises(ValueError):
             PhasePoint(0.0, math.inf)
-
-
-class TestVectorField:
-    def test_right_side(self, prop1):
-        p = prop1.problem
-        z = vector_field(p, 0.05, PhasePoint(0.3, 0.7))
-        assert z.u == 0.7
-        assert z.v == pytest.approx(-45.0 * float(p.f.value(0.3)), rel=1e-15)
-
-    def test_left_side_sign_flip(self, prop1):
-        p = prop1.problem
-        z = vector_field(p, -0.05, PhasePoint(0.3, 0.7))
-        assert z.v == pytest.approx(45.0 * 1.0 * float(p.f.value(0.3)), rel=1e-15)
 
 
 class TestTrajectoryGrid:
@@ -83,13 +68,6 @@ class TestTrajectoryGrid:
         traj = integrate(prop1.problem, default_cfg, z0)
         z = poincare_map(prop1.problem, default_cfg, z0)
         assert traj.terminal.u == z.u and traj.terminal.v == z.v
-
-    def test_samples_iterator(self, prop1):
-        traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),
-                         PhasePoint(0.4, 0.0))
-        pts = list(traj.samples)
-        assert len(pts) == len(traj.xs)
-        assert pts[0][0] == prop1.problem.omega1
 
 
 class TestEquilibria:
@@ -177,18 +155,18 @@ class TestBatchAgreement:
 
 
 class TestEnergy:
-    def test_interface_value_rejected(self, prop1):
-        with pytest.raises(ValueError):
-            piecewise_energy(prop1.problem, 0.0, PhasePoint(0.5, 0.1))
-
-    def test_side_selection(self, prop1):
-        p = prop1.problem
-        z = PhasePoint(0.5, 0.2)
-        left = piecewise_energy(p, -0.1, z)
-        right = piecewise_energy(p, 0.1, z)
-        F = float(p.f.antiderivative(0.5))
-        assert left == pytest.approx(0.02 + 45.0 * (-1.0) * F, rel=1e-14)
-        assert right == pytest.approx(0.02 + 45.0 * 1.0 * F, rel=1e-14)
+    def test_side_selection(self, prop2):
+        # alpha = 2.4 tells the left side's weight apart from a plain -1
+        p = prop2.problem
+        traj = integrate(p, IntegratorConfig(target_step=1e-2), PhasePoint(0.3, 0.0))
+        left, right = energy_profile(p, traj)
+        split = traj.split_index
+        F = np.array([p.f.antiderivative(float(u)) for u in traj.us])
+        kinetic = 0.5 * traj.vs * traj.vs
+        np.testing.assert_allclose(left, kinetic[: split + 1] - p.lam * 2.4 * F[: split + 1],
+                                   rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(right, kinetic[split:] + p.lam * F[split:],
+                                   rtol=1e-14, atol=1e-16)
 
     def test_drift_below_budget_on_benchmarks(self, prop1, prop2, default_cfg):
         rng = np.random.default_rng(20210817)
@@ -234,35 +212,17 @@ class TestCsvExport:
         first = lines[2].split(",")
         assert float(first[0]) == prop1.problem.omega1
 
-    def test_decimation_keeps_last_row(self, prop1):
-        traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),
-                         PhasePoint(0.4, 0.0))
-        buf = io.StringIO()
-        traj.write_csv(buf, decimate=7)
-        last = buf.getvalue().splitlines()[-1].split(",")
-        assert float(last[0]) == prop1.problem.omega2
-
-    @pytest.mark.parametrize("decimate", [1, 7])
-    def test_rows_match_per_element_format(self, prop2, decimate):
-        # at the default step the trajectory has 8551 samples; decimated by
-        # 7 it keeps 1222 rows plus the last, neither a multiple of the chunk
+    def test_rows_match_per_element_format(self, prop2):
+        # at the default step the trajectory has 8551 samples, not a
+        # multiple of the chunk
         traj = integrate(prop2.problem, IntegratorConfig(), PhasePoint(0.4, 0.0))
         n = len(traj.xs)
-        idx = list(range(0, n, decimate))
-        if idx[-1] != n - 1:
-            idx.append(n - 1)
-        assert len(idx) > CSV_CHUNK_ROWS and len(idx) % CSV_CHUNK_ROWS
+        assert n > CSV_CHUNK_ROWS and n % CSV_CHUNK_ROWS
         expected = "x,u,v\n" + "".join(
-            f"{traj.xs[i]:.17g},{traj.us[i]:.17g},{traj.vs[i]:.17g}\n" for i in idx)
+            f"{traj.xs[i]:.17g},{traj.us[i]:.17g},{traj.vs[i]:.17g}\n" for i in range(n))
         buf = io.StringIO()
-        traj.write_csv(buf, decimate=decimate)
+        traj.write_csv(buf)
         assert buf.getvalue() == expected
-
-    def test_decimate_validation(self, prop1):
-        traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),
-                         PhasePoint(0.4, 0.0))
-        with pytest.raises(ValueError):
-            traj.write_csv(io.StringIO(), decimate=0)
 
 
 class TestStepSplitting:

@@ -126,12 +126,26 @@ class TestDerivatives:
             for i, s in enumerate(grid):
                 assert dvec[i] == pytest.approx(f.deriv(float(s)), rel=1e-14, abs=1e-300)
 
-    def test_tabulated_antiderivative_vector_path(self):
+    def test_arctan_antiderivative_matches_simpson(self):
+        # independent reference: composite Simpson from 0 on 2^16 intervals
+        # per unit length, whose error is far below 1e-12 for this f
         f = ArctanDamped(m=10.0)
-        grid = np.linspace(-0.7, 1.7, 301)
-        vec = np.asarray(f.antiderivative(grid))
-        scal = np.array([f.antiderivative(float(s)) for s in grid])
-        assert np.max(np.abs(vec - scal)) < 1e-14
+
+        def simpson(s):
+            n = 2 * max(1, math.ceil(abs(s) * 2**15))
+            x = np.linspace(0.0, s, n + 1)
+            y = f.value(x)
+            return (s / n) / 3.0 * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1])
+
+        # below 0, inside [0, 1], above 1, and on panel nodes (multiples of 1/256)
+        points = np.array([-0.7, -0.3, -1e-3, 1e-3, 0.123, 0.5, 0.987, 1.05, 1.7,
+                           -5.0 / 256.0, 3.0 / 256.0, 128.0 / 256.0, 300.0 / 256.0])
+        batch = f.antiderivative(points)
+        one_by_one = np.array([f.antiderivative(float(s)) for s in points])
+        assert np.array_equal(batch, one_by_one)
+        for s, F in zip(points, one_by_one):
+            assert abs(F - simpson(float(s))) < 1e-12, f"s={s}"
+        assert f.antiderivative(0.0) == 0.0
 
 
 @given(k=st.floats(min_value=-1.0, max_value=1.0),
@@ -235,6 +249,8 @@ class TestValidationAndSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             nonlinearity_from_dict({"kind": "cubic", "k": 1.0})
+        with pytest.raises(ValueError, match="kind"):
+            nonlinearity_from_dict({"kind": ["hat"], "h": 1.0})
 
     def test_missing_parameter(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,6 @@ from clineshoot.problem import (
     problem_from_dict,
     problem_from_json,
     validate_conjecture_hypotheses,
-    weight_at,
-    weight_mean,
 )
 
 
@@ -60,11 +58,6 @@ class TestStepWeight:
             StepWeight(alpha=1.0, omega1=0.0, omega2=1.0)
         with pytest.raises(ValueError):
             StepWeight(alpha=1.0, omega1=-1.0, omega2=0.0)
-
-    def test_module_level_wrappers(self):
-        w = StepWeight(1.0, -0.21, 0.2)
-        assert weight_at(w, -0.1) == -1.0
-        assert weight_mean(w) == w.mean
 
     def test_mean_matches_midpoint_quadrature(self):
         # w is piecewise constant, so midpoint quadrature on any grid with a
@@ -138,6 +131,18 @@ class TestProblemParsing:
         d = self.good()
         d["lambda"] = True
         with pytest.raises(ValueError):
+            problem_from_dict(d)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_number(self, value):
+        # Python's JSON parser reads Infinity and NaN as floats
+        d = self.good()
+        d["lambda"] = value
+        with pytest.raises(ValueError, match="'lambda' must be a finite number"):
+            problem_from_dict(d)
+        d = self.good()
+        d["weight"]["omega2"] = value
+        with pytest.raises(ValueError, match="'weight.omega2' must be a finite number"):
             problem_from_dict(d)
 
     def test_not_an_object(self):

@@ -1,16 +1,16 @@
+import json
 from types import SimpleNamespace
 
 import pytest
 
 from clineshoot.integrator import IntegratorConfig
+from clineshoot.problem import problem_from_dict
 from clineshoot.reproduction import (
     NamedInstance,
     compare,
-    named_instance_from_json,
     proposition_1,
     proposition_2,
     remark_instances,
-    run_instance,
     sweep_cline_counts,
 )
 from clineshoot.shooting import find_all_clines
@@ -45,8 +45,11 @@ class TestNamedInstances:
         assert prop2.problem.weight.mean == pytest.approx(-0.012, abs=1e-15)
 
     def test_json_round_trip(self, prop1, prop2):
+        # reproduce hashes to_json, so it must carry the whole instance
         for inst in (prop1, prop2, *remark_instances()):
-            assert named_instance_from_json(inst.to_json()) == inst
+            d = json.loads(inst.to_json())
+            assert d == inst.to_dict()
+            assert problem_from_dict(d["problem"]) == inst.problem
 
     def test_list_length_validated(self, prop1):
         with pytest.raises(ValueError):
@@ -147,9 +150,9 @@ class TestEndToEnd:
 
 
 class TestRemarkScenarios:
-    def test_concave_scenario_unique_at_two_resolutions(self):
+    def test_concave_scenario_unique_at_two_resolutions(self, default_cfg):
         concave, _ = remark_instances()
-        counts = {res: len(run_instance(concave, resolution=res).clines)
+        counts = {res: len(find_all_clines(concave.problem, default_cfg, resolution=res).clines)
                   for res in (2001, 4001)}
         assert counts[2001] == counts[4001]
         assert counts[2001] <= 1

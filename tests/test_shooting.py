@@ -8,6 +8,7 @@ import pytest
 
 import clineshoot.shooting as shooting
 from clineshoot.integrator import BlowupError, IntegratorConfig, PhasePoint, poincare_map
+from clineshoot.nonlinearity import CustomPolynomial
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import (
@@ -81,13 +82,6 @@ class TestGammaCurve:
         g.write_csv(buf)
         assert buf.getvalue() == expected
         assert buf.getvalue().count(",blowup\n") == int((~ok).sum()) > 0
-
-    def test_entries_iterator_blowup_marker(self):
-        g = synthetic_curve([0.0, 1.0, -1.0, 2.0, 0.0], ok=[1, 1, 0, 1, 1])
-        kinds = [e.status for e in g.entries]
-        assert kinds.count("blowup") == 1
-        blown = [e for e in g.entries if e.status == "blowup"][0]
-        assert math.isnan(blown.u_end) and blown.exit_x == 0.1
 
 
 class TestFindBrackets:
@@ -401,6 +395,15 @@ class TestSweepBrackets:
                 f"{shooting.PREPASS_MAX_RESHOTS} scalar re-shots")
         else:
             assert report.direct_reason is None
+
+    def test_no_survivor_reports_nan_error(self, default_cfg):
+        # f(0) = 5 sends every height out of the bound in both coarse sweeps
+        p = replace(problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text()),
+                    f=CustomPolynomial((5.0, 1.0, -1.0)), lam=400.0)
+        brackets, report = sweep_brackets(p, default_cfg)
+        assert math.isnan(report.error_estimate)
+        assert report.direct_reason.endswith("E = nan")
+        assert bracket_fields(brackets) == bracket_fields(direct_brackets(p, default_cfg))
 
     def test_endpoint_slopes_are_scalar_maps(self, prop1, prop2, prop1_search,
                                              prop2_search, default_cfg):
