@@ -20,7 +20,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .integrator import BlowupError, IntegratorConfig, PhasePoint, integrate
+from .integrator import (
+    DEFAULT_TARGET_STEP,
+    BlowupError,
+    IntegratorConfig,
+    PhasePoint,
+    integrate,
+)
+from .nonlinearity import DEFAULT_GRID_SIZE
 from .problem import Problem, problem_from_dict, validate_conjecture_hypotheses
 from .reproduction import compare, proposition_1, proposition_2
 from .shooting import (
@@ -239,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-f", help="validate the structural hypotheses of a config")
     p.add_argument("config", help="problem JSON file")
-    p.add_argument("--grid-size", type=int, default=10001,
-                   help="interior grid points for the checks (default 10001)")
+    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                   help="interior grid points for the checks (default %(default)d)")
     p.set_defaults(func=cmd_check_f)
 
     p = sub.add_parser("shoot", help="integrate one trajectory from (r, 0)")
@@ -258,16 +265,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="problem JSON file")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p.add_argument("--tol-r", type=float, default=DEFAULT_TOL_R,
-                   help="refinement bracket width tolerance (default 1e-12)")
+                   help="refinement bracket width tolerance (default %(default)g)")
     p.add_argument("--tol-v", type=float, default=DEFAULT_TOL_V,
-                   help="terminal slope tolerance (default 1e-10)")
-    p.add_argument("--step", type=float, default=1e-4,
-                   help="integrator target step (default 1e-4)")
+                   help="terminal slope tolerance (default %(default)g)")
+    p.add_argument("--step", type=float, default=DEFAULT_TARGET_STEP,
+                   help="integrator target step (default %(default)g)")
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("reproduce", help="run both benchmark instances and compare")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=DEFAULT_TARGET_STEP,
+                   help="integrator target step (default %(default)g)")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

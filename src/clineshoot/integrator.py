@@ -4,6 +4,10 @@ The weight is constant on each side of x = 0, so the interval is integrated
 as two smooth pieces with the state carried across the interface unchanged;
 each side's step is the largest value not exceeding the target that divides
 the side length exactly, making 0 and both endpoints exact grid nodes.
+`_march` runs the two pieces for both RK4 kernels: the scalar one behind
+`integrate` and `poincare_map`, and the column-batched one behind
+`sweep_terminals`, which returns the terminal states of many initial
+heights as one `GammaCurve`.
 """
 
 from __future__ import annotations
@@ -70,8 +74,6 @@ class Trajectory:
     us: np.ndarray
     vs: np.ndarray
     split_index: int
-    step_left: float
-    step_right: float
 
     @property
     def terminal(self) -> PhasePoint:
@@ -133,56 +135,6 @@ def _rk4_side_scalar(feval, c: float, h: float, n: int, u: float, v: float,
     return u, v
 
 
-def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
-    """Integrate from (omega1, z0) to omega2, sampling every step.
-
-    Two fixed-step RK4 sweeps, one per constant-weight side; u and v are
-    continuous across x = 0 (only the second derivative jumps).
-    """
-    w = p.weight
-    n1, h1, n2, h2 = step_plan(p, cfg)
-    xs = np.concatenate([np.linspace(w.omega1, 0.0, n1 + 1),
-                         np.linspace(0.0, w.omega2, n2 + 1)[1:]])
-    us = np.empty(n1 + n2 + 1)
-    vs = np.empty(n1 + n2 + 1)
-    us[0], vs[0] = z0.u, z0.v
-
-    feval = p.f.value
-    bound = cfg.blowup_bound
-    pos = 1
-
-    def record(u, v):
-        nonlocal pos
-        us[pos], vs[pos] = u, v
-        pos += 1
-
-    u, v = _rk4_side_scalar(feval, p.lam * w.alpha, h1, n1, z0.u, z0.v,
-                            bound, w.omega1, record)
-    _rk4_side_scalar(feval, -p.lam, h2, n2, u, v, bound, 0.0, record)
-    return Trajectory(xs=xs, us=us, vs=vs, split_index=n1, step_left=h1, step_right=h2)
-
-
-def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:
-    """Terminal phase point at omega2 of the trajectory started at (omega1, z0)."""
-    w = p.weight
-    n1, h1, n2, h2 = step_plan(p, cfg)
-    feval = p.f.value
-    bound = cfg.blowup_bound
-    u, v = _rk4_side_scalar(feval, p.lam * w.alpha, h1, n1, z0.u, z0.v, bound, w.omega1)
-    u, v = _rk4_side_scalar(feval, -p.lam, h2, n2, u, v, bound, 0.0)
-    return PhasePoint(u, v)
-
-
-@dataclass(eq=False)
-class TerminalSweep:
-    """Batched terminal states for many initial heights at once."""
-
-    u_end: np.ndarray
-    v_end: np.ndarray
-    ok: np.ndarray        # False where the column blew up
-    exit_x: np.ndarray    # blow-up location, nan for surviving columns
-
-
 def _rk4_side_batch(fvec, c, h, n, u, v, bound, x0, active, exit_x):
     """Vectorized counterpart of _rk4_side_scalar with per-column freezing.
 
@@ -218,21 +170,93 @@ def _rk4_side_batch(fvec, c, h, n, u, v, bound, x0, active, exit_x):
     return u, v
 
 
-def sweep_terminals(p: Problem, cfg: IntegratorConfig, u0: np.ndarray) -> TerminalSweep:
-    """Poincare map applied to a whole batch of initial points (u0, 0)."""
+def _march(side, p: Problem, cfg: IntegratorConfig, u, v, *args):
+    """Run the RK4 kernel `side` over the left piece, then the right one.
+
+    The state (u, v) carries across x = 0 unchanged; `args` follow x0 in
+    both kernel calls. Returns the state at omega2.
+    """
     w = p.weight
     n1, h1, n2, h2 = step_plan(p, cfg)
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.zeros_like(u)
-    active = np.ones(u.shape, dtype=bool)
-    exit_x = np.full(u.shape, np.nan)
-    fvec = p.f.value
-    bound = cfg.blowup_bound
-    u, v = _rk4_side_batch(fvec, p.lam * w.alpha, h1, n1, u, v, bound, w.omega1, active, exit_x)
-    u, v = _rk4_side_batch(fvec, -p.lam, h2, n2, u, v, bound, 0.0, active, exit_x)
+    u, v = side(p.f.value, p.lam * w.alpha, h1, n1, u, v, cfg.blowup_bound, w.omega1, *args)
+    return side(p.f.value, -p.lam, h2, n2, u, v, cfg.blowup_bound, 0.0, *args)
+
+
+def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
+    """Integrate from (omega1, z0) to omega2, sampling every step.
+
+    Two fixed-step RK4 sweeps, one per constant-weight side; u and v are
+    continuous across x = 0 (only the second derivative jumps).
+    """
+    w = p.weight
+    n1, _, n2, _ = step_plan(p, cfg)
+    xs = np.concatenate([np.linspace(w.omega1, 0.0, n1 + 1),
+                         np.linspace(0.0, w.omega2, n2 + 1)[1:]])
+    us = np.empty(n1 + n2 + 1)
+    vs = np.empty(n1 + n2 + 1)
+    us[0], vs[0] = z0.u, z0.v
+    pos = 1
+
+    def record(u, v):
+        nonlocal pos
+        us[pos], vs[pos] = u, v
+        pos += 1
+
+    _march(_rk4_side_scalar, p, cfg, z0.u, z0.v, record)
+    return Trajectory(xs=xs, us=us, vs=vs, split_index=n1)
+
+
+def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:
+    """Terminal phase point at omega2 of the trajectory started at (omega1, z0)."""
+    return PhasePoint(*_march(_rk4_side_scalar, p, cfg, z0.u, z0.v))
+
+
+@dataclass(eq=False)
+class GammaCurve:
+    """Terminal states at omega2 of the trajectories started at (r, 0), r in rs.
+
+    Over a grid of [0, 1] this is the image of the segment {(r, 0)} under
+    the interval map.
+    """
+
+    rs: np.ndarray
+    u_end: np.ndarray     # nan where the column blew up
+    v_end: np.ndarray     # nan where the column blew up
+    ok: np.ndarray        # False where the column blew up
+    exit_x: np.ndarray    # blow-up location, nan for surviving columns
+
+    @property
+    def resolution(self) -> int:
+        return len(self.rs)
+
+    def sign_changes(self) -> int:
+        """Count of strict sign changes of terminal v over interior ok entries."""
+        inner = self.v_end[1:-1][self.ok[1:-1]]
+        inner = inner[inner != 0.0]
+        return int(np.sum(inner[:-1] * inner[1:] < 0.0))
+
+    def write_csv(self, out: TextIO, header_lines: tuple[str, ...] = ()) -> None:
+        """Write one `r,u_end,v_end,status` row per height."""
+        for line in header_lines:
+            out.write(f"# {line}\n")
+        out.write("r,u_end,v_end,status\n")
+        for start in range(0, self.resolution, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            out.write("".join(
+                f"{r:.17g},{u:.17g},{v:.17g},ok\n" if ok else f"{r:.17g},nan,nan,blowup\n"
+                for r, u, v, ok in zip(self.rs[rows].tolist(), self.u_end[rows].tolist(),
+                                       self.v_end[rows].tolist(), self.ok[rows].tolist())))
+
+
+def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaCurve:
+    """Poincare map applied to a whole batch of initial points (r, 0), r in rs."""
+    rs = np.asarray(rs, dtype=float)
+    active = np.ones(rs.shape, dtype=bool)
+    exit_x = np.full(rs.shape, np.nan)
+    u, v = _march(_rk4_side_batch, p, cfg, rs, np.zeros_like(rs), active, exit_x)
     u[~active] = np.nan
     v[~active] = np.nan
-    return TerminalSweep(u_end=u, v_end=v, ok=active, exit_x=exit_x)
+    return GammaCurve(rs=rs, u_end=u, v_end=v, ok=active, exit_x=exit_x)
 
 
 def energy_profile(p: Problem, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -116,7 +116,7 @@ class DegreeOfDominance(_PolynomialNonlinearity):
 
     def __post_init__(self):
         if not -1.0 <= self.k <= 1.0:
-            raise ValueError(f"dominance degree k must lie in [-1, 1], got {self.k}")
+            raise ValueError(f"'f.k' must lie in [-1, 1], got {self.k}")
 
     @cached_property
     def coeffs(self) -> tuple[float, ...]:
@@ -146,7 +146,7 @@ class HatFamily(_PolynomialNonlinearity):
 
     def __post_init__(self):
         if not self.h > 0.0:
-            raise ValueError(f"hat parameter h must be > 0, got {self.h}")
+            raise ValueError(f"'f.h' must be > 0, got {self.h}")
 
     @cached_property
     def coeffs(self) -> tuple[float, ...]:
@@ -171,9 +171,9 @@ class CustomPolynomial(_PolynomialNonlinearity):
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
         if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise ValueError("'f.coeffs' must hold at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("polynomial coefficients must be finite")
+            raise ValueError("'f.coeffs' must be finite numbers")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -198,7 +198,7 @@ class ArctanDamped(Nonlinearity):
 
     def __post_init__(self):
         if not self.m > 0.0:
-            raise ValueError(f"arctan slope m must be > 0, got {self.m}")
+            raise ValueError(f"'f.m' must be > 0, got {self.m}")
 
     def value(self, s: Scalar) -> Scalar:
         m = self.m
@@ -289,19 +289,6 @@ class FStarReport:
             and self.positive_on_open_interval
             and self.fprime_at_0 > 0.0 > self.fprime_at_1
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "f_at_0": self.f_at_0,
-            "f_at_1": self.f_at_1,
-            "fprime_at_0": self.fprime_at_0,
-            "fprime_at_1": self.fprime_at_1,
-            "positive_on_open_interval": self.positive_on_open_interval,
-            "is_concave": self.is_concave,
-            "ratio_strictly_decreasing": self.ratio_strictly_decreasing,
-            "satisfies_f_star": self.satisfies_f_star,
-            "grid_size": self.grid_size,
-        }
 
 
 def check_f_star(f: Nonlinearity, grid_size: int = DEFAULT_GRID_SIZE) -> FStarReport:

@@ -35,11 +35,11 @@ class StepWeight:
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise ValueError(f"'weight.alpha' must be > 0, got {self.alpha}")
         if not self.omega1 < 0.0:
-            raise ValueError(f"omega1 must be < 0, got {self.omega1}")
+            raise ValueError(f"'weight.omega1' must be < 0, got {self.omega1}")
         if not self.omega2 > 0.0:
-            raise ValueError(f"omega2 must be > 0, got {self.omega2}")
+            raise ValueError(f"'weight.omega2' must be > 0, got {self.omega2}")
 
     def at(self, x: float) -> float:
         if not self.omega1 <= x <= self.omega2:
@@ -69,7 +69,7 @@ class Problem:
 
     def __post_init__(self):
         if not self.lam > 0.0:
-            raise ValueError(f"selection ratio must be > 0, got {self.lam}")
+            raise ValueError(f"'lambda' must be > 0, got {self.lam}")
 
     @property
     def omega1(self) -> float:
@@ -109,16 +109,6 @@ class ConjectureReport:
             and self.f_star.satisfies_f_star
             and self.ratio_strictly_decreasing
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "weight_positive_somewhere": self.weight_positive_somewhere,
-            "weight_mean": self.weight_mean,
-            "weight_mean_negative": self.weight_mean_negative,
-            "f_star": self.f_star.to_dict(),
-            "ratio_strictly_decreasing": self.ratio_strictly_decreasing,
-            "in_scope": self.in_scope,
-        }
 
 
 def validate_conjecture_hypotheses(

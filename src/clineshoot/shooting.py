@@ -10,6 +10,9 @@ again at the caller's step, one scalar Poincare map each
 (`sweep_brackets`). The bracket endpoint slopes are then those of the
 scalar map that refinement iterates with. Every reported number is
 computed at the caller's step; `build_gamma` still sweeps every node at it.
+Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
+the pre-pass scans its mixed coarse and fine slopes with the same rule
+`find_brackets` applies to a curve.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -20,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
 from .integrator import (
-    CSV_CHUNK_ROWS,
     BlowupError,
+    GammaCurve,
     IntegratorConfig,
     PhasePoint,
     Trajectory,
@@ -62,38 +65,6 @@ PREPASS_MAX_SHARE = 0.25
 PREPASS_MAX_RESHOTS = 32
 
 
-@dataclass(eq=False)
-class GammaCurve:
-    """Image of the segment {(r, 0): r in [0,1]} under the interval map."""
-
-    rs: np.ndarray
-    u_end: np.ndarray
-    v_end: np.ndarray
-    ok: np.ndarray
-    exit_x: np.ndarray
-
-    @property
-    def resolution(self) -> int:
-        return len(self.rs)
-
-    def sign_changes(self) -> int:
-        """Count of strict sign changes of terminal v over interior ok entries."""
-        inner = self.v_end[1:-1][self.ok[1:-1]]
-        inner = inner[inner != 0.0]
-        return int(np.sum(inner[:-1] * inner[1:] < 0.0))
-
-    def write_csv(self, out: TextIO, header_lines: tuple[str, ...] = ()) -> None:
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("r,u_end,v_end,status\n")
-        for start in range(0, self.resolution, CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            out.write("".join(
-                f"{r:.17g},{u:.17g},{v:.17g},ok\n" if ok else f"{r:.17g},nan,nan,blowup\n"
-                for r, u, v, ok in zip(self.rs[rows].tolist(), self.u_end[rows].tolist(),
-                                       self.v_end[rows].tolist(), self.ok[rows].tolist())))
-
-
 def _grid(resolution: int) -> np.ndarray:
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
@@ -103,10 +74,7 @@ def _grid(resolution: int) -> np.ndarray:
 def build_gamma(p: Problem, cfg: IntegratorConfig,
                 resolution: int = DEFAULT_RESOLUTION) -> GammaCurve:
     """Shoot from (r, 0) for every r on a uniform grid over [0, 1]."""
-    rs = _grid(resolution)
-    sweep = sweep_terminals(p, cfg, rs)
-    return GammaCurve(rs=rs, u_end=sweep.u_end, v_end=sweep.v_end,
-                      ok=sweep.ok, exit_x=sweep.exit_x)
+    return sweep_terminals(p, cfg, _grid(resolution))
 
 
 @dataclass(frozen=True)
@@ -155,11 +123,12 @@ def find_brackets(g: GammaCurve) -> list[Bracket]:
     |v| <= EXACT_ROOT_TOL come back as degenerate brackets and separate
     their neighbours.
     """
-    rs, vs = [], []
-    for i in range(1, g.resolution - 1):
-        if g.ok[i]:
-            rs.append(float(g.rs[i]))
-            vs.append(float(g.v_end[i]))
+    return _brackets(g.rs[1:-1], g.v_end[1:-1], g.ok[1:-1])
+
+
+def _brackets(rs: np.ndarray, v: np.ndarray, ok: np.ndarray) -> list[Bracket]:
+    """find_brackets over interior heights rs with terminal slopes v."""
+    rs, vs = rs[ok].tolist(), v[ok].tolist()
     out: list[Bracket] = []
     for j in range(len(rs)):
         if abs(vs[j]) <= EXACT_ROOT_TOL:
@@ -196,15 +165,6 @@ class BracketingReport:
 def _steps(p: Problem, cfg: IntegratorConfig) -> int:
     n1, _, n2, _ = step_plan(p, cfg)
     return n1 + n2
-
-
-def _mixed_curve(rs: np.ndarray, v: np.ndarray, ok: np.ndarray) -> GammaCurve:
-    """Curve over rs from interior values only; find_brackets reads no more."""
-    pad = np.array([np.nan])
-    v = np.concatenate([pad, v, pad])
-    return GammaCurve(rs=rs, u_end=np.full(len(rs), np.nan), v_end=v,
-                      ok=np.concatenate([[False], ok, [False]]),
-                      exit_x=np.full(len(rs), np.nan))
 
 
 def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
@@ -245,7 +205,7 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     a bracket ends at a node that still has a coarse value, which only a
     wrong trusted sign can cause.
     """
-    rs = _grid(resolution)
+    inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
 
     def direct(report: BracketingReport) -> tuple[list[Bracket], BracketingReport]:
@@ -261,7 +221,6 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
                   f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
         return direct(BracketingReport(nodes, direct_reason=reason))
 
-    inner = rs[1:-1]
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
     delta = np.abs(wide.v_end[ok] - half.v_end[ok])
@@ -272,8 +231,8 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     need = ~trusted
     need[1:] |= ~trusted[:-1]
     need[:-1] |= ~trusted[1:]
-    v = half.v_end.copy()
-    need[_endpoints(inner, find_brackets(_mixed_curve(rs, v, ok)))] = True
+    v = half.v_end
+    need[_endpoints(inner, _brackets(inner, v, ok))] = True
     report = BracketingReport(nodes, (h, 0.5 * h), error, int(need.sum()))
     if report.reshot > PREPASS_MAX_RESHOTS:
         reason = (f"{report.reshot} nodes need the fine step, "
@@ -287,7 +246,7 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
         except BlowupError:
             v[i] = np.nan
             ok[i] = False
-    brackets = find_brackets(_mixed_curve(rs, v, ok))
+    brackets = _brackets(inner, v, ok)
     if not need[_endpoints(inner, brackets)].all():
         reason = (f"a bracket ends at a node with a trusted coarse value "
                   f"after {report.reshot} re-shots, E = {error:.3g}")

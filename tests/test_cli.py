@@ -91,6 +91,25 @@ class TestCheckF:
         assert main(["check-f", str(cfg)]) == 2
         assert f"'{key}' must be " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"weight": {"alpha": -1.0, "omega1": -0.21, "omega2": 0.2}}, "weight.alpha"),
+        ({"weight": {"alpha": 1.0, "omega1": 0.2, "omega2": 0.2}}, "weight.omega1"),
+        ({"weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.0}}, "weight.omega2"),
+        ({"lambda": 0.0}, "lambda"),
+        ({"f": {"kind": "degree_of_dominance", "k": 1.5}}, "f.k"),
+        ({"f": {"kind": "hat", "h": -3.0}}, "f.h"),
+        ({"f": {"kind": "arctan_damped", "m": 0.0}}, "f.m"),
+        ({"f": {"kind": "poly", "coeffs": []}}, "f.coeffs"),
+    ], ids=["alpha", "omega1", "omega2", "lambda", "k", "h", "m", "coeffs-empty"])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, change, key):
+        cfg = tmp_path / "out_of_range.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": {"kind": "hat", "h": 3.0}, "lambda": 45.0, **change,
+        }))
+        assert main(["check-f", str(cfg)]) == 2
+        assert f"'{key}' must " in capsys.readouterr().err
+
 
 class TestShoot:
     def test_probe_trajectory(self, prop1_config, out_dir, capsys):

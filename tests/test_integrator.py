@@ -12,6 +12,7 @@ from clineshoot.integrator import (
     energy_profile,
     integrate,
     poincare_map,
+    step_plan,
     sweep_terminals,
 )
 from clineshoot.nonlinearity import HatFamily
@@ -46,16 +47,17 @@ class TestTrajectoryGrid:
 
     def test_uniform_spacing_per_side(self, prop2, default_cfg):
         traj = integrate(prop2.problem, default_cfg, PhasePoint(0.3, 0.0))
+        _, h1, _, h2 = step_plan(prop2.problem, default_cfg)
         split = traj.split_index
         left = np.diff(traj.xs[: split + 1])
         right = np.diff(traj.xs[split:])
-        assert np.max(np.abs(left - traj.step_left)) < 1e-12
-        assert np.max(np.abs(right - traj.step_right)) < 1e-12
+        assert np.max(np.abs(left - h1)) < 1e-12
+        assert np.max(np.abs(right - h2)) < 1e-12
 
     def test_steps_do_not_exceed_target(self, prop1, default_cfg):
-        traj = integrate(prop1.problem, default_cfg, PhasePoint(0.4, 0.0))
-        assert traj.step_left <= default_cfg.target_step + 1e-18
-        assert traj.step_right <= default_cfg.target_step + 1e-18
+        _, h1, _, h2 = step_plan(prop1.problem, default_cfg)
+        assert h1 <= default_cfg.target_step + 1e-18
+        assert h2 <= default_cfg.target_step + 1e-18
 
     def test_coarse_target_is_clamped(self, prop1):
         # a huge target still yields at least 100 steps across the habitat
@@ -230,8 +232,9 @@ class TestStepSplitting:
         # left side 0.3 long, right side 0.1: per-side steps divide exactly
         p = Problem(weight=StepWeight(alpha=1.0, omega1=-0.3, omega2=0.1),
                     f=HatFamily(h=3.0), lam=10.0)
-        traj = integrate(p, IntegratorConfig(target_step=7e-4), PhasePoint(0.5, 0.0))
-        n_left = traj.split_index
-        n_right = len(traj.xs) - 1 - n_left
-        assert n_left * traj.step_left == pytest.approx(0.3, abs=1e-15)
-        assert n_right * traj.step_right == pytest.approx(0.1, abs=1e-15)
+        cfg = IntegratorConfig(target_step=7e-4)
+        traj = integrate(p, cfg, PhasePoint(0.5, 0.0))
+        n1, h1, n2, h2 = step_plan(p, cfg)
+        assert (traj.split_index, len(traj.xs) - 1) == (n1, n1 + n2)
+        assert n1 * h1 == pytest.approx(0.3, abs=1e-15)
+        assert n2 * h2 == pytest.approx(0.1, abs=1e-15)

@@ -192,6 +192,7 @@ class TestCheckFStar:
         assert rep.ratio_strictly_decreasing is True
         assert rep.f_at_0 == 0.0 and rep.f_at_1 == 0.0
         assert rep.satisfies_f_star is True
+        assert rep.grid_size == 10001
 
     def test_arctan_damped_verdicts(self):
         rep = check_f_star(ArctanDamped(m=10.0))
@@ -212,12 +213,6 @@ class TestCheckFStar:
     def test_grid_size_too_small(self):
         with pytest.raises(ValueError):
             check_f_star(DegreeOfDominance(k=0.0), grid_size=99)
-
-    def test_report_dict(self):
-        d = check_f_star(HatFamily(h=3.0)).to_dict()
-        assert d["is_concave"] is False
-        assert d["satisfies_f_star"] is True
-        assert d["grid_size"] == 10001
 
 
 class TestValidationAndSerialization:

@@ -179,12 +179,6 @@ class TestConjectureHypotheses:
         assert report.ratio_strictly_decreasing is False
         assert report.in_scope is False
 
-    def test_report_dict_keys(self, prop1):
-        d = validate_conjecture_hypotheses(prop1.problem).to_dict()
-        assert set(d) >= {"weight_positive_somewhere", "weight_mean",
-                          "weight_mean_negative", "f_star",
-                          "ratio_strictly_decreasing", "in_scope"}
-
 
 class TestNecessaryIntegral:
     def test_zero_on_trivial_trajectories(self, prop1, default_cfg):

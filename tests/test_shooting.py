@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import clineshoot.shooting as shooting
-from clineshoot.integrator import BlowupError, IntegratorConfig, PhasePoint, poincare_map
+from clineshoot.integrator import (
+    CSV_CHUNK_ROWS,
+    BlowupError,
+    IntegratorConfig,
+    PhasePoint,
+    poincare_map,
+)
 from clineshoot.nonlinearity import CustomPolynomial
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
@@ -70,7 +76,7 @@ class TestGammaCurve:
 
     def test_csv_rows_match_per_element_format(self):
         rng = np.random.default_rng(7)
-        n = 2 * shooting.CSV_CHUNK_ROWS + 5
+        n = 2 * CSV_CHUNK_ROWS + 5
         ok = rng.random(n) > 0.1
         g = GammaCurve(rs=np.linspace(0.0, 1.0, n), u_end=rng.normal(size=n),
                        v_end=rng.normal(size=n) * 1e-7, ok=ok,
