@@ -258,12 +258,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="sweep initial heights and export the terminal curve")
     p.add_argument("config", help="problem JSON file")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                   help=f"grid points on [0,1] (default {DEFAULT_RESOLUTION})")
+                   help="grid points on [0,1] (default %(default)d)")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("find", help="locate all clines of a config")
     p.add_argument("config", help="problem JSON file")
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                   help="initial heights swept for brackets (default %(default)d)")
     p.add_argument("--tol-r", type=float, default=DEFAULT_TOL_R,
                    help="refinement bracket width tolerance (default %(default)g)")
     p.add_argument("--tol-v", type=float, default=DEFAULT_TOL_V,
@@ -273,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("reproduce", help="run both benchmark instances and compare")
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                   help="initial heights swept for brackets (default %(default)d)")
     p.add_argument("--step", type=float, default=DEFAULT_TARGET_STEP,
                    help="integrator target step (default %(default)g)")
     p.set_defaults(func=cmd_reproduce)

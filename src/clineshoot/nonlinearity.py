@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -235,6 +235,20 @@ class ArctanDamped(Nonlinearity):
         return {"kind": self.KIND, "m": self.m}
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    numpy.polynomial is imported on the first call, so importing clineshoot
+    does not load it.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_legendre_antiderivative(fn, s: Scalar) -> Scalar:
     """Integral of the smooth vectorised `fn` from 0 to s, elementwise.
 
@@ -245,7 +259,7 @@ def _gauss_legendre_antiderivative(fn, s: Scalar) -> Scalar:
     below double-precision round-off for the families here.
     """
     step = 1.0 / 256.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+    gl_x, gl_w = _gauss_legendre(10)
 
     def panels(a, b):
         half = 0.5 * (b - a)

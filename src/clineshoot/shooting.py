@@ -1,18 +1,23 @@
 """Shooting pipeline: sweep the initial-height segment, bracket sign changes
-of the terminal slope, and refine each bracket down to a steady state by
-safeguarded Illinois regula falsi.
+of the terminal slope, and refine each bracket down to a steady state.
 
 The brackets are those of the sweep at the caller's step, but they are
 usually found without running it: two coarse sweeps settle the sign of the
 terminal slope wherever it clears their step-doubling error estimate by a
 wide margin, and only the other nodes and the bracket endpoints are shot
 again at the caller's step, one scalar Poincare map each
-(`sweep_brackets`). The bracket endpoint slopes are then those of the
-scalar map that refinement iterates with. Every reported number is
-computed at the caller's step; `build_gamma` still sweeps every node at it.
-Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
-the pre-pass scans its mixed coarse and fine slopes with the same rule
-`find_brackets` applies to a curve.
+(`sweep_brackets`). Every reported number is computed at the caller's
+step; `build_gamma` still sweeps every node at it. Every sweep comes back
+from `integrator.sweep_terminals` as a `GammaCurve`; the pre-pass scans its
+mixed coarse and fine slopes with the same rule `find_brackets` applies to
+a curve.
+
+When the march at the caller's step is long enough for the pre-pass, each
+bracket is first tried with the root of the RK4-free time-map
+(`timemap.find_root`); the one `integrate` that validates the cline at that
+root is its certificate. The brackets it does not settle, and all of them
+on a short march, are refined by safeguarded Illinois regula falsi on the
+scalar Poincare map (`bisect_cline`).
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -27,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import timemap
 from .integrator import (
     BlowupError,
     GammaCurve,
@@ -167,6 +173,29 @@ def _steps(p: Problem, cfg: IntegratorConfig) -> int:
     return n1 + n2
 
 
+def _coarse_configs(p: Problem, cfg: IntegratorConfig) -> list[IntegratorConfig]:
+    """The pre-pass steps H = span / PREPASS_STEPS_PER_SPAN and H / 2."""
+    h = p.weight.span / PREPASS_STEPS_PER_SPAN
+    return [IntegratorConfig(target_step=t, blowup_bound=cfg.blowup_bound)
+            for t in (h, 0.5 * h)]
+
+
+def _short_march(p: Problem, cfg: IntegratorConfig) -> Optional[str]:
+    """Why a march at cfg's step is too short for the pre-pass and the seed; None if long.
+
+    It is long when the two coarse sweeps take at most PREPASS_MAX_SHARE of
+    the fine sweep's steps. Below that the coarse sweeps save nothing, and
+    one time-map root costs more than Illinois refinement on the short
+    march does.
+    """
+    coarse_steps = sum(_steps(p, c) for c in _coarse_configs(p, cfg))
+    fine_steps = _steps(p, cfg)
+    if coarse_steps <= PREPASS_MAX_SHARE * fine_steps:
+        return None
+    return (f"coarse sweeps would take {coarse_steps} steps, "
+            f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
+
+
 def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
     """Interior-node indices of the bracket endpoints."""
     rs = [r for b in brackets for r in (b.r_lo, b.r_hi)]
@@ -211,16 +240,11 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     def direct(report: BracketingReport) -> tuple[list[Bracket], BracketingReport]:
         return find_brackets(build_gamma(p, cfg, resolution)), report
 
-    h = p.weight.span / PREPASS_STEPS_PER_SPAN
-    coarse = [IntegratorConfig(target_step=t, blowup_bound=cfg.blowup_bound)
-              for t in (h, 0.5 * h)]
-    coarse_steps = sum(_steps(p, c) for c in coarse)
-    fine_steps = _steps(p, cfg)
-    if coarse_steps > PREPASS_MAX_SHARE * fine_steps:
-        reason = (f"coarse sweeps would take {coarse_steps} steps, "
-                  f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
+    reason = _short_march(p, cfg)
+    if reason is not None:
         return direct(BracketingReport(nodes, direct_reason=reason))
 
+    coarse = _coarse_configs(p, cfg)
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
     delta = np.abs(wide.v_end[ok] - half.v_end[ok])
@@ -233,7 +257,8 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     need[:-1] |= ~trusted[1:]
     v = half.v_end
     need[_endpoints(inner, _brackets(inner, v, ok))] = True
-    report = BracketingReport(nodes, (h, 0.5 * h), error, int(need.sum()))
+    report = BracketingReport(nodes, tuple(c.target_step for c in coarse), error,
+                              int(need.sum()))
     if report.reshot > PREPASS_MAX_RESHOTS:
         reason = (f"{report.reshot} nodes need the fine step, "
                   f"more than {PREPASS_MAX_RESHOTS} scalar re-shots, E = {error:.3g}")
@@ -313,15 +338,11 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
                  tol_r: float = DEFAULT_TOL_R, tol_v: float = DEFAULT_TOL_V) -> Cline:
     """Refine the terminal-v sign change down to a root of r -> v(omega2).
 
-    Each step is a safeguarded Illinois regula falsi step (Dowell & Jarratt,
-    BIT 11, 1971): the next point is the secant point of the bracket, and
-    when the same endpoint is kept twice in a row its stored v is halved,
-    which pulls the next secant point toward it. A plain midpoint is taken
-    instead whenever the secant point is not strictly inside the bracket or
-    the bracket has not halved over the last two evaluations, so any three
-    consecutive evaluations at least halve the bracket. The first secant
-    point uses the endpoint slopes stored in the bracket, which come from
-    the gamma sweep at no extra cost.
+    The fallback refinement of find_all_clines: `timemap.illinois` on the
+    terminal slope of poincare_map at cfg's step. Its first secant point
+    uses the endpoint slopes stored in the bracket: those of the scalar
+    re-shots when the pre-pass of sweep_brackets stood, else those of the
+    direct sweep. A blow-up inside the bracket raises BracketLostError.
 
     Stops when the bracket width falls below tol_r, the terminal slope
     magnitude falls below tol_v, or the bracket no longer splits in floating
@@ -330,38 +351,37 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
     _check_tolerances(tol_r, tol_v)
     if b.is_exact:
         return _build_cline(p, cfg, b.r_lo, b)
-    lo, hi = b.r_lo, b.r_hi
-    v_lo, v_hi = b.v_lo, b.v_hi
-    kept = None  # endpoint kept by the last step: "lo" or "hi"
-    width_1, width_2 = math.inf, math.inf  # widths before the last two evaluations
-    root = None
-    while hi - lo > tol_r:
-        r = hi - v_hi * (hi - lo) / (v_hi - v_lo)
-        if not lo < r < hi or hi - lo > 0.5 * width_2:
-            r = 0.5 * (lo + hi)
-            if r <= lo or r >= hi:
-                break  # interval no longer splittable in floating point
-        width_2, width_1 = width_1, hi - lo
+
+    def terminal_v(r: float) -> float:
         try:
-            z = poincare_map(p, cfg, PhasePoint(r, 0.0))
+            return poincare_map(p, cfg, PhasePoint(r, 0.0)).v
         except BlowupError as exc:
             raise BracketLostError(b, r, exc) from exc
-        if abs(z.v) < tol_v:
-            root = r
-            break
-        if v_lo * z.v < 0.0:
-            hi, v_hi = r, z.v
-            if kept == "lo":
-                v_lo *= 0.5
-            kept = "lo"
-        else:
-            lo, v_lo = r, z.v
-            if kept == "hi":
-                v_hi *= 0.5
-            kept = "hi"
-    if root is None:
-        root = 0.5 * (lo + hi)
+
+    root = timemap.illinois(terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v)
     return _build_cline(p, cfg, root, b)
+
+
+def _seeded_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
+                  tol_r: float, tol_v: float) -> Optional[Cline]:
+    """The cline at the time-map root in b, or None where the seed does not hold.
+
+    The one integrate of _build_cline is the certificate: the root must lie
+    strictly inside b and give |terminal v| < tol_v at cfg's step. A root
+    whose profile comes near 0 or 1 is left to bisect_cline too, since the
+    time-map's quadrature loses accuracy as the turning height nears 1.
+    None also when the time-map shows no root or the profile blows up.
+    """
+    root = timemap.find_root(p, b.r_lo, b.r_hi, tol_r)
+    if root is None or not b.r_lo < root < b.r_hi:
+        return None
+    try:
+        cline = _build_cline(p, cfg, root, b)
+    except BlowupError:
+        return None
+    if cline.rejected or not abs(cline.terminal_v_residual) < tol_v:
+        return None
+    return cline
 
 
 @dataclass(eq=False)
@@ -419,18 +439,22 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
 
     The brackets are those of the gamma sweep at cfg's step, found by the
     certified coarse pre-pass of `sweep_brackets` when it is cheap enough
-    and by that sweep itself otherwise; refinement and validation always
-    run at cfg's step. Per-bracket blow-ups are recorded in the envelope
-    without aborting the other brackets; roots closer than 10*tol_r are
-    deduplicated.
+    and by that sweep itself otherwise. When the march at cfg's step is
+    long by the same test, each non-exact bracket is first tried with the
+    root of the time-map (`_seeded_cline`); the brackets it does not settle
+    are refined by `bisect_cline`. Validation always runs at cfg's step.
+    Per-bracket blow-ups are recorded in the envelope without aborting the
+    other brackets; roots closer than 10*tol_r are deduplicated.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution)
+    seed = _short_march(p, cfg) is None
     found: list[Cline] = []
     failures: list[BracketFailure] = []
     for b in brackets:
+        cline = _seeded_cline(p, cfg, b, tol_r, tol_v) if seed and not b.is_exact else None
         try:
-            found.append(bisect_cline(p, cfg, b, tol_r, tol_v))
+            found.append(cline if cline is not None else bisect_cline(p, cfg, b, tol_r, tol_v))
         except BracketLostError as exc:
             failures.append(BracketFailure(bracket=b, r=exc.r, reason=str(exc)))
     found = _dedupe(found, 10.0 * tol_r)

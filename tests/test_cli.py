@@ -222,6 +222,12 @@ class TestFind:
         assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-3"]) == 0
         assert "bracketing: direct sweep (coarse sweeps would take" in capsys.readouterr().err
 
+    def test_help_shows_the_default_resolution(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["find", "--help"])
+        assert exc_info.value.code == 0
+        assert "(default 2001)" in " ".join(capsys.readouterr().out.split())
+
     def test_determinism(self, prop1_config, tmp_path, monkeypatch):
         outputs = []
         for sub in ("a", "b"):

@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clineshoot
 from clineshoot.nonlinearity import (
     ArctanDamped,
     CustomPolynomial,
     DegreeOfDominance,
     HatFamily,
+    _gauss_legendre,
     check_f_star,
     nonlinearity_from_dict,
 )
@@ -125,6 +131,21 @@ class TestDerivatives:
             dvec = np.asarray(f.deriv(grid))
             for i, s in enumerate(grid):
                 assert dvec[i] == pytest.approx(f.deriv(float(s)), rel=1e-14, abs=1e-300)
+
+    def test_gauss_legendre_rule_is_shared_and_read_only(self):
+        x, w = _gauss_legendre(10)
+        assert _gauss_legendre(10)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        assert w.sum() == pytest.approx(2.0, abs=1e-14)
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # a fresh interpreter, since this one may have loaded it already
+        src = str(Path(clineshoot.__file__).resolve().parents[1])
+        code = "import sys, clineshoot; print('numpy.polynomial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_arctan_antiderivative_matches_simpson(self):
         # independent reference: composite Simpson from 0 on 2^16 intervals

@@ -1,0 +1,158 @@
+"""The RK4-free time-map against the shooting pipeline."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from clineshoot import timemap
+from clineshoot.integrator import IntegratorConfig
+from clineshoot.reproduction import remark_instances
+from clineshoot.shooting import DEFAULT_TOL_R, bisect_cline, find_all_clines
+
+REMARK_LAMBDAS = (5.0, 45.0, 300.0)
+
+# heights scanned for time-map roots; the cells are fine enough to hold
+# one root each on every instance here
+SCAN_NODES = 401
+
+
+def timemap_roots(p):
+    """Roots of G found from a uniform scan over [0, 1], without RK4.
+
+    A cell is refined when G changes sign over it or is defined at one
+    end only, since a root can sit next to the edge of G's domain; G is
+    undefined at 0 and 1, so the end cells count too.
+    """
+    rs = np.linspace(0.0, 1.0, SCAN_NODES)
+    g = timemap.residual(p, rs)
+    roots = []
+    for lo, hi, g_lo, g_hi in zip(rs[:-1], rs[1:], g[:-1], g[1:]):
+        if g_lo * g_hi < 0.0 or math.isnan(g_lo) != math.isnan(g_hi):
+            root = timemap.find_root(p, float(lo), float(hi), DEFAULT_TOL_R)
+            if root is not None:
+                roots.append(root)
+    return roots
+
+
+@pytest.fixture(scope="module")
+def remark_searches(default_cfg):
+    """(problem, search result) for each remark instance at each lambda."""
+    out = {}
+    for inst in remark_instances():
+        for lam in REMARK_LAMBDAS:
+            p = replace(inst.problem, lam=lam)
+            out[inst.name, lam] = p, find_all_clines(p, default_cfg)
+    return out
+
+
+def no_timemap(monkeypatch):
+    """Make every time-map root search fail and record the attempts."""
+    calls = []
+
+    def failing(p, lo, hi, tol):
+        calls.append((lo, hi))
+        return None
+
+    monkeypatch.setattr(timemap, "find_root", failing)
+    return calls
+
+
+def test_proposition_clines_match_illinois(prop1, prop2, default_cfg,
+                                           prop1_search, prop2_search):
+    worst = 0.0
+    for inst, (result, _) in ((prop1, prop1_search), (prop2, prop2_search)):
+        assert len(result.clines) == 3
+        for cline in result.clines:
+            alone = bisect_cline(inst.problem, default_cfg, cline.bracket)
+            worst = max(worst, abs(cline.c - alone.c))
+    assert worst < 1e-9
+
+
+def assert_roots_match(p, result):
+    roots = timemap_roots(p)
+    assert len(roots) == len(result.clines) > 0
+    for root, cline in zip(roots, result.clines):
+        assert abs(root - cline.c) < 1e-9
+
+
+@pytest.mark.parametrize("lam", REMARK_LAMBDAS)
+@pytest.mark.parametrize("name", [i.name for i in remark_instances()])
+def test_roots_match_validated_clines_on_remarks(remark_searches, name, lam):
+    assert_roots_match(*remark_searches[name, lam])
+
+
+@pytest.mark.parametrize("name", ["prop1", "prop2"])
+def test_roots_match_validated_clines_on_propositions(name, request):
+    result, _ = request.getfixturevalue(f"{name}_search")
+    assert len(result.clines) == 3
+    assert_roots_match(request.getfixturevalue(name).problem, result)
+
+
+def test_no_root_in_a_rejected_bracket(prop2, prop2_search, remark_searches):
+    # prop-2's profiles near r = 0.0022 turn about 0.455 before omega2 and
+    # then leave (0, 1) through u = 0, which no root of G models
+    result, _ = prop2_search
+    (reject,) = result.rejected
+    b = reject.bracket
+    assert (b.r_lo, b.r_hi) == pytest.approx((0.002, 0.0025))
+    g = timemap.residual(prop2.problem, np.array([b.r_lo, b.r_hi]))
+    assert g[0] == pytest.approx(-0.455, abs=1e-3)
+    assert not g[1] >= 0.0
+    rejected = [(prop2.problem, reject)]
+    rejected += [(p, c) for p, res in remark_searches.values() for c in res.rejected]
+    assert len(rejected) >= 2
+    for p, c in rejected:
+        assert timemap.find_root(p, c.bracket.r_lo, c.bracket.r_hi, DEFAULT_TOL_R) is None
+
+
+@pytest.mark.parametrize("name", ["prop1", "prop2"])
+def test_failed_timemap_falls_back_to_illinois(name, request, default_cfg, monkeypatch):
+    inst = request.getfixturevalue(name)
+    seeded, _ = request.getfixturevalue(f"{name}_search")
+    calls = no_timemap(monkeypatch)
+    fallback = find_all_clines(inst.problem, default_cfg)
+    assert len(calls) == len([b for b in seeded.brackets if not b.is_exact])
+    assert fallback.brackets == seeded.brackets
+    alone = [bisect_cline(inst.problem, default_cfg, c.bracket)
+             for c in fallback.clines + fallback.rejected]
+    assert [c.c for c in fallback.clines + fallback.rejected] == [c.c for c in alone]
+    assert [c.to_dict() for c in fallback.rejected] == [c.to_dict() for c in seeded.rejected]
+    for a, b in zip(fallback.clines, seeded.clines):
+        assert abs(a.c - b.c) < 1e-9
+
+
+def test_failed_certificate_falls_back_to_illinois(prop1, default_cfg, prop1_search,
+                                                   monkeypatch):
+    # a root that misses the certificate by far is not reported
+    result, _ = prop1_search
+    monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: lo + 0.25 * (hi - lo))
+    again = find_all_clines(prop1.problem, default_cfg)
+    for a, b in zip(again.clines, result.clines):
+        assert a.c != b.c and abs(a.c - b.c) < 1e-9
+        assert abs(a.terminal_v_residual) < 1e-10
+
+
+def test_short_march_never_calls_the_timemap(monkeypatch):
+    # the lambda-scan setting: step 1e-3 at 501 heights
+    calls = no_timemap(monkeypatch)
+    cfg = IntegratorConfig(target_step=1e-3)
+    for inst in remark_instances():
+        result = find_all_clines(replace(inst.problem, lam=45.0), cfg, resolution=501)
+        assert result.clines
+    assert calls == []
+
+
+def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
+    # the ends of each validated bracket: G and v(omega2) agree in sign
+    result, _ = prop1_search
+    for cline in result.clines:
+        b = cline.bracket
+        g = timemap.residual(prop1.problem, np.array([b.r_lo, b.r_hi]))
+        assert np.sign(g).tolist() == [np.sign(b.v_lo), np.sign(b.v_hi)]
+
+
+def test_residual_is_nan_outside_the_domain(prop2):
+    g = timemap.residual(prop2.problem, np.array([0.0, 0.9, 1.0, 1.5, -0.2]))
+    assert np.isnan(g).all()
