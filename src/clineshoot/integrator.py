@@ -4,8 +4,8 @@ The weight is constant on each side of x = 0, so the interval is integrated
 as two smooth pieces with the state carried across the interface unchanged;
 each side's step is the largest value not exceeding the target that divides
 the side length exactly, making 0 and both endpoints exact grid nodes.
-`_march` runs the two pieces for both RK4 kernels: the scalar one behind
-`integrate` and `poincare_map`, and the column-batched one behind
+`_march` runs the two pieces with one RK4 kernel over a float state, for
+`integrate` and `poincare_map`, or over a batch of columns, for
 `sweep_terminals`, which returns the terminal states of many initial
 heights as one `GammaCurve`.
 """
@@ -103,23 +103,26 @@ def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float
     return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2
 
 
-def _rk4_side_scalar(feval, c: float, h: float, n: int, u: float, v: float,
-                     bound: float, x0: float, record=None):
-    """March n steps of u' = v, v' = c f(u); returns final (u, v).
+def _rk4_side(feval, c, h: float, n: int, u, v, bound: float, x0: float, leave, record=None):
+    """March n RK4 steps of u' = v, v' = c f(u) from x0; returns final (u, v).
 
-    `record(u, v)` is called after every step when given. Raises BlowupError
-    as soon as a post-step state leaves [-bound, bound]^2.
+    The state is a float or an array of columns, and `feval` picks its
+    arithmetic by type. After each step `ok` says whether the state lies in
+    [-bound, bound]^2; unless it is the bool True, `leave(x, u, v, ok)` gets
+    the state and returns the one to go on from. `record(u, v)` is called
+    after every step when given.
     """
+    hh = 0.5 * h
     h6 = h / 6.0
     for i in range(n):
         k1u = v
         k1v = c * feval(u)
-        u2 = u + 0.5 * h * k1u
-        v2 = v + 0.5 * h * k1v
+        u2 = u + hh * k1u
+        v2 = v + hh * k1v
         k2u = v2
         k2v = c * feval(u2)
-        u3 = u + 0.5 * h * k2u
-        v3 = v + 0.5 * h * k2v
+        u3 = u + hh * k2u
+        v3 = v + hh * k2v
         k3u = v3
         k3v = c * feval(u3)
         u4 = u + h * k3u
@@ -128,58 +131,30 @@ def _rk4_side_scalar(feval, c: float, h: float, n: int, u: float, v: float,
         k4v = c * feval(u4)
         u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
         v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        if not (-bound <= u <= bound and -bound <= v <= bound):
-            raise BlowupError(x0 + (i + 1) * h, u, v)
+        ok = (abs(u) <= bound) & (abs(v) <= bound)
+        if ok is not True:
+            u, v = leave(x0 + (i + 1) * h, u, v, ok)
         if record is not None:
             record(u, v)
     return u, v
 
 
-def _rk4_side_batch(fvec, c, h, n, u, v, bound, x0, active, exit_x):
-    """Vectorized counterpart of _rk4_side_scalar with per-column freezing.
-
-    Columns that leave the bound are frozen at zero (their results are not
-    used) and their exit location recorded; arithmetic follows the scalar
-    path exactly so the two agree wherever both are finite.
-    """
-    h6 = h / 6.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            k1u = v
-            k1v = c * fvec(u)
-            u2 = u + 0.5 * h * k1u
-            v2 = v + 0.5 * h * k1v
-            k2u = v2
-            k2v = c * fvec(u2)
-            u3 = u + 0.5 * h * k2u
-            v3 = v + 0.5 * h * k2v
-            k3u = v3
-            k3v = c * fvec(u3)
-            u4 = u + h * k3u
-            v4 = v + h * k3v
-            k4u = v4
-            k4v = c * fvec(u4)
-            u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
-            v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-            blown = active & ~((np.abs(u) <= bound) & (np.abs(v) <= bound))
-            if blown.any():
-                exit_x[blown] = x0 + (i + 1) * h
-                active &= ~blown
-                u = np.where(active, u, 0.0)
-                v = np.where(active, v, 0.0)
+def _raise_blowup(x: float, u, v, ok):
+    """`leave` of a single trajectory: raises BlowupError once it is out of bounds."""
+    if not ok:
+        raise BlowupError(x, u, v)
     return u, v
 
 
-def _march(side, p: Problem, cfg: IntegratorConfig, u, v, *args):
-    """Run the RK4 kernel `side` over the left piece, then the right one.
-
-    The state (u, v) carries across x = 0 unchanged; `args` follow x0 in
-    both kernel calls. Returns the state at omega2.
+def _march(p: Problem, cfg: IntegratorConfig, u, v, leave=_raise_blowup, record=None):
+    """Run `_rk4_side` over the left piece, then the right one; the state
+    (u, v) carries across x = 0 unchanged. Returns the state at omega2.
     """
     w = p.weight
     n1, h1, n2, h2 = step_plan(p, cfg)
-    u, v = side(p.f.value, p.lam * w.alpha, h1, n1, u, v, cfg.blowup_bound, w.omega1, *args)
-    return side(p.f.value, -p.lam, h2, n2, u, v, cfg.blowup_bound, 0.0, *args)
+    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, cfg.blowup_bound, w.omega1,
+                     leave, record)
+    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, cfg.blowup_bound, 0.0, leave, record)
 
 
 def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
@@ -202,13 +177,13 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
         us[pos], vs[pos] = u, v
         pos += 1
 
-    _march(_rk4_side_scalar, p, cfg, z0.u, z0.v, record)
+    _march(p, cfg, z0.u, z0.v, record=record)
     return Trajectory(xs=xs, us=us, vs=vs, split_index=n1)
 
 
 def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:
     """Terminal phase point at omega2 of the trajectory started at (omega1, z0)."""
-    return PhasePoint(*_march(_rk4_side_scalar, p, cfg, z0.u, z0.v))
+    return PhasePoint(*_march(p, cfg, z0.u, z0.v))
 
 
 @dataclass(eq=False)
@@ -253,7 +228,19 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaC
     rs = np.asarray(rs, dtype=float)
     active = np.ones(rs.shape, dtype=bool)
     exit_x = np.full(rs.shape, np.nan)
-    u, v = _march(_rk4_side_batch, p, cfg, rs, np.zeros_like(rs), active, exit_x)
+
+    def leave(x, u, v, ok):
+        # freeze newly blown columns at zero (their results are not used)
+        blown = active & ~ok
+        if blown.any():
+            exit_x[blown] = x
+            active[blown] = False
+            u = np.where(active, u, 0.0)
+            v = np.where(active, v, 0.0)
+        return u, v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _march(p, cfg, rs, np.zeros_like(rs), leave)
     u[~active] = np.nan
     v[~active] = np.nan
     return GammaCurve(rs=rs, u_end=u, v_end=v, ok=active, exit_x=exit_x)

@@ -105,11 +105,12 @@ def illinois(fn: Callable[[float], float], lo: float, hi: float,
     bracket or the bracket has not halved over the last two evaluations, so
     any three consecutive evaluations at least halve the bracket.
 
-    Returns the first point where |fn| < tol_y; otherwise the midpoint of
-    the bracket once it is no wider than tol_x or no longer splits in
-    floating point.
+    Returns the first point where fn is exactly 0 or |fn| < tol_y; otherwise
+    the midpoint of the bracket once it is no wider than tol_x or no longer
+    splits in floating point.
     """
     kept = None  # endpoint kept by the last step: "lo" or "hi"
+    sign_lo = math.copysign(1.0, y_lo)  # fn's sign at lo, which halving y_lo may underflow
     width_1, width_2 = math.inf, math.inf  # widths before the last two evaluations
     while hi - lo > tol_x:
         r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
@@ -119,9 +120,9 @@ def illinois(fn: Callable[[float], float], lo: float, hi: float,
                 break  # interval no longer splittable in floating point
         width_2, width_1 = width_1, hi - lo
         y = fn(r)
-        if abs(y) < tol_y:
+        if y == 0.0 or abs(y) < tol_y:
             return r
-        if y_lo * y < 0.0:
+        if sign_lo * y < 0.0:
             hi, y_hi = r, y
             if kept == "lo":
                 y_lo *= 0.5

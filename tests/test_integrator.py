@@ -115,25 +115,29 @@ class TestBlowup:
         assert p.omega1 < err.x <= p.omega2
         assert max(abs(err.u), abs(err.v)) > default_cfg.blowup_bound
 
-    def test_batch_matches_scalar(self, prop1, default_cfg):
+    @pytest.mark.parametrize("r", [5.0, -0.5, 2.0])
+    def test_batch_matches_scalar(self, prop1, default_cfg, r):
+        # 5.0 and -0.5 leave the bound on the left piece, 2.0 on the right one
         p = prop1.problem
-        sweep = sweep_terminals(p, default_cfg, np.array([0.4, 5.0]))
+        sweep = sweep_terminals(p, default_cfg, np.array([0.4, r]))
         assert sweep.ok[0] and not sweep.ok[1]
         assert math.isnan(sweep.u_end[1]) and math.isnan(sweep.v_end[1])
         with pytest.raises(BlowupError) as exc_info:
-            poincare_map(p, default_cfg, PhasePoint(5.0, 0.0))
+            poincare_map(p, default_cfg, PhasePoint(r, 0.0))
         assert sweep.exit_x[1] == exc_info.value.x
         assert math.isnan(sweep.exit_x[0])
 
 
 class TestBatchAgreement:
     def test_terminals_match_scalar_path(self, prop1, prop2, default_cfg):
-        # exact by construction on prop-1, whose f is basic arithmetic done in
-        # the same order on both paths; prop-2's f calls np.exp/np.arctan on
-        # one path and math.exp/math.atan on the other, which agree at these
-        # nodes but not at every node. The bracketing pre-pass takes bracket
-        # endpoint slopes from poincare_map, so where the paths differ at an
-        # endpoint its v_lo/v_hi differ in the last bit from build_gamma's
+        # both paths run the same RK4 kernel, so they can differ only inside
+        # f.value: exact on prop-1, whose f is basic arithmetic done in the
+        # same order on floats and arrays; ArctanDamped.value (prop-2) calls
+        # math.exp/math.atan on a float and np.exp/np.arctan on an array,
+        # which agree at these nodes but not at every node. The bracketing
+        # pre-pass takes bracket endpoint slopes from poincare_map, so where
+        # the paths differ at an endpoint its v_lo/v_hi differ in the last
+        # bit from build_gamma's
         for inst in (prop1, prop2):
             rs = np.linspace(0.02, 0.95, 17)
             sweep = sweep_terminals(inst.problem, default_cfg, rs)
@@ -141,6 +145,17 @@ class TestBatchAgreement:
                 z = poincare_map(inst.problem, default_cfg, PhasePoint(float(r), 0.0))
                 assert z.u == sweep.u_end[i]
                 assert z.v == sweep.v_end[i]
+
+    def test_float64_start_matches_float_start(self, prop1, prop2, default_cfg):
+        # a np.float64 state makes the bound check a np.bool_ rather than a
+        # bool, so every step of its march goes through the kernel's `leave`
+        for inst in (prop1, prop2):
+            for r in (0.1, 0.4, 0.75):
+                z = poincare_map(inst.problem, default_cfg, PhasePoint(r, 0.0))
+                z64 = poincare_map(inst.problem, default_cfg, PhasePoint(np.float64(r), 0.0))
+                assert type(z64.u) is np.float64
+                assert z64.u == z.u
+                assert z64.v == z.v
 
     def test_columns_do_not_depend_on_the_batch(self, prop2):
         # a column does not depend on which other heights share its batch,

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clineshoot import timemap
 from clineshoot.integrator import IntegratorConfig
@@ -156,3 +158,33 @@ def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
 def test_residual_is_nan_outside_the_domain(prop2):
     g = timemap.residual(prop2.problem, np.array([0.0, 0.9, 1.0, 1.5, -0.2]))
     assert np.isnan(g).all()
+
+
+def test_illinois_returns_an_exact_zero():
+    # with tol_y = 0 an exact zero used to replace `lo`, breaking the sign
+    # invariant; two halvings later the secant divided by zero
+    assert timemap.illinois(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
+
+
+# heights in (0, 1), with dyadic ones, which midpoint and secant steps hit exactly
+UNIT_HEIGHTS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 2 ** 20 - 1).map(lambda k: k / 2.0 ** 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=UNIT_HEIGHTS, tol_y=st.sampled_from([0.0, 1e-10]))
+@example(q=0.5, tol_y=0.0)
+@example(q=5e-324, tol_y=0.0)  # y_lo * y underflows to -0.0
+def test_illinois_finds_the_root_of_a_line(q, tol_y):
+    tol_x = 1e-12
+    r = timemap.illinois(lambda r: r - q, 0.0, 1.0, -q, 1.0 - q, tol_x, tol_y)
+    assert abs(r - q) < tol_y or r - q == 0.0 or abs(r - q) <= tol_x
+
+
+def test_exact_timemap_zero_gives_a_cline(default_cfg):
+    # lambda-scan's second grid point, 5 * 60**(1/15): the time-map's
+    # Illinois evaluates G there at a height where it is exactly 0
+    p = replace(remark_instances()[0].problem, lam=6.5692141704429865)
+    result = find_all_clines(p, default_cfg, resolution=501)
+    assert len(result.clines) == 1
