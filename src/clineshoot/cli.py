@@ -124,7 +124,7 @@ def cmd_shoot(args) -> int:
         return EXIT_BLOWUP
     out = _out_dir() / f"shoot_r{args.r:g}.csv"
     with out.open("w") as fh:
-        traj.write_csv(fh, header_lines=_comment_lines(manifest))
+        traj.write_csv(fh, header_lines=_comment_lines(manifest) + (f"r: {args.r:.17g}",))
     z = traj.terminal
     print(f"terminal point: ({z.u:.17g}, {z.v:.17g})")
     print(f"wrote {out}")

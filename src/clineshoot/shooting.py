@@ -16,8 +16,8 @@ When the march at the caller's step is long enough for the pre-pass, each
 bracket is first tried with the root of the RK4-free time-map
 (`timemap.find_root`); the one `integrate` that validates the cline at that
 root is its certificate. The brackets it does not settle, and all of them
-on a short march, are refined by safeguarded Illinois regula falsi on the
-scalar Poincare map (`bisect_cline`).
+on a short march, are refined by Brent's method on the terminal slope of
+the scalar Poincare map (`bisect_cline`).
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -185,8 +185,7 @@ def _short_march(p: Problem, cfg: IntegratorConfig) -> Optional[str]:
 
     It is long when the two coarse sweeps take at most PREPASS_MAX_SHARE of
     the fine sweep's steps. Below that the coarse sweeps save nothing, and
-    one time-map root costs more than Illinois refinement on the short
-    march does.
+    one time-map root costs more than refining on the short march does.
     """
     coarse_steps = sum(_steps(p, c) for c in _coarse_configs(p, cfg))
     fine_steps = _steps(p, cfg)
@@ -338,11 +337,12 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
                  tol_r: float = DEFAULT_TOL_R, tol_v: float = DEFAULT_TOL_V) -> Cline:
     """Refine the terminal-v sign change down to a root of r -> v(omega2).
 
-    The fallback refinement of find_all_clines: `timemap.illinois` on the
-    terminal slope of poincare_map at cfg's step. Its first secant point
-    uses the endpoint slopes stored in the bracket: those of the scalar
-    re-shots when the pre-pass of sweep_brackets stood, else those of the
-    direct sweep. A blow-up inside the bracket raises BracketLostError.
+    The fallback refinement of find_all_clines: `timemap.bracketed_root`,
+    Brent's method, on the terminal slope of poincare_map at cfg's step.
+    Its first point is the secant point of the endpoint slopes stored in
+    the bracket: those of the scalar re-shots when the pre-pass of
+    sweep_brackets stood, else those of the direct sweep. A blow-up inside
+    the bracket raises BracketLostError.
 
     Stops when the bracket width falls below tol_r, the terminal slope
     magnitude falls below tol_v, or the bracket no longer splits in floating
@@ -358,7 +358,7 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
         except BlowupError as exc:
             raise BracketLostError(b, r, exc) from exc
 
-    root = timemap.illinois(terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v)
+    root = timemap.bracketed_root(terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v)
     return _build_cline(p, cfg, root, b)
 
 

@@ -1,4 +1,4 @@
-"""RK4-free time-map of the clines, and the Illinois root finder refinement uses.
+"""RK4-free time-map of the clines, and the bracketed root finder refinement uses.
 
 With a = lam alpha, a profile started at (r, 0) rises on the left piece
 (u'' = a f(u) > 0 while 0 < u < 1). By energy conservation it takes the time
@@ -15,6 +15,9 @@ LNM 1458, Springer 1990). The substitutions s = r + t^2 and s = u* - t^2
 remove the square-root singularities at the turning points, and each energy
 difference is t^2 times a mean of f, so nothing cancels. Every integral is a
 nested Gauss-Legendre rule over f.value; no RK4 step runs.
+
+`bracketed_root` solves G = 0 here and, in `shooting.bisect_cline`, the
+terminal slope of the fine-step Poincare map = 0, by Brent's method.
 """
 
 from __future__ import annotations
@@ -93,45 +96,67 @@ def residual(p: Problem, rs) -> np.ndarray:
         return _time(f, lam, u + y, np.sqrt(y), -1.0) - right
 
 
-def illinois(fn: Callable[[float], float], lo: float, hi: float,
-             y_lo: float, y_hi: float, tol_x: float, tol_y: float) -> float:
+def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
+                   y_lo: float, y_hi: float, tol_x: float, tol_y: float) -> float:
     """A root of fn in [lo, hi], where fn(lo) = y_lo and fn(hi) = y_hi differ in sign.
 
-    Each step is a safeguarded Illinois regula falsi step (Dowell & Jarratt,
-    BIT 11, 1971): the next point is the secant point of the bracket, and
-    when the same endpoint is kept twice in a row its stored value is
-    halved, which pulls the next secant point toward it. A plain midpoint
-    is taken instead whenever the secant point is not strictly inside the
-    bracket or the bracket has not halved over the last two evaluations, so
-    any three consecutive evaluations at least halve the bracket.
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4). The first point is the secant point of the
+    bracket. After it, b is the end of the bracket with the smaller |fn|,
+    c the other end and a the b before the last step. The next point is
+    the inverse quadratic through a, b and c, or the secant through b and
+    c when a is c. It is taken only if it lies in the three quarters of
+    the bracket next to b and moves b by less than half the step before
+    last; otherwise the next point is the midpoint of b and c. A step
+    shorter than tol_x / 2 is lengthened to tol_x / 2 toward c, so a root
+    that close to b ends the search at the next point. The interpolation
+    takes ratios of values of fn, never products, so it cannot underflow.
 
     Returns the first point where fn is exactly 0 or |fn| < tol_y; otherwise
     the midpoint of the bracket once it is no wider than tol_x or no longer
     splits in floating point.
     """
-    kept = None  # endpoint kept by the last step: "lo" or "hi"
-    sign_lo = math.copysign(1.0, y_lo)  # fn's sign at lo, which halving y_lo may underflow
-    width_1, width_2 = math.inf, math.inf  # widths before the last two evaluations
+    sign_lo = math.copysign(1.0, y_lo)  # fn's sign at lo, tested against each new value
+    tol = 0.5 * tol_x
+    b, y_b, c, y_c = (lo, y_lo, hi, y_hi) if abs(y_lo) < abs(y_hi) else (hi, y_hi, lo, y_lo)
+    step = step_1 = hi - lo  # the last step and the one before it
+    r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
     while hi - lo > tol_x:
-        r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
-        if not lo < r < hi or hi - lo > 0.5 * width_2:
+        if not lo < r < hi:
             r = 0.5 * (lo + hi)
             if r <= lo or r >= hi:
                 break  # interval no longer splittable in floating point
-        width_2, width_1 = width_1, hi - lo
         y = fn(r)
         if y == 0.0 or abs(y) < tol_y:
             return r
         if sign_lo * y < 0.0:
             hi, y_hi = r, y
-            if kept == "lo":
-                y_lo *= 0.5
-            kept = "lo"
+            c, y_c = lo, y_lo
         else:
             lo, y_lo = r, y
-            if kept == "hi":
-                y_hi *= 0.5
-            kept = "hi"
+            c, y_c = hi, y_hi
+        a, y_a, b, y_b = b, y_b, r, y
+        if c == a:  # the new point crossed the root from a: restart the step history
+            step = step_1 = b - a
+        if abs(y_c) < abs(y_b):
+            a, y_a, b, y_b, c, y_c = b, y_b, c, y_c, b, y_b
+        m = 0.5 * (c - b)
+        last, before = step, step_1
+        step = step_1 = m  # the midpoint, unless the interpolated point is taken
+        if abs(before) >= tol and abs(y_a) > abs(y_b):
+            s = y_b / y_a
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                t, u = y_a / y_c, y_b / y_c
+                p = s * (2.0 * m * t * (t - u) - (b - a) * (u - 1.0))
+                q = (t - 1.0) * (u - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(before * q)):
+                step, step_1 = p / q, last
+        r = b + (step if abs(step) > tol else math.copysign(tol, m))
     return 0.5 * (lo + hi)
 
 
@@ -159,4 +184,4 @@ def find_root(p: Problem, lo: float, hi: float, tol: float) -> Optional[float]:
             hi, g_hi = m, g_m
         else:
             lo, g_lo = m, g_m
-    return illinois(g, lo, hi, g_lo, g_hi, tol, 0.0)
+    return bracketed_root(g, lo, hi, g_lo, g_hi, tol, 0.0)

@@ -121,6 +121,14 @@ class TestShoot:
         assert rows[0] == "x,u,v"
         assert csv.read_text().startswith("# config_digest: sha256:")
 
+    def test_file_records_its_height(self, prop2_config, out_dir):
+        # the file name rounds r to 6 significant digits, so both heights
+        # write shoot_r0.383454.csv; only its r: line tells them apart
+        for r in ("0.38345441948", "0.3834544"):
+            assert main(["shoot", prop2_config, "--r", r]) == 0
+            header = (out_dir / "shoot_r0.383454.csv").read_text().split("x,u,v\n")[0]
+            assert header.endswith(f"# r: {float(r):.17g}\n")
+
     def test_zero_initial_height(self, prop1_config, out_dir, capsys):
         assert main(["shoot", prop1_config, "--r", "0"]) == 0
         assert "terminal point: (0, 0)" in capsys.readouterr().out

@@ -285,7 +285,7 @@ class TestRefinement:
     def test_understated_endpoint_slope(self, prop1, default_cfg, prop1_search,
                                         monkeypatch):
         # a stored slope 1e6 times too small puts the first secant point
-        # right next to r_lo, so the width safeguard has to step in
+        # right next to r_lo; the later points must not lean on that slope
         result, _ = prop1_search
         ref = result.clines[1]
         b = ref.bracket
@@ -301,9 +301,9 @@ class TestRefinement:
     def test_one_sided_slope_beats_bisection(self, prop1, default_cfg,
                                              monkeypatch, steepness):
         # expm1 is nearly flat left of the root and steep right of it, so
-        # plain regula falsi creeps in from the flat side; the Illinois
-        # halving and the width safeguard each keep the count well under
-        # bisection's
+        # plain regula falsi creeps in from the flat side; interpolating
+        # through the latest iterates instead of the bracket ends keeps the
+        # count well under bisection's
         c = 0.3
 
         def terminal_v(r):
@@ -314,6 +314,16 @@ class TestRefinement:
         cline = bisect_cline(prop1.problem, default_cfg, b)
         assert abs(cline.c - c) < 1e-10
         assert len(evaluated) <= 0.6 * bisection_count(b)
+
+    def test_rejected_root_of_prop2(self, prop2, default_cfg, prop2_search, monkeypatch):
+        # the root next to the trivial profile has no time-map root, so
+        # every find on prop-2 refines it on the fine-step map
+        result, _ = prop2_search
+        (reject,) = result.rejected
+        evaluated = count_maps(monkeypatch)
+        cline = bisect_cline(prop2.problem, default_cfg, reject.bracket)
+        assert cline.c == reject.c
+        assert len(evaluated) <= 6
 
     def test_step_function_still_converges(self, prop1, default_cfg, monkeypatch):
         # |v| never drops below tol_v, so only the width stop can end it

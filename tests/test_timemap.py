@@ -61,7 +61,7 @@ def no_timemap(monkeypatch):
     return calls
 
 
-def test_proposition_clines_match_illinois(prop1, prop2, default_cfg,
+def test_proposition_clines_match_map_refinement(prop1, prop2, default_cfg,
                                            prop1_search, prop2_search):
     worst = 0.0
     for inst, (result, _) in ((prop1, prop1_search), (prop2, prop2_search)):
@@ -110,7 +110,7 @@ def test_no_root_in_a_rejected_bracket(prop2, prop2_search, remark_searches):
 
 
 @pytest.mark.parametrize("name", ["prop1", "prop2"])
-def test_failed_timemap_falls_back_to_illinois(name, request, default_cfg, monkeypatch):
+def test_failed_timemap_falls_back_to_map_refinement(name, request, default_cfg, monkeypatch):
     inst = request.getfixturevalue(name)
     seeded, _ = request.getfixturevalue(f"{name}_search")
     calls = no_timemap(monkeypatch)
@@ -125,8 +125,8 @@ def test_failed_timemap_falls_back_to_illinois(name, request, default_cfg, monke
         assert abs(a.c - b.c) < 1e-9
 
 
-def test_failed_certificate_falls_back_to_illinois(prop1, default_cfg, prop1_search,
-                                                   monkeypatch):
+def test_failed_certificate_falls_back_to_map_refinement(prop1, default_cfg, prop1_search,
+                                                         monkeypatch):
     # a root that misses the certificate by far is not reported
     result, _ = prop1_search
     monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: lo + 0.25 * (hi - lo))
@@ -160,10 +160,10 @@ def test_residual_is_nan_outside_the_domain(prop2):
     assert np.isnan(g).all()
 
 
-def test_illinois_returns_an_exact_zero():
-    # with tol_y = 0 an exact zero used to replace `lo`, breaking the sign
-    # invariant; two halvings later the secant divided by zero
-    assert timemap.illinois(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
+def test_bracketed_root_returns_an_exact_zero():
+    # with tol_y = 0 an exact zero must end the search: taken as an end of
+    # the bracket, it would break the sign invariant the steps rely on
+    assert timemap.bracketed_root(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
 
 
 # heights in (0, 1), with dyadic ones, which midpoint and secant steps hit exactly
@@ -176,15 +176,59 @@ UNIT_HEIGHTS = st.one_of(
 @given(q=UNIT_HEIGHTS, tol_y=st.sampled_from([0.0, 1e-10]))
 @example(q=0.5, tol_y=0.0)
 @example(q=5e-324, tol_y=0.0)  # y_lo * y underflows to -0.0
-def test_illinois_finds_the_root_of_a_line(q, tol_y):
+def test_bracketed_root_finds_the_root_of_a_line(q, tol_y):
     tol_x = 1e-12
-    r = timemap.illinois(lambda r: r - q, 0.0, 1.0, -q, 1.0 - q, tol_x, tol_y)
+    r = timemap.bracketed_root(lambda r: r - q, 0.0, 1.0, -q, 1.0 - q, tol_x, tol_y)
     assert abs(r - q) < tol_y or r - q == 0.0 or abs(r - q) <= tol_x
 
 
 def test_exact_timemap_zero_gives_a_cline(default_cfg):
-    # lambda-scan's second grid point, 5 * 60**(1/15): the time-map's
-    # Illinois evaluates G there at a height where it is exactly 0
+    # lambda-scan's second grid point, 5 * 60**(1/15): the time-map's root
+    # search once evaluated G there at a height where it is exactly 0
     p = replace(remark_instances()[0].problem, lam=6.5692141704429865)
     result = find_all_clines(p, default_cfg, resolution=501)
     assert len(result.clines) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.1, 0.9), k=st.integers(0, 1000))
+@example(q=0.3, k=531)  # s about 1e-160
+@example(q=0.3, k=664)  # s about 1e-200
+@example(q=0.3, k=1000)
+def test_bracketed_root_is_scale_free(q, k):
+    # values near the root underflow to subnormals, and so would any
+    # product of two of them
+    s = 2.0 ** -k
+
+    def fn(r):
+        return s * ((r - q) ** 3 + 0.1 * (r - q))
+
+    tol_x = 1e-12
+    r = timemap.bracketed_root(fn, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
+    assert abs(r - q) <= tol_x
+
+
+ROOT = 0.3
+
+HARD_ROOTS = {
+    "power-9": lambda r: (r - ROOT) ** 9,
+    "power-19": lambda r: (r - ROOT) ** 19,
+    "kink": lambda r: r - ROOT if r < ROOT else 1e6 * (r - ROOT),
+    "steep-atan": lambda r: math.atan(1e8 * (r - ROOT)),
+}
+
+
+@pytest.mark.parametrize("name", HARD_ROOTS)
+def test_bracketed_root_work_is_bounded(name):
+    # three times bisection's count, plus three
+    fn = HARD_ROOTS[name]
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return fn(r)
+
+    tol_x = 1e-12
+    r = timemap.bracketed_root(counted, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
+    assert abs(r - ROOT) <= tol_x
+    assert len(calls) <= 3 * math.ceil(math.log2(1.0 / tol_x)) + 3
