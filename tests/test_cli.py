@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from clineshoot import __version__
+import clineshoot.shooting as shooting
+from clineshoot import __version__, timemap
 from clineshoot.cli import main
+from clineshoot.integrator import BlowupError
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -163,6 +166,8 @@ class TestFind:
         assert len(payload["clines"]) == 3
         assert payload["manifest"]["version"] == __version__
         assert payload["manifest"]["config_digest"].startswith("sha256:")
+        assert payload["settings"] == {"resolution": 201, "tol_r": 1e-12, "tol_v": 1e-10,
+                                       "target_step": 1e-4, "blowup_bound": 1e3}
         assert payload["trajectory_files"] == ["cline_1.csv", "cline_2.csv",
                                                "cline_3.csv"]
         for name in payload["trajectory_files"]:
@@ -200,6 +205,34 @@ class TestFind:
         err = capsys.readouterr().err
         assert "blow-up on the trivial profile u = 0 (trivial_0.csv) at x = " in err
         assert not out_dir.exists()
+
+    def test_lost_bracket_is_reported(self, prop1_config, out_dir, monkeypatch, capsys):
+        # with no time-map root, the first bracket is refined on the map, and
+        # every height strictly inside it blows up; the sweep's re-shots hit
+        # grid nodes only and still run
+        nodes = set(np.linspace(0.0, 1.0, 201).tolist())
+        real_map = shooting.poincare_map
+        lost = []
+
+        def blow_up_inside(p, cfg, z0):
+            if 0.1 < z0.u < 0.4 and z0.u not in nodes:
+                lost.append(z0.u)
+                raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+            return real_map(p, cfg, z0)
+
+        monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: None)
+        monkeypatch.setattr(shooting, "poincare_map", blow_up_inside)
+        assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads((out_dir / "clines.json").read_text())
+        assert len(payload["clines"]) == 2 and payload["bracket_count"] == 3
+        (failure,) = payload["failures"]
+        (r,) = lost
+        lo, hi = failure["bracket"]
+        assert 0.1 < lo < r < hi < 0.4 and failure["r"] == r
+        reason = f"blow-up at r={r:.17g} inside bracket [{lo:.17g}, {hi:.17g}]"
+        assert failure == {"bracket": [lo, hi], "r": r, "reason": reason}
+        assert f"\nbracket lost: {reason}\n" in out
 
     @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")
     def test_bad_tolerance_rejected_before_sweep(self, out_dir, monkeypatch, capsys):
