@@ -5,7 +5,7 @@ files (wall time is printed to the console only). Every file embeds the run
 manifest as comment lines (CSV) or a manifest key (JSON).
 
 Exit codes: 0 ok, 1 hypothesis or reproduction failure, 2 config error,
-3 blow-up, 4 no brackets found.
+3 blow-up or a trivial level where f does not vanish, 4 no brackets found.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .integrator import (
     PhasePoint,
     integrate,
 )
-from .nonlinearity import DEFAULT_GRID_SIZE
+from .nonlinearity import DEFAULT_GRID_SIZE, ENDPOINT_ZERO_TOL
 from .problem import Problem, problem_from_dict, validate_conjecture_hypotheses
 from .reproduction import compare, proposition_1, proposition_2
 from .shooting import (
@@ -158,20 +158,30 @@ def cmd_find(args) -> int:
                              tol_r=args.tol_r, tol_v=args.tol_v)
     elapsed = time.perf_counter() - t0
     print(result.bracketing.summary(), file=sys.stderr)
+    # u = level is a steady state only if f(level) = 0; otherwise its profile
+    # blows up or drifts, and no file is written. A profile that stayed
+    # exactly constant had f(level) = 0 at every stage, so f is not asked.
     trivial = []
     for level, name in ((0.0, "trivial_0.csv"), (1.0, "trivial_1.csv")):
         try:
-            trivial.append((name, integrate(problem, cfg, PhasePoint(level, 0.0))))
+            traj = integrate(problem, cfg, PhasePoint(level, 0.0))
         except BlowupError as exc:
-            # f(level) != 0: the constant profile is no steady state
             print(f"blow-up on the trivial profile u = {level:g} ({name}) at "
                   f"x = {exc.x:.17g} (u = {exc.u:.17g}, v = {exc.v:.17g}); "
                   f"no files written", file=sys.stderr)
             return EXIT_BLOWUP
+        f_level = problem.f.value(level) if traj.vs.any() else 0.0
+        if abs(f_level) > ENDPOINT_ZERO_TOL:
+            print(f"f({level:g}) = {f_level:.17g}: the trivial profile u = {level:g} "
+                  f"({name}) is no steady state; no files written", file=sys.stderr)
+            return EXIT_BLOWUP
+        trivial.append((name, traj))
     out_dir = _out_dir()
 
     payload = result.to_dict()
     payload["manifest"] = manifest
+    payload["settings"] = {k: manifest[k] for k in
+                           ("resolution", "tol_r", "tol_v", "target_step", "blowup_bound")}
     csv_names = []
     for i, cline in enumerate(result.clines, start=1):
         name = f"cline_{i}.csv"
@@ -193,7 +203,7 @@ def cmd_find(args) -> int:
     for cline in result.rejected:
         print(f"rejected: c = {cline.c:.17g} ({cline.rejection_reason})")
     for failure in result.failures:
-        print(f"bracket lost: {failure.reason}")
+        print(f"bracket lost: {failure}")
     print(f"{len(result.brackets)} brackets, {len(result.clines)} validated clines "
           f"(wall time {elapsed:.2f} s)")
     print(f"wrote {out_dir / 'clines.json'}")

@@ -198,7 +198,6 @@ class GammaCurve:
     u_end: np.ndarray     # nan where the column blew up
     v_end: np.ndarray     # nan where the column blew up
     ok: np.ndarray        # False where the column blew up
-    exit_x: np.ndarray    # blow-up location, nan for surviving columns
 
     @property
     def resolution(self) -> int:
@@ -227,13 +226,11 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaC
     """Poincare map applied to a whole batch of initial points (r, 0), r in rs."""
     rs = np.asarray(rs, dtype=float)
     active = np.ones(rs.shape, dtype=bool)
-    exit_x = np.full(rs.shape, np.nan)
 
     def leave(x, u, v, ok):
         # freeze newly blown columns at zero (their results are not used)
         blown = active & ~ok
         if blown.any():
-            exit_x[blown] = x
             active[blown] = False
             u = np.where(active, u, 0.0)
             v = np.where(active, v, 0.0)
@@ -243,7 +240,7 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaC
         u, v = _march(p, cfg, rs, np.zeros_like(rs), leave)
     u[~active] = np.nan
     v[~active] = np.nan
-    return GammaCurve(rs=rs, u_end=u, v_end=v, ok=active, exit_x=exit_x)
+    return GammaCurve(rs=rs, u_end=u, v_end=v, ok=active)
 
 
 def energy_profile(p: Problem, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

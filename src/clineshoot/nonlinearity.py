@@ -23,10 +23,6 @@ DEFAULT_GRID_SIZE = 10001
 ENDPOINT_ZERO_TOL = 1e-12
 
 
-def _fsign(x: float) -> float:
-    return float((x > 0) - (x < 0))
-
-
 def _horner(coeffs_desc: tuple[float, ...], s: Scalar) -> Scalar:
     acc = coeffs_desc[0] * (s * 0 + 1.0)  # broadcast-friendly constant
     for c in coeffs_desc[1:]:
@@ -212,19 +208,15 @@ class ArctanDamped(Nonlinearity):
         if order not in (1, 2):
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
         m = self.m
-        if isinstance(s, np.ndarray):
-            exp, atan, absv, sign = np.exp, np.arctan, np.abs, np.sign
-        else:
-            exp, atan, absv, sign = math.exp, math.atan, abs, _fsign
-        e = exp(-25.0 * s * s)
-        g = 10.0 * s * e + s / (absv(s) + 1.0)
-        gp = 10.0 * e * (1.0 - 50.0 * s * s) + 1.0 / (absv(s) + 1.0) ** 2
+        e = np.exp(-25.0 * s * s)
+        g = 10.0 * s * e + s / (np.abs(s) + 1.0)
+        gp = 10.0 * e * (1.0 - 50.0 * s * s) + 1.0 / (np.abs(s) + 1.0) ** 2
         q = m * (1.0 - s)
-        a = atan(q)
+        a = np.arctan(q)
         ap = -m / (1.0 + q * q)
         if order == 1:
             return gp * a + g * ap
-        gpp = 10.0 * e * (2500.0 * s**3 - 150.0 * s) - 2.0 * sign(s) / (absv(s) + 1.0) ** 3
+        gpp = 10.0 * e * (2500.0 * s**3 - 150.0 * s) - 2.0 * np.sign(s) / (np.abs(s) + 1.0) ** 3
         app = -2.0 * m * m * m * (1.0 - s) / (1.0 + q * q) ** 2
         return gpp * a + 2.0 * gp * ap + g * app
 

@@ -25,8 +25,7 @@ if TYPE_CHECKING:
 class StepWeight:
     """Piecewise-constant weight: -alpha on [omega1, 0), +1 on (0, omega2].
 
-    The value at exactly x = 0 is +1 (right-continuous convention); all
-    integrations split at 0, so the single-point choice never matters.
+    All integrations split at x = 0, so the value at the jump never matters.
     """
 
     alpha: float
@@ -40,11 +39,6 @@ class StepWeight:
             raise ValueError(f"'weight.omega1' must be < 0, got {self.omega1}")
         if not self.omega2 > 0.0:
             raise ValueError(f"'weight.omega2' must be > 0, got {self.omega2}")
-
-    def at(self, x: float) -> float:
-        if not self.omega1 <= x <= self.omega2:
-            raise ValueError(f"x={x} outside habitat [{self.omega1}, {self.omega2}]")
-        return -self.alpha if x < 0.0 else 1.0
 
     @property
     def mean(self) -> float:
@@ -70,14 +64,6 @@ class Problem:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError(f"'lambda' must be > 0, got {self.lam}")
-
-    @property
-    def omega1(self) -> float:
-        return self.weight.omega1
-
-    @property
-    def omega2(self) -> float:
-        return self.weight.omega2
 
     def to_dict(self) -> dict:
         return {"weight": self.weight.to_dict(), "f": self.f.to_dict(), "lambda": self.lam}
@@ -142,16 +128,16 @@ def neumann_necessary_integral(p: Problem, traj: "Trajectory") -> float:
     For a genuine zero-flux solution the result vanishes up to quadrature
     error.
     """
-    xs, us = traj.xs, traj.us
-    if abs(xs[0] - p.omega1) > 1e-9 or abs(xs[-1] - p.omega2) > 1e-9:
+    xs, us, w = traj.xs, traj.us, p.weight
+    if abs(xs[0] - w.omega1) > 1e-9 or abs(xs[-1] - w.omega2) > 1e-9:
         raise ValueError(
-            f"trajectory spans [{xs[0]}, {xs[-1]}], expected [{p.omega1}, {p.omega2}]"
+            f"trajectory spans [{xs[0]}, {xs[-1]}], expected [{w.omega1}, {w.omega2}]"
         )
     split = traj.split_index
     if xs[split] != 0.0:
         raise ValueError("trajectory has no sample at x = 0")
     fvals = np.asarray(p.f.value(us), dtype=float)
-    left = -p.weight.alpha * _trapezoid(fvals[: split + 1], xs[: split + 1])
+    left = -w.alpha * _trapezoid(fvals[: split + 1], xs[: split + 1])
     right = _trapezoid(fvals[split:], xs[split:])
     return left + right
 

@@ -290,8 +290,11 @@ class Cline:
     max_u: float
     necessary_integral: float
     bracket: Bracket
-    rejected: bool = False
-    rejection_reason: Optional[str] = None
+    rejection_reason: Optional[str] = None    # None for a validated cline
+
+    @property
+    def rejected(self) -> bool:
+        return self.rejection_reason is not None
 
     def to_dict(self) -> dict:
         return {
@@ -313,18 +316,14 @@ def _build_cline(p: Problem, cfg: IntegratorConfig, root: float, b: Bracket) -> 
     max_u = float(np.max(traj.us))
     residual = float(traj.vs[-1])
     integral = neumann_necessary_integral(p, traj)
-    rejected = False
     reason = None
     if min_u <= TRIVIAL_MARGIN:
-        rejected = True
         reason = f"trajectory touches u=0 (min u = {min_u:.3e})"
     elif max_u >= 1.0 - TRIVIAL_MARGIN:
-        rejected = True
         reason = f"trajectory touches u=1 (max u = {max_u:.3e})"
     return Cline(c=root, terminal_u=float(traj.us[-1]), terminal_v_residual=residual,
                  trajectory=traj, min_u=min_u, max_u=max_u,
-                 necessary_integral=integral, bracket=b,
-                 rejected=rejected, rejection_reason=reason)
+                 necessary_integral=integral, bracket=b, rejection_reason=reason)
 
 
 def _check_tolerances(tol_r: float, tol_v: float) -> None:
@@ -385,35 +384,21 @@ def _seeded_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
 
 
 @dataclass(eq=False)
-class BracketFailure:
-    """A bracket whose refinement aborted, kept for the result envelope."""
-
-    bracket: Bracket
-    r: float
-    reason: str
-
-    def to_dict(self) -> dict:
-        return {"bracket": [self.bracket.r_lo, self.bracket.r_hi],
-                "r": self.r, "reason": self.reason}
-
-
-@dataclass(eq=False)
 class ClineSearchResult:
     """Everything a cline search produced, including the rejects."""
 
-    clines: list[Cline]            # validated, sorted by c
-    rejected: list[Cline]          # converged but trivial-adjacent
-    failures: list[BracketFailure]
+    clines: list[Cline]                # validated, sorted by c
+    rejected: list[Cline]              # converged but trivial-adjacent
+    failures: list[BracketLostError]   # lost to a blow-up inside the bracket
     brackets: list[Bracket]
     bracketing: BracketingReport
-    settings: dict
 
     def to_dict(self) -> dict:
         return {
-            "settings": dict(self.settings),
             "clines": [c.to_dict() for c in self.clines],
             "rejected": [c.to_dict() for c in self.rejected],
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [{"bracket": [f.bracket.r_lo, f.bracket.r_hi], "r": f.r,
+                          "reason": str(f)} for f in self.failures],
             "bracket_count": len(self.brackets),
         }
 
@@ -443,33 +428,26 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
     long by the same test, each non-exact bracket is first tried with the
     root of the time-map (`_seeded_cline`); the brackets it does not settle
     are refined by `bisect_cline`. Validation always runs at cfg's step.
-    Per-bracket blow-ups are recorded in the envelope without aborting the
-    other brackets; roots closer than 10*tol_r are deduplicated.
+    A bracket lost to a blow-up is kept as its BracketLostError in
+    `failures` without aborting the other brackets; roots closer than
+    10*tol_r are deduplicated.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution)
     seed = _short_march(p, cfg) is None
     found: list[Cline] = []
-    failures: list[BracketFailure] = []
+    failures: list[BracketLostError] = []
     for b in brackets:
         cline = _seeded_cline(p, cfg, b, tol_r, tol_v) if seed and not b.is_exact else None
         try:
             found.append(cline if cline is not None else bisect_cline(p, cfg, b, tol_r, tol_v))
         except BracketLostError as exc:
-            failures.append(BracketFailure(bracket=b, r=exc.r, reason=str(exc)))
+            failures.append(exc)
     found = _dedupe(found, 10.0 * tol_r)
-    settings = {
-        "resolution": resolution,
-        "tol_r": tol_r,
-        "tol_v": tol_v,
-        "target_step": cfg.target_step,
-        "blowup_bound": cfg.blowup_bound,
-    }
     return ClineSearchResult(
         clines=[c for c in found if not c.rejected],
         rejected=[c for c in found if c.rejected],
         failures=failures,
         brackets=brackets,
         bracketing=bracketing,
-        settings=settings,
     )

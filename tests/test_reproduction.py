@@ -24,7 +24,7 @@ def fake_clines(*cs, us=None):
 class TestNamedInstances:
     def test_first_instance_parameters(self, prop1):
         p = prop1.problem
-        assert (p.weight.alpha, p.omega1, p.omega2) == (1.0, -0.21, 0.2)
+        assert (p.weight.alpha, p.weight.omega1, p.weight.omega2) == (1.0, -0.21, 0.2)
         assert p.f.to_dict() == {"kind": "hat", "h": 3.0}
         assert p.lam == 45.0
         assert prop1.expected_cline_count == 3
@@ -34,7 +34,7 @@ class TestNamedInstances:
 
     def test_second_instance_parameters(self, prop2):
         p = prop2.problem
-        assert (p.weight.alpha, p.omega1, p.omega2) == (2.4, -0.255, 0.6)
+        assert (p.weight.alpha, p.weight.omega1, p.weight.omega2) == (2.4, -0.255, 0.6)
         assert p.f.to_dict() == {"kind": "arctan_damped", "m": 10.0}
         assert p.lam == 3.0
         assert prop2.expected_c == (0.436, 0.776, 0.854)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import clineshoot.shooting as shooting
+from clineshoot import timemap
 from clineshoot.integrator import (
     CSV_CHUNK_ROWS,
     BlowupError,
@@ -39,8 +40,7 @@ def synthetic_curve(vs, ok=None):
     rs = np.linspace(0.0, 1.0, n)
     vs = np.asarray(vs, dtype=float)
     ok = np.ones(n, dtype=bool) if ok is None else np.asarray(ok, dtype=bool)
-    return GammaCurve(rs=rs, u_end=np.full(n, 0.5), v_end=vs, ok=ok,
-                      exit_x=np.where(ok, np.nan, 0.1))
+    return GammaCurve(rs=rs, u_end=np.full(n, 0.5), v_end=vs, ok=ok)
 
 
 class TestGammaCurve:
@@ -79,8 +79,7 @@ class TestGammaCurve:
         n = 2 * CSV_CHUNK_ROWS + 5
         ok = rng.random(n) > 0.1
         g = GammaCurve(rs=np.linspace(0.0, 1.0, n), u_end=rng.normal(size=n),
-                       v_end=rng.normal(size=n) * 1e-7, ok=ok,
-                       exit_x=np.where(ok, np.nan, 0.1))
+                       v_end=rng.normal(size=n) * 1e-7, ok=ok)
         expected = "r,u_end,v_end,status\n" + "".join(
             f"{g.rs[i]:.17g},{g.u_end[i]:.17g},{g.v_end[i]:.17g},ok\n" if ok[i]
             else f"{g.rs[i]:.17g},nan,nan,blowup\n" for i in range(n))
@@ -230,10 +229,32 @@ class TestFindAllClines:
         d = result.to_dict()
         assert len(d["clines"]) == 3
         assert d["bracket_count"] == 3
-        assert d["settings"]["resolution"] == 2001
         first = d["clines"][0]
         assert set(first) >= {"c", "terminal_u", "terminal_v_residual", "min_u",
                               "max_u", "necessary_integral", "bracket", "rejected"}
+
+    def test_lost_bracket_keeps_its_blowup(self, prop1, default_cfg, prop1_search,
+                                          monkeypatch):
+        # every height inside the middle bracket blows up during refinement;
+        # the failure is the BracketLostError itself, with the blow-up as cause
+        result, _ = prop1_search
+        b = result.brackets[1]
+        real_map = shooting.poincare_map
+
+        def blow_up_inside(p, cfg, z0):
+            if b.r_lo < z0.u < b.r_hi:
+                raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+            return real_map(p, cfg, z0)
+
+        monkeypatch.setattr(shooting, "sweep_brackets",
+                            lambda *args: (result.brackets, result.bracketing))
+        monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: None)
+        monkeypatch.setattr(shooting, "poincare_map", blow_up_inside)
+        again = find_all_clines(prop1.problem, default_cfg)
+        (lost,) = again.failures
+        assert isinstance(lost, BracketLostError) and lost.bracket == b
+        assert b.r_lo < lost.r < b.r_hi and lost.cause.x == 0.05
+        assert len(again.clines) == 2 and not again.rejected
 
     def test_dedupe_collapses_near_roots(self, prop1, default_cfg, prop1_search):
         from clineshoot.shooting import _dedupe
