@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .integrator import (
-    DEFAULT_TARGET_STEP,
+    DEFAULT_BLOWUP_BOUND,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -45,6 +45,8 @@ EXIT_BLOWUP = 3
 EXIT_NO_BRACKETS = 4
 
 OUTPUT_DIR_ENV = "CLINE_SEED_DIR"
+
+STEP_HELP = "integrator target step (default: chosen from the coarse sweeps' error estimate)"
 
 
 class ConfigError(Exception):
@@ -78,15 +80,13 @@ def _out_dir() -> Path:
     return d
 
 
-def _manifest(digest: str, cfg: IntegratorConfig, resolution: Optional[int] = None,
+def _manifest(digest: str, step: Optional[float], resolution: Optional[int] = None,
               tol_r: Optional[float] = None, tol_v: Optional[float] = None) -> dict:
     """Provenance block embedded in every output file; unset fields are left out."""
-    manifest = {"config_digest": digest, "target_step": cfg.target_step,
-                "blowup_bound": cfg.blowup_bound, "version": __version__}
-    for key, value in (("resolution", resolution), ("tol_r", tol_r), ("tol_v", tol_v)):
-        if value is not None:
-            manifest[key] = value
-    return manifest
+    manifest = {"config_digest": digest, "target_step": step,
+                "blowup_bound": DEFAULT_BLOWUP_BOUND, "version": __version__,
+                "resolution": resolution, "tol_r": tol_r, "tol_v": tol_v}
+    return {k: v for k, v in manifest.items() if v is not None}
 
 
 def _comment_lines(manifest: dict) -> tuple[str, ...]:
@@ -115,7 +115,7 @@ def cmd_check_f(args) -> int:
 def cmd_shoot(args) -> int:
     problem, digest = _load_problem(args.config)
     cfg = IntegratorConfig()
-    manifest = _manifest(digest, cfg)
+    manifest = _manifest(digest, cfg.target_step)
     try:
         traj = integrate(problem, cfg, PhasePoint(args.r, 0.0))
     except BlowupError as exc:
@@ -134,7 +134,7 @@ def cmd_shoot(args) -> int:
 def cmd_gamma(args) -> int:
     problem, digest = _load_problem(args.config)
     cfg = IntegratorConfig()
-    manifest = _manifest(digest, cfg, resolution=args.resolution)
+    manifest = _manifest(digest, cfg.target_step, resolution=args.resolution)
     t0 = time.perf_counter()
     gamma = build_gamma(problem, cfg, resolution=args.resolution)
     elapsed = time.perf_counter() - t0
@@ -150,14 +150,18 @@ def cmd_gamma(args) -> int:
 
 def cmd_find(args) -> int:
     problem, digest = _load_problem(args.config)
-    cfg = IntegratorConfig(target_step=args.step)
-    manifest = _manifest(digest, cfg, resolution=args.resolution,
-                         tol_r=args.tol_r, tol_v=args.tol_v)
+    cfg = None if args.step is None else IntegratorConfig(target_step=args.step)
     t0 = time.perf_counter()
     result = find_all_clines(problem, cfg, resolution=args.resolution,
                              tol_r=args.tol_r, tol_v=args.tol_v)
     elapsed = time.perf_counter() - t0
-    print(result.bracketing.summary(), file=sys.stderr)
+    bracketing = result.bracketing
+    if bracketing.step_note is not None:
+        print(bracketing.step_line(), file=sys.stderr)
+    print(bracketing.summary(), file=sys.stderr)
+    cfg = IntegratorConfig(target_step=bracketing.step)   # the step the search used
+    manifest = _manifest(digest, bracketing.step, resolution=args.resolution,
+                         tol_r=args.tol_r, tol_v=args.tol_v)
     # u = level is a steady state only if f(level) = 0; otherwise its profile
     # blows up or drifts, and no file is written. A profile that stayed
     # exactly constant had f(level) = 0 at every stage, so f is not asked.
@@ -217,11 +221,12 @@ def cmd_find(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = IntegratorConfig(target_step=args.step)
+    cfg = None if args.step is None else IntegratorConfig(target_step=args.step)
     instances = [proposition_1(), proposition_2()]
     digest = "sha256:" + hashlib.sha256(
         "\n".join(i.to_json() for i in instances).encode()).hexdigest()
-    manifest = _manifest(digest, cfg, resolution=args.resolution)
+    # a chosen step is the instance's own, so its report records it
+    manifest = _manifest(digest, args.step, resolution=args.resolution)
     reports = []
     all_pass = True
     no_brackets = False
@@ -232,11 +237,13 @@ def cmd_reproduce(args) -> int:
             no_brackets = True
         report = compare(instance, result.clines)
         print(report.render())
-        reports.append(report)
+        record = report.to_dict()
+        if cfg is None:
+            record["target_step"] = result.bracketing.step
+        reports.append(record)
         all_pass = all_pass and report.passed
     elapsed = time.perf_counter() - t0
-    payload = {"manifest": manifest,
-               "reports": [r.to_dict() for r in reports]}
+    payload = {"manifest": manifest, "reports": reports}
     out = _out_dir() / "reproduce.json"
     with out.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -279,15 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="refinement bracket width tolerance (default %(default)g)")
     p.add_argument("--tol-v", type=float, default=DEFAULT_TOL_V,
                    help="terminal slope tolerance (default %(default)g)")
-    p.add_argument("--step", type=float, default=DEFAULT_TARGET_STEP,
-                   help="integrator target step (default %(default)g)")
+    p.add_argument("--step", type=float, default=None, help=STEP_HELP)
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("reproduce", help="run both benchmark instances and compare")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                    help="initial heights swept for brackets (default %(default)d)")
-    p.add_argument("--step", type=float, default=DEFAULT_TARGET_STEP,
-                   help="integrator target step (default %(default)g)")
+    p.add_argument("--step", type=float, default=None, help=STEP_HELP)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

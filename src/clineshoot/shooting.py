@@ -1,18 +1,19 @@
 """Shooting pipeline: sweep the initial-height segment, bracket sign changes
 of the terminal slope, and refine each bracket down to a steady state.
 
-The brackets are those of the sweep at the caller's step, but they are
+The brackets are those of the sweep at the fine step, but they are
 usually found without running it: two coarse sweeps settle the sign of the
 terminal slope wherever it clears their step-doubling error estimate by a
 wide margin, and only the other nodes and the bracket endpoints are shot
-again at the caller's step, one scalar Poincare map each
-(`sweep_brackets`). Every reported number is computed at the caller's
-step; `build_gamma` still sweeps every node at it. Every sweep comes back
-from `integrator.sweep_terminals` as a `GammaCurve`; the pre-pass scans its
-mixed coarse and fine slopes with the same rule `find_brackets` applies to
-a curve.
+again at the fine step, one scalar Poincare map each (`sweep_brackets`).
+The fine step is the caller's, or, when the caller gives none, the one
+`choose_step` takes from that same error estimate. Every reported number is
+computed at the fine step; `build_gamma` still sweeps every node at it.
+Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
+the pre-pass scans its mixed coarse and fine slopes with the same rule
+`find_brackets` applies to a curve.
 
-When the march at the caller's step is long enough for the pre-pass, each
+When the march at the fine step is long enough for the pre-pass, each
 bracket is first tried with the root of the RK4-free time-map
 (`timemap.find_root`); the one `integrate` that validates the cline at that
 root is its certificate. The brackets it does not settle, and all of them
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import timemap
 from .integrator import (
+    DEFAULT_TARGET_STEP,
     BlowupError,
     GammaCurve,
     IntegratorConfig,
@@ -149,15 +151,26 @@ def _brackets(rs: np.ndarray, v: np.ndarray, ok: np.ndarray) -> list[Bracket]:
 class BracketingReport:
     """How the brackets were found; `find` prints it, no output file holds it.
 
-    `direct_reason` is None when the certified pre-pass stood and says why
-    the direct fine sweep ran otherwise.
+    `step` is the target step of the brackets, and every number computed
+    from them. `step_note` says how it was chosen from E (see
+    choose_step), and is None when the caller gave it. `direct_reason` is
+    None when the certified pre-pass stood and says why the direct fine
+    sweep ran otherwise.
     """
 
     nodes: int                          # interior grid nodes
+    step: float
     coarse_steps: tuple[float, ...] = ()
     error_estimate: float = math.nan    # E; nan when no node survived both coarse sweeps
     reshot: int = 0                     # nodes that need a fine-step value
     direct_reason: Optional[str] = None
+    step_note: Optional[str] = None
+
+    def step_line(self) -> Optional[str]:
+        """The stderr line of a chosen step; None for the caller's."""
+        if self.step_note is None:
+            return None
+        return f"step: {self.step:.3g}{self.step_note}"
 
     def summary(self) -> str:
         if self.direct_reason is not None:
@@ -178,6 +191,31 @@ def _coarse_configs(p: Problem, cfg: IntegratorConfig) -> list[IntegratorConfig]
     h = p.weight.span / PREPASS_STEPS_PER_SPAN
     return [IntegratorConfig(target_step=t, blowup_bound=cfg.blowup_bound)
             for t in (h, 0.5 * h)]
+
+
+def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
+    """The fine step for an error estimate E of v at H / 2, and how it was chosen.
+
+    RK4's global error scales with h^4, so the step whose estimated error
+    of v is tol_v / 10 is h* = (H / 2) (tol_v / (10 E))^(1/4) (step
+    doubling, Hairer, Norsett & Wanner, Solving ODEs I, II.4). It is
+    clamped to [DEFAULT_TARGET_STEP, H / 2]: no finer than the library's
+    default step and no coarser than the coarse sweep it is estimated
+    from. A nan E, where no height survived both coarse sweeps, gives
+    DEFAULT_TARGET_STEP. The note completes the line `step: <h>`.
+    """
+    half = 0.5 * p.weight.span / PREPASS_STEPS_PER_SPAN
+    if math.isnan(error):
+        return DEFAULT_TARGET_STEP, (", the default: no height survived both coarse "
+                                     "sweeps (E = nan)")
+    rule = half * (0.1 * tol_v / error) ** 0.25 if error > 0.0 else math.inf
+    step = min(max(rule, DEFAULT_TARGET_STEP), half)
+    note = f" from E = {error:.3g} (tol_v/10)"
+    if step > rule:
+        note += f", clamped: the rule gives {rule:.3g}, below the floor {step:.3g}"
+    elif step < rule:
+        note += f", clamped: the rule gives {rule:.3g}, above H/2 = {step:.3g}"
+    return step, note
 
 
 def _short_march(p: Problem, cfg: IntegratorConfig) -> Optional[str]:
@@ -201,15 +239,18 @@ def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
     return np.searchsorted(inner, rs).astype(int)
 
 
-def sweep_brackets(p: Problem, cfg: IntegratorConfig,
-                   resolution: int = DEFAULT_RESOLUTION
+def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
+                   resolution: int = DEFAULT_RESOLUTION, tol_v: float = DEFAULT_TOL_V
                    ) -> tuple[list[Bracket], BracketingReport]:
-    """Brackets of the gamma sweep at cfg's step, found mostly from two coarse sweeps.
+    """Brackets of the gamma sweep at the fine step, found mostly from two coarse sweeps.
 
-    Returns the brackets of find_brackets(build_gamma(p, cfg, resolution))
-    with a report of how they were found. When the pre-pass stands, r_lo
-    and r_hi are the full sweep's and v_lo and v_hi are the terminal slopes
-    of poincare_map at cfg's step, the arithmetic bisect_cline iterates
+    The fine step is cfg's. With cfg None it is choose_step's for the E of
+    the coarse sweeps and tol_v, chosen after them and before any re-shot,
+    so the sweeps run once; the report holds it either way. Returns the
+    brackets of find_brackets(build_gamma(p, fine, resolution)) with a
+    report of how they were found. When the pre-pass stands, r_lo and r_hi
+    are the full sweep's and v_lo and v_hi are the terminal slopes of
+    poincare_map at the fine step, the arithmetic bisect_cline iterates
     with; where f calls exp or arctan a scalar map can differ from a batch
     column in the last bit. When the direct sweep runs, they are all the
     sweep's.
@@ -222,32 +263,45 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     coarse sign is trusted only if it and both neighbours survived both
     sweeps and |v_{H/2}| > PREPASS_SAFETY * E + EXACT_ROOT_TOL. Every other
     node, its neighbours and the endpoints of the brackets the coarse signs
-    form are shot again at cfg's step, one poincare_map each; a BlowupError
-    marks the node blown. A node that is no endpoint changes no bracket by
-    its value as long as its sign holds, so the brackets then equal the
-    full sweep's.
+    form are shot again at the fine step, one poincare_map each; a
+    BlowupError marks the node blown. A node that is no endpoint changes no
+    bracket by its value as long as its sign holds, so the brackets then
+    equal the full sweep's.
 
     The direct sweep runs instead when the coarse sweeps would take more
-    than PREPASS_MAX_SHARE of the fine sweep's steps, when more than
-    PREPASS_MAX_RESHOTS nodes need a fine value, and after the re-shots if
-    a bracket ends at a node that still has a coarse value, which only a
-    wrong trusted sign can cause.
+    than PREPASS_MAX_SHARE of the fine sweep's steps (checked before the
+    coarse sweeps when cfg is given), when more than PREPASS_MAX_RESHOTS
+    nodes need a fine value, and after the re-shots if a bracket ends at a
+    node that still has a coarse value, which only a wrong trusted sign can
+    cause.
     """
     inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
 
     def direct(report: BracketingReport) -> tuple[list[Bracket], BracketingReport]:
+        # cfg is the fine config by the time this runs
         return find_brackets(build_gamma(p, cfg, resolution)), report
 
-    reason = _short_march(p, cfg)
-    if reason is not None:
-        return direct(BracketingReport(nodes, direct_reason=reason))
+    if cfg is not None:
+        reason = _short_march(p, cfg)
+        if reason is not None:
+            return direct(BracketingReport(nodes, cfg.target_step, direct_reason=reason))
 
-    coarse = _coarse_configs(p, cfg)
+    coarse = _coarse_configs(p, cfg or IntegratorConfig())
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
     delta = np.abs(wide.v_end[ok] - half.v_end[ok])
     error = float(delta.max()) / 15.0 if delta.size else math.nan
+    note = None
+    if cfg is None:
+        step, note = choose_step(p, error, tol_v)
+        cfg = IntegratorConfig(target_step=step)
+    report = BracketingReport(nodes, cfg.target_step, tuple(c.target_step for c in coarse),
+                              error, step_note=note)
+    reason = _short_march(p, cfg)
+    if reason is not None:
+        return direct(replace(report, direct_reason=reason))
+
     trusted = ok & (np.abs(half.v_end) > PREPASS_SAFETY * error + EXACT_ROOT_TOL)
     trusted[1:] &= ok[:-1]
     trusted[:-1] &= ok[1:]
@@ -256,8 +310,7 @@ def sweep_brackets(p: Problem, cfg: IntegratorConfig,
     need[:-1] |= ~trusted[1:]
     v = half.v_end
     need[_endpoints(inner, _brackets(inner, v, ok))] = True
-    report = BracketingReport(nodes, tuple(c.target_step for c in coarse), error,
-                              int(need.sum()))
+    report = replace(report, reshot=int(need.sum()))
     if report.reshot > PREPASS_MAX_RESHOTS:
         reason = (f"{report.reshot} nodes need the fine step, "
                   f"more than {PREPASS_MAX_RESHOTS} scalar re-shots, E = {error:.3g}")
@@ -403,37 +456,29 @@ class ClineSearchResult:
         }
 
 
-def _dedupe(clines: list[Cline], tol: float) -> list[Cline]:
-    """Collapse roots closer than tol, keeping the smaller residual."""
-    ordered = sorted(clines, key=lambda c: c.c)
-    out: list[Cline] = []
-    for c in ordered:
-        if out and c.c - out[-1].c < tol:
-            if abs(c.terminal_v_residual) < abs(out[-1].terminal_v_residual):
-                out[-1] = c
-            continue
-        out.append(c)
-    return out
-
-
-def find_all_clines(p: Problem, cfg: IntegratorConfig,
+def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
                     resolution: int = DEFAULT_RESOLUTION,
                     tol_r: float = DEFAULT_TOL_R,
                     tol_v: float = DEFAULT_TOL_V) -> ClineSearchResult:
     """Full pipeline: bracketing, refinement, validation.
 
-    The brackets are those of the gamma sweep at cfg's step, found by the
-    certified coarse pre-pass of `sweep_brackets` when it is cheap enough
-    and by that sweep itself otherwise. When the march at cfg's step is
-    long by the same test, each non-exact bracket is first tried with the
-    root of the time-map (`_seeded_cline`); the brackets it does not settle
-    are refined by `bisect_cline`. Validation always runs at cfg's step.
-    A bracket lost to a blow-up is kept as its BracketLostError in
-    `failures` without aborting the other brackets; roots closer than
-    10*tol_r are deduplicated.
+    The fine step is cfg's, or with cfg None the one `sweep_brackets`
+    chooses from its coarse sweeps (`choose_step`); `bracketing.step` holds
+    it. The brackets are those of the gamma sweep at the fine step, found
+    by the certified coarse pre-pass of `sweep_brackets` when it is cheap
+    enough and by that sweep itself otherwise. When the march at the fine
+    step is long by the same test, each non-exact bracket is first tried
+    with the root of the time-map (`_seeded_cline`); the brackets it does
+    not settle are refined by `bisect_cline`. Validation always runs at the
+    fine step. A bracket lost to a blow-up is kept as its BracketLostError
+    in `failures` without aborting the other brackets. The brackets are
+    disjoint and ascending and each root lies inside its own, so the roots
+    come out strictly increasing.
     """
     _check_tolerances(tol_r, tol_v)
-    brackets, bracketing = sweep_brackets(p, cfg, resolution)
+    brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
+    if cfg is None:
+        cfg = IntegratorConfig(target_step=bracketing.step)
     seed = _short_march(p, cfg) is None
     found: list[Cline] = []
     failures: list[BracketLostError] = []
@@ -443,7 +488,6 @@ def find_all_clines(p: Problem, cfg: IntegratorConfig,
             found.append(cline if cline is not None else bisect_cline(p, cfg, b, tol_r, tol_v))
         except BracketLostError as exc:
             failures.append(exc)
-    found = _dedupe(found, 10.0 * tol_r)
     return ClineSearchResult(
         clines=[c for c in found if not c.rejected],
         rejected=[c for c in found if c.rejected],

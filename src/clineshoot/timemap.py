@@ -39,10 +39,14 @@ NEWTON_MAX_STEPS = 60
 
 
 def _mean_f(f, base: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Mean of f over [base, base + width] (width may be negative), elementwise."""
+    """Mean of f over [base, base + width] (width may be negative), elementwise.
+
+    A sum over the last axis, not a BLAS product, whose rounding depends on
+    the shape of the batch.
+    """
     x, w = _gauss_legendre(INNER_NODES)
     points = base[..., None] + (0.5 * width)[..., None] * (1.0 + x)
-    return 0.5 * (f.value(points) @ w)
+    return 0.5 * (f.value(points) * w).sum(axis=-1)
 
 
 def _time(f, c: float, base: np.ndarray, z: np.ndarray, sign: float) -> np.ndarray:
@@ -58,9 +62,11 @@ def _newton(fn, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     fn(x) returns the value and the slope; fn(0) < 0 < fn(hi). A step that
     leaves the bracket of the signs seen so far is replaced by its midpoint.
-    NaN entries stay NaN.
+    An element is frozen after the step that moves it by at most NEWTON_RTOL,
+    so its root does not depend on the other elements. NaN entries stay NaN.
     """
     lo = np.zeros_like(x)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(NEWTON_MAX_STEPS):
         y, slope = fn(x)
         lo = np.where(y < 0.0, x, lo)
@@ -68,8 +74,9 @@ def _newton(fn, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
         step = x - y / slope
         step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
         moved = np.abs(step - x) > NEWTON_RTOL * np.abs(x)
-        x = step
-        if not moved.any():
+        x = np.where(active, step, x)
+        active &= moved
+        if not active.any():
             break
     return x
 

@@ -35,3 +35,17 @@ def prop2_search(prop2, default_cfg):
     t0 = time.perf_counter()
     result = find_all_clines(prop2.problem, default_cfg)
     return result, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def chosen_search():
+    """problem -> find_all_clines at the step it chooses, run once per problem."""
+    cache = {}
+
+    def search(p):
+        key = p.to_json()
+        if key not in cache:
+            cache[key] = find_all_clines(p)
+        return cache[key]
+
+    return search

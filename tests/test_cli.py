@@ -7,7 +7,7 @@ import pytest
 import clineshoot.shooting as shooting
 from clineshoot import __version__, timemap
 from clineshoot.cli import main
-from clineshoot.integrator import BlowupError
+from clineshoot.integrator import BlowupError, IntegratorConfig, step_plan, sweep_terminals
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -35,6 +35,16 @@ def out_dir(tmp_path, monkeypatch):
 
 def data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def chosen_step(p, resolution):
+    """choose_step's (step, note) for E of the two coarse sweeps, tol_v 1e-10."""
+    inner = np.linspace(0.0, 1.0, resolution)[1:-1]
+    h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+    wide, half = (sweep_terminals(p, IntegratorConfig(target_step=t), inner)
+                  for t in (h, 0.5 * h))
+    error = float(np.nanmax(np.abs(wide.v_end - half.v_end))) / 15.0
+    return shooting.choose_step(p, error, 1e-10)
 
 
 class TestCheckF:
@@ -161,7 +171,7 @@ class TestGamma:
 
 class TestFind:
     def test_first_instance_outputs(self, prop1_config, out_dir):
-        assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-4"]) == 0
         payload = json.loads((out_dir / "clines.json").read_text())
         assert len(payload["clines"]) == 3
         assert payload["manifest"]["version"] == __version__
@@ -270,12 +280,33 @@ class TestFind:
         assert "tol_r" in capsys.readouterr().err
 
     def test_bracketing_line_on_stderr(self, prop1_config, out_dir, capsys):
-        assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-4"]) == 0
         err = capsys.readouterr().err
         assert "bracketing: coarse steps 0.00205 and 0.001025, E = " in err
         assert "bracketing" not in (out_dir / "clines.json").read_text()
         assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-3"]) == 0
         assert "bracketing: direct sweep (coarse sweeps would take" in capsys.readouterr().err
+
+    def test_chosen_step_in_manifest(self, prop1_config, prop1, out_dir, capsys):
+        p = prop1.problem
+        step, note = chosen_step(p, 201)
+        assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        assert capsys.readouterr().err.startswith(f"step: {step:.3g}{note}\nbracketing: ")
+        payload = json.loads((out_dir / "clines.json").read_text())
+        assert payload["manifest"]["target_step"] == payload["settings"]["target_step"] == step
+        assert len(payload["clines"]) == 3
+        n1, _, n2, _ = step_plan(p, IntegratorConfig(target_step=step))
+        for name in payload["trajectory_files"] + ["trivial_0.csv", "trivial_1.csv"]:
+            text = (out_dir / name).read_text()
+            assert f"# target_step: {step:.17g}\n" in text
+            assert len(data_lines(out_dir / name)) == 1 + n1 + n2 + 1
+
+    def test_step_overrides_the_choice(self, prop1_config, out_dir, capsys):
+        assert main(["find", prop1_config, "--resolution", "201", "--step", "5e-4"]) == 0
+        assert not capsys.readouterr().err.startswith("step:")
+        payload = json.loads((out_dir / "clines.json").read_text())
+        assert payload["manifest"]["target_step"] == 5e-4
+        assert len(payload["clines"]) == 3
 
     def test_help_shows_the_default_resolution(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -308,6 +339,16 @@ class TestReproduce:
         payload = json.loads((out_dir / "reproduce.json").read_text())
         assert payload["reports"][0]["passed"] is True
         assert payload["reports"][1]["passed"] is False
+        assert payload["manifest"]["target_step"] == 5e-4
+        assert all("target_step" not in r for r in payload["reports"])
+
+    def test_each_instance_records_its_chosen_step(self, prop1, prop2, out_dir):
+        assert main(["reproduce", "--resolution", "801"]) == 1
+        payload = json.loads((out_dir / "reproduce.json").read_text())
+        assert "target_step" not in payload["manifest"]
+        steps = [r["target_step"] for r in payload["reports"]]
+        assert steps == [chosen_step(inst.problem, 801)[0] for inst in (prop1, prop2)]
+        assert steps[0] != steps[1]
 
 
 @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")

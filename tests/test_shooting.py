@@ -10,6 +10,7 @@ import clineshoot.shooting as shooting
 from clineshoot import timemap
 from clineshoot.integrator import (
     CSV_CHUNK_ROWS,
+    DEFAULT_TARGET_STEP,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -25,6 +26,7 @@ from clineshoot.shooting import (
     GammaCurve,
     bisect_cline,
     build_gamma,
+    choose_step,
     find_all_clines,
     find_brackets,
     sweep_brackets,
@@ -255,12 +257,6 @@ class TestFindAllClines:
         assert isinstance(lost, BracketLostError) and lost.bracket == b
         assert b.r_lo < lost.r < b.r_hi and lost.cause.x == 0.05
         assert len(again.clines) == 2 and not again.rejected
-
-    def test_dedupe_collapses_near_roots(self, prop1, default_cfg, prop1_search):
-        from clineshoot.shooting import _dedupe
-        result, _ = prop1_search
-        a, b, c = result.clines
-        assert len(_dedupe([a, a, b, c], 1e-11)) == 3
 
 
 def count_maps(monkeypatch, terminal_v=None):
@@ -573,3 +569,104 @@ class TestSweepBrackets:
         assert len(calls) == 1 and reshot == []
         step, u0 = calls[0]
         assert step == 1e-3 and len(u0) == shooting.DEFAULT_RESOLUTION
+
+
+# the bundled configs, then the remark instances at lambda = 5, 45 and 300;
+# remark_concave.json is remark-no-dominance at 45
+SEARCH_CASES = ["prop1", "prop2", "remark_concave", "remark-no-dominance-5",
+                "remark-no-dominance-300", "remark-full-dominance-5",
+                "remark-full-dominance-45", "remark-full-dominance-300"]
+
+
+def case_problem(name):
+    if "-" not in name:
+        return problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
+    instance, lam = name.rsplit("-", 1)
+    problems = {inst.name: inst.problem for inst in remark_instances()}
+    return replace(problems[instance], lam=float(lam))
+
+
+class TestChooseStep:
+    P = remark_instances()[0].problem
+    HALF = 0.5 * P.weight.span / shooting.PREPASS_STEPS_PER_SPAN   # H / 2
+
+    def test_rule_between_the_clamps(self):
+        # E 16 times tol_v / 10 gives half of H / 2
+        step, note = choose_step(self.P, 1.6e-10, 1e-10)
+        assert step == pytest.approx(0.5 * self.HALF, rel=1e-15)
+        assert note == " from E = 1.6e-10 (tol_v/10)"
+
+    def test_floor(self):
+        step, note = choose_step(self.P, 1e-3, 1e-10)
+        assert step == DEFAULT_TARGET_STEP
+        assert note.endswith(f"clamped: the rule gives {self.HALF * 1e-2:.3g}, "
+                             f"below the floor 0.0001")
+
+    @pytest.mark.parametrize("error", [1e-20, 0.0])
+    def test_ceiling(self, error):
+        step, note = choose_step(self.P, error, 1e-10)
+        assert step == self.HALF
+        assert f"above H/2 = {self.HALF:.3g}" in note
+
+    def test_nan_falls_back_to_the_default(self):
+        step, note = choose_step(self.P, math.nan, 1e-10)
+        assert step == DEFAULT_TARGET_STEP
+        assert note == ", the default: no height survived both coarse sweeps (E = nan)"
+
+    @pytest.mark.parametrize("name", ["remark-no-dominance-300", "remark-full-dominance-300"])
+    def test_lambda_300_takes_the_floor(self, name, chosen_search):
+        result = chosen_search(case_problem(name))
+        report = result.bracketing
+        assert report.step == DEFAULT_TARGET_STEP
+        assert report.step_line().startswith(
+            f"step: 0.0001 from E = {report.error_estimate:.3g} (tol_v/10), clamped: ")
+
+    def test_coarse_sweeps_run_once(self, monkeypatch):
+        # prop-2 keeps the pre-pass at its chosen step: the two coarse sweeps
+        # and the re-shots run, and no sweep at the chosen step
+        p = case_problem("prop2")
+        calls, reshot = record_sweeps(monkeypatch)
+        brackets, report = sweep_brackets(p, None)
+        h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+        assert [step for step, _ in calls] == [h, 0.5 * h]
+        assert report.step_note is not None and report.direct_reason is None
+        assert report.step == choose_step(p, report.error_estimate, shooting.DEFAULT_TOL_V)[0]
+        assert len(reshot) == report.reshot == 8 and len(brackets) == 4
+
+    def test_explicit_step_is_not_chosen(self, prop1_search):
+        result, _ = prop1_search
+        assert result.bracketing.step == DEFAULT_TARGET_STEP
+        assert result.bracketing.step_note is None and result.bracketing.step_line() is None
+
+
+class TestChosenSearch:
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_roots_strictly_increase(self, name, chosen_search):
+        # the brackets are disjoint ascending cells and each root lies inside
+        # its own, so no two roots coincide and none needs merging
+        result = chosen_search(case_problem(name))
+        brackets = result.brackets
+        assert all(a.r_hi <= b.r_lo for a, b in zip(brackets, brackets[1:]))
+        found = sorted(result.clines + result.rejected, key=lambda c: c.c)
+        assert all(a.c < b.c for a, b in zip(found, found[1:]))
+        assert [c.bracket for c in found] == brackets and not result.failures
+        for cline in found:
+            assert cline.bracket.r_lo <= cline.c <= cline.bracket.r_hi
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    def test_matches_the_quarter_step_reference(self, name, chosen_search):
+        # c_ref is the RK4 root at a quarter of the chosen step, refined to
+        # tol_r = 1e-15 from the bracket [c - 1e-8, c + 1e-8]; that the
+        # bracket holds a sign change at all puts c within 1e-8 of c_ref
+        p = case_problem(name)
+        result = chosen_search(p)
+        ref_cfg = IntegratorConfig(target_step=0.25 * result.bracketing.step)
+        found = result.clines + result.rejected
+        assert result.clines
+        for cline in found:
+            lo, hi = cline.c - 1e-8, cline.c + 1e-8
+            v_lo, v_hi = (poincare_map(p, ref_cfg, PhasePoint(r, 0.0)).v for r in (lo, hi))
+            assert v_lo * v_hi < 0.0, f"no quarter-step root within 1e-8 of {cline.c!r}"
+            ref = bisect_cline(p, ref_cfg, Bracket(lo, hi, v_lo, v_hi), 1e-15, 1e-300)
+            assert ref.rejected == cline.rejected
+            assert abs(cline.c - ref.c) < 1e-8

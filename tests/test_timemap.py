@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from clineshoot import timemap
 from clineshoot.integrator import IntegratorConfig
+from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import DEFAULT_TOL_R, bisect_cline, find_all_clines
 
 REMARK_LAMBDAS = (5.0, 45.0, 300.0)
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # heights scanned for time-map roots; the cells are fine enough to hold
 # one root each on every instance here
@@ -39,13 +42,13 @@ def timemap_roots(p):
 
 
 @pytest.fixture(scope="module")
-def remark_searches(default_cfg):
-    """(problem, search result) for each remark instance at each lambda."""
+def remark_searches(chosen_search):
+    """(problem, search result at the chosen step) for each remark instance at each lambda."""
     out = {}
     for inst in remark_instances():
         for lam in REMARK_LAMBDAS:
             p = replace(inst.problem, lam=lam)
-            out[inst.name, lam] = p, find_all_clines(p, default_cfg)
+            out[inst.name, lam] = p, chosen_search(p)
     return out
 
 
@@ -153,6 +156,18 @@ def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
         b = cline.bracket
         g = timemap.residual(prop1.problem, np.array([b.r_lo, b.r_hi]))
         assert np.sign(g).tolist() == [np.sign(b.v_lo), np.sign(b.v_hi)]
+
+
+@pytest.mark.parametrize("name", ["prop1", "prop2", "remark_concave"])
+def test_residual_does_not_depend_on_the_batch(name):
+    # find_root takes its first two values from one call on both ends, the
+    # others from one-height calls; every value must be the same bits
+    p = problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
+    rs = np.linspace(0.0, 1.0, SCAN_NODES)[1:-1]
+    grid = timemap.residual(p, rs)
+    alone = [timemap.residual(p, np.array([r]))[0] for r in rs[::3]]
+    np.testing.assert_array_equal(grid[::3], alone)
+    np.testing.assert_array_equal(timemap.residual(p, rs[1::3]), grid[1::3])
 
 
 def test_residual_is_nan_outside_the_domain(prop2):
