@@ -13,12 +13,12 @@ Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
 the pre-pass scans its mixed coarse and fine slopes with the same rule
 `find_brackets` applies to a curve.
 
-When the march at the fine step is long enough for the pre-pass, each
-bracket is first tried with the root of the RK4-free time-map
-(`timemap.find_root`); the one `integrate` that validates the cline at that
-root is its certificate. The brackets it does not settle, and all of them
-on a short march, are refined by Brent's method on the terminal slope of
-the scalar Poincare map (`bisect_cline`).
+When the pre-pass stands, each bracket is first tried with the root of
+the RK4-free time-map (`timemap.find_root`); the one `integrate` that
+validates the cline at that root is its certificate. The brackets it does
+not settle, and all of them when the direct sweep ran, are refined by
+Brent's method on the terminal slope of the scalar Poincare map
+(`bisect_cline`).
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -62,9 +62,10 @@ TRIVIAL_MARGIN = 1e-9
 
 # The bracketing pre-pass sweeps at H = span / PREPASS_STEPS_PER_SPAN and
 # H / 2, trusts a coarse sign only where |v| exceeds PREPASS_SAFETY times the
-# largest step-doubling estimate E plus EXACT_ROOT_TOL, and runs only when
-# its two sweeps take at most PREPASS_MAX_SHARE of the fine sweep's steps
-# and at most PREPASS_MAX_RESHOTS nodes need a scalar map at the fine step.
+# largest step-doubling estimate E plus EXACT_ROOT_TOL, and stands only when
+# at most PREPASS_MAX_RESHOTS nodes need a scalar map at the fine step. With
+# a caller's step it runs only when its two sweeps take at most
+# PREPASS_MAX_SHARE of the fine sweep's steps.
 # One scalar map costs about 1/70 of the 2001-node fine sweep on prop-2
 # and about 1/90 on prop-1; 32 leaves a margin below that break-even.
 PREPASS_STEPS_PER_SPAN = 200
@@ -154,8 +155,9 @@ class BracketingReport:
     `step` is the target step of the brackets, and every number computed
     from them. `step_note` says how it was chosen from E (see
     choose_step), and is None when the caller gave it. `direct_reason` is
-    None when the certified pre-pass stood and says why the direct fine
-    sweep ran otherwise.
+    None when the certified pre-pass stood, which is when find_all_clines
+    tries the time-map seed, and says why the direct fine sweep ran
+    otherwise.
     """
 
     nodes: int                          # interior grid nodes
@@ -186,11 +188,10 @@ def _steps(p: Problem, cfg: IntegratorConfig) -> int:
     return n1 + n2
 
 
-def _coarse_configs(p: Problem, cfg: IntegratorConfig) -> list[IntegratorConfig]:
+def _coarse_steps(p: Problem) -> tuple[float, float]:
     """The pre-pass steps H = span / PREPASS_STEPS_PER_SPAN and H / 2."""
     h = p.weight.span / PREPASS_STEPS_PER_SPAN
-    return [IntegratorConfig(target_step=t, blowup_bound=cfg.blowup_bound)
-            for t in (h, 0.5 * h)]
+    return h, 0.5 * h
 
 
 def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
@@ -204,7 +205,7 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     from. A nan E, where no height survived both coarse sweeps, gives
     DEFAULT_TARGET_STEP. The note completes the line `step: <h>`.
     """
-    half = 0.5 * p.weight.span / PREPASS_STEPS_PER_SPAN
+    half = _coarse_steps(p)[1]
     if math.isnan(error):
         return DEFAULT_TARGET_STEP, (", the default: no height survived both coarse "
                                      "sweeps (E = nan)")
@@ -216,21 +217,6 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     elif step < rule:
         note += f", clamped: the rule gives {rule:.3g}, above H/2 = {step:.3g}"
     return step, note
-
-
-def _short_march(p: Problem, cfg: IntegratorConfig) -> Optional[str]:
-    """Why a march at cfg's step is too short for the pre-pass and the seed; None if long.
-
-    It is long when the two coarse sweeps take at most PREPASS_MAX_SHARE of
-    the fine sweep's steps. Below that the coarse sweeps save nothing, and
-    one time-map root costs more than refining on the short march does.
-    """
-    coarse_steps = sum(_steps(p, c) for c in _coarse_configs(p, cfg))
-    fine_steps = _steps(p, cfg)
-    if coarse_steps <= PREPASS_MAX_SHARE * fine_steps:
-        return None
-    return (f"coarse sweeps would take {coarse_steps} steps, "
-            f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
 
 
 def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
@@ -268,12 +254,14 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     bracket by its value as long as its sign holds, so the brackets then
     equal the full sweep's.
 
-    The direct sweep runs instead when the coarse sweeps would take more
-    than PREPASS_MAX_SHARE of the fine sweep's steps (checked before the
-    coarse sweeps when cfg is given), when more than PREPASS_MAX_RESHOTS
-    nodes need a fine value, and after the re-shots if a bracket ends at a
-    node that still has a coarse value, which only a wrong trusted sign can
-    cause.
+    The direct sweep runs instead when cfg is given and the coarse sweeps
+    would take more than PREPASS_MAX_SHARE of the fine sweep's steps,
+    checked before they run: below that they save nothing, and one
+    time-map root costs more than refining on the short march does. A
+    chosen step keeps the coarse sweeps it was chosen from. Either way the
+    direct sweep also runs when more than PREPASS_MAX_RESHOTS nodes need a
+    fine value, and after the re-shots if a bracket ends at a node that
+    still has a coarse value, which only a wrong trusted sign can cause.
     """
     inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
@@ -282,12 +270,16 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
         # cfg is the fine config by the time this runs
         return find_brackets(build_gamma(p, cfg, resolution)), report
 
+    base = cfg or IntegratorConfig()   # the blow-up bound of every sweep
+    coarse = [replace(base, target_step=t) for t in _coarse_steps(p)]
     if cfg is not None:
-        reason = _short_march(p, cfg)
-        if reason is not None:
+        coarse_steps = sum(_steps(p, c) for c in coarse)
+        fine_steps = _steps(p, cfg)
+        if coarse_steps > PREPASS_MAX_SHARE * fine_steps:
+            reason = (f"coarse sweeps would take {coarse_steps} steps, "
+                      f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
             return direct(BracketingReport(nodes, cfg.target_step, direct_reason=reason))
 
-    coarse = _coarse_configs(p, cfg or IntegratorConfig())
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
     delta = np.abs(wide.v_end[ok] - half.v_end[ok])
@@ -295,12 +287,9 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     note = None
     if cfg is None:
         step, note = choose_step(p, error, tol_v)
-        cfg = IntegratorConfig(target_step=step)
+        cfg = replace(base, target_step=step)
     report = BracketingReport(nodes, cfg.target_step, tuple(c.target_step for c in coarse),
                               error, step_note=note)
-    reason = _short_march(p, cfg)
-    if reason is not None:
-        return direct(replace(report, direct_reason=reason))
 
     trusted = ok & (np.abs(half.v_end) > PREPASS_SAFETY * error + EXACT_ROOT_TOL)
     trusted[1:] &= ok[:-1]
@@ -465,21 +454,22 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     The fine step is cfg's, or with cfg None the one `sweep_brackets`
     chooses from its coarse sweeps (`choose_step`); `bracketing.step` holds
     it. The brackets are those of the gamma sweep at the fine step, found
-    by the certified coarse pre-pass of `sweep_brackets` when it is cheap
-    enough and by that sweep itself otherwise. When the march at the fine
-    step is long by the same test, each non-exact bracket is first tried
-    with the root of the time-map (`_seeded_cline`); the brackets it does
-    not settle are refined by `bisect_cline`. Validation always runs at the
-    fine step. A bracket lost to a blow-up is kept as its BracketLostError
-    in `failures` without aborting the other brackets. The brackets are
-    disjoint and ascending and each root lies inside its own, so the roots
-    come out strictly increasing.
+    by the certified coarse pre-pass of `sweep_brackets` when it stands and
+    by that sweep itself otherwise. When the pre-pass stood
+    (`bracketing.direct_reason` is None), each non-exact bracket is first
+    tried with the root of the time-map (`_seeded_cline`); the brackets it
+    does not settle, and all of them after the direct sweep, are refined by
+    `bisect_cline`. Validation always runs at the fine step. A bracket lost
+    to a blow-up is kept as its BracketLostError in `failures` without
+    aborting the other brackets. The brackets are disjoint and ascending
+    and each root lies inside its own, so the roots come out strictly
+    increasing.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
     if cfg is None:
         cfg = IntegratorConfig(target_step=bracketing.step)
-    seed = _short_march(p, cfg) is None
+    seed = bracketing.direct_reason is None
     found: list[Cline] = []
     failures: list[BracketLostError] = []
     for b in brackets:

@@ -621,17 +621,20 @@ class TestChooseStep:
         assert report.step_line().startswith(
             f"step: 0.0001 from E = {report.error_estimate:.3g} (tol_v/10), clamped: ")
 
-    def test_coarse_sweeps_run_once(self, monkeypatch):
-        # prop-2 keeps the pre-pass at its chosen step: the two coarse sweeps
-        # and the re-shots run, and no sweep at the chosen step
-        p = case_problem("prop2")
+    @pytest.mark.parametrize("name, reshots, bracket_count", [
+        ("prop1", 6, 3), ("prop2", 8, 4), ("remark_concave", 2, 1),
+        ("remark-full-dominance-45", 6, 2)])
+    def test_coarse_sweeps_run_once(self, name, reshots, bracket_count, monkeypatch):
+        # a chosen step keeps the pre-pass it was chosen from: the two coarse
+        # sweeps and the re-shots run, and no sweep at the chosen step
+        p = case_problem(name)
         calls, reshot = record_sweeps(monkeypatch)
         brackets, report = sweep_brackets(p, None)
         h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
         assert [step for step, _ in calls] == [h, 0.5 * h]
         assert report.step_note is not None and report.direct_reason is None
         assert report.step == choose_step(p, report.error_estimate, shooting.DEFAULT_TOL_V)[0]
-        assert len(reshot) == report.reshot == 8 and len(brackets) == 4
+        assert len(reshot) == report.reshot == reshots and len(brackets) == bracket_count
 
     def test_explicit_step_is_not_chosen(self, prop1_search):
         result, _ = prop1_search

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clineshoot import timemap
+from clineshoot import shooting, timemap
 from clineshoot.integrator import IntegratorConfig
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
@@ -139,7 +139,7 @@ def test_failed_certificate_falls_back_to_map_refinement(prop1, default_cfg, pro
         assert abs(a.terminal_v_residual) < 1e-10
 
 
-def test_short_march_never_calls_the_timemap(monkeypatch):
+def test_direct_path_never_calls_the_timemap(monkeypatch):
     # the lambda-scan setting: step 1e-3 at 501 heights
     calls = no_timemap(monkeypatch)
     cfg = IntegratorConfig(target_step=1e-3)
@@ -147,6 +147,41 @@ def test_short_march_never_calls_the_timemap(monkeypatch):
         result = find_all_clines(replace(inst.problem, lam=45.0), cfg, resolution=501)
         assert result.clines
     assert calls == []
+
+
+def test_reshot_cap_never_calls_the_timemap(monkeypatch):
+    # at lambda = 300 the chosen step is the floor and too many heights need
+    # a re-shot, so the direct sweep runs and no bracket is seeded
+    calls = []
+    real = timemap.residual
+
+    def counted(p, rs):
+        calls.append(len(rs))
+        return real(p, rs)
+
+    monkeypatch.setattr(timemap, "residual", counted)
+    result = find_all_clines(replace(remark_instances()[0].problem, lam=300.0))
+    assert "scalar re-shots" in result.bracketing.direct_reason
+    assert result.clines and calls == []
+
+
+def test_seed_settles_prop1_at_its_chosen_step(prop1, monkeypatch):
+    # the pre-pass stands at prop-1's chosen step, so the seed runs and
+    # settles every cline: the only scalar maps are the re-shots, all at
+    # grid heights, and no bracket needs a refinement map
+    heights = []
+    real = shooting.poincare_map
+
+    def recorded(p, cfg, z0):
+        heights.append(z0.u)
+        return real(p, cfg, z0)
+
+    monkeypatch.setattr(shooting, "poincare_map", recorded)
+    result = find_all_clines(prop1.problem)
+    assert result.bracketing.direct_reason is None
+    assert len(result.clines) == 3 and not result.rejected
+    assert len(heights) == result.bracketing.reshot == 6
+    assert np.isin(heights, np.linspace(0.0, 1.0, shooting.DEFAULT_RESOLUTION)).all()
 
 
 def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
