@@ -60,10 +60,10 @@ class IntegratorConfig:
     blowup_bound: float = DEFAULT_BLOWUP_BOUND
 
     def __post_init__(self):
-        if not self.target_step > 0.0:
-            raise ValueError(f"target_step must be > 0, got {self.target_step}")
-        if not self.blowup_bound > 0.0:
-            raise ValueError(f"blowup_bound must be > 0, got {self.blowup_bound}")
+        if not 0.0 < self.target_step < math.inf:
+            raise ValueError(f"target_step must be finite and > 0, got {self.target_step}")
+        if not 0.0 < self.blowup_bound < math.inf:
+            raise ValueError(f"blowup_bound must be finite and > 0, got {self.blowup_bound}")
 
 
 @dataclass(eq=False)

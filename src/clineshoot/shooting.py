@@ -7,8 +7,9 @@ terminal slope wherever it clears their step-doubling error estimate by a
 wide margin, and only the other nodes and the bracket endpoints are shot
 again at the fine step, one scalar Poincare map each (`sweep_brackets`).
 The fine step is the caller's, or, when the caller gives none, the one
-`choose_step` takes from that same error estimate. Every reported number is
-computed at the fine step; `build_gamma` still sweeps every node at it.
+`choose_step` takes from that same error estimate. A caller's step is swept
+directly when its sweep takes no more steps than the two coarse sweeps.
+Every reported number is computed at the fine step.
 Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
 the pre-pass scans its mixed coarse and fine slopes with the same rule
 `find_brackets` applies to a curve.
@@ -64,13 +65,12 @@ TRIVIAL_MARGIN = 1e-9
 # H / 2, trusts a coarse sign only where |v| exceeds PREPASS_SAFETY times the
 # largest step-doubling estimate E plus EXACT_ROOT_TOL, and stands only when
 # at most PREPASS_MAX_RESHOTS nodes need a scalar map at the fine step. With
-# a caller's step it runs only when its two sweeps take at most
-# PREPASS_MAX_SHARE of the fine sweep's steps.
+# a caller's step it runs only when its two sweeps take fewer steps than the
+# fine sweep.
 # One scalar map costs about 1/70 of the 2001-node fine sweep on prop-2
 # and about 1/90 on prop-1; 32 leaves a margin below that break-even.
 PREPASS_STEPS_PER_SPAN = 200
 PREPASS_SAFETY = 100.0
-PREPASS_MAX_SHARE = 0.25
 PREPASS_MAX_RESHOTS = 32
 
 
@@ -254,14 +254,13 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     bracket by its value as long as its sign holds, so the brackets then
     equal the full sweep's.
 
-    The direct sweep runs instead when cfg is given and the coarse sweeps
-    would take more than PREPASS_MAX_SHARE of the fine sweep's steps,
-    checked before they run: below that they save nothing, and one
-    time-map root costs more than refining on the short march does. A
-    chosen step keeps the coarse sweeps it was chosen from. Either way the
-    direct sweep also runs when more than PREPASS_MAX_RESHOTS nodes need a
-    fine value, and after the re-shots if a bracket ends at a node that
-    still has a coarse value, which only a wrong trusted sign can cause.
+    The direct sweep runs instead when cfg is given and the two coarse
+    sweeps would take no fewer steps than the fine sweep, checked before
+    they run: then they save nothing, and one time-map root costs more than
+    refining on the short march does. Either way the direct sweep also runs
+    when more than PREPASS_MAX_RESHOTS nodes need a fine value, and after
+    the re-shots if a bracket ends at a node that still has a coarse value,
+    which only a wrong trusted sign can cause.
     """
     inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
@@ -275,9 +274,9 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     if cfg is not None:
         coarse_steps = sum(_steps(p, c) for c in coarse)
         fine_steps = _steps(p, cfg)
-        if coarse_steps > PREPASS_MAX_SHARE * fine_steps:
+        if coarse_steps >= fine_steps:
             reason = (f"coarse sweeps would take {coarse_steps} steps, "
-                      f"more than {PREPASS_MAX_SHARE:g} of the fine sweep's {fine_steps}")
+                      f"no fewer than the fine sweep's {fine_steps}")
             return direct(BracketingReport(nodes, cfg.target_step, direct_reason=reason))
 
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
@@ -370,8 +369,8 @@ def _build_cline(p: Problem, cfg: IntegratorConfig, root: float, b: Bracket) -> 
 
 def _check_tolerances(tol_r: float, tol_v: float) -> None:
     for name, tol in (("tol_r", tol_r), ("tol_v", tol_v)):
-        if not tol > 0.0:
-            raise ValueError(f"{name} must be > 0, got {tol}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
 def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,

@@ -259,14 +259,18 @@ class TestFind:
         assert f"\nbracket lost: {reason}\n" in out
 
     @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")
-    def test_bad_tolerance_rejected_before_sweep(self, out_dir, monkeypatch, capsys):
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tol-v", "0", "tol_v"), ("--tol-v", "inf", "tol_v"),
+        ("--tol-r", "inf", "tol_r"), ("--step", "inf", "target_step")])
+    def test_bad_value_rejected_before_sweep(self, out_dir, monkeypatch, capsys,
+                                             flag, value, name):
         def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran before the tolerances were checked")
+            raise AssertionError("the sweep ran before the values were checked")
 
         monkeypatch.setattr("clineshoot.shooting.sweep_terminals", no_sweep)
-        assert main(["find", str(REPO_CONFIGS / "prop2.json"), "--tol-v", "0"]) == 2
-        assert "tol_v" in capsys.readouterr().err
-        assert not (out_dir / "clines.json").exists()
+        assert main(["find", str(REPO_CONFIGS / "prop2.json"), flag, value]) == 2
+        assert f"{name} must be finite and > 0, got {float(value)}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_tolerance_without_brackets(self, tmp_path, out_dir, capsys):
         # no bracket means no refinement; the tolerance is still rejected

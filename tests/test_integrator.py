@@ -25,6 +25,10 @@ class TestConfigAndPoints:
             IntegratorConfig(target_step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(blowup_bound=-1.0)
+        with pytest.raises(ValueError, match="target_step must be finite"):
+            IntegratorConfig(target_step=math.inf)
+        with pytest.raises(ValueError, match="blowup_bound must be finite"):
+            IntegratorConfig(blowup_bound=math.inf)
 
     def test_defaults(self):
         cfg = IntegratorConfig()

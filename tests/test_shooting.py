@@ -560,6 +560,29 @@ class TestSweepBrackets:
         assert len(calls[-1][1]) == shooting.DEFAULT_RESOLUTION
         assert bracket_fields(brackets) == bracket_fields(result.brackets)
 
+    @pytest.mark.parametrize("name, step, reshots", [
+        ("prop1", 5e-4, 6), ("prop2", 1e-3, 8), ("prop1", 7e-4, None)])
+    def test_gate_at_its_boundary(self, name, step, reshots, request, monkeypatch):
+        # a caller's step takes the pre-pass exactly when the two coarse
+        # sweeps take fewer steps than the fine sweep: 0.73 and 0.70 of it
+        # here, and 602 against 586 at 7e-4 on prop-1
+        p = request.getfixturevalue(name).problem
+        cfg = IntegratorConfig(target_step=step)
+        expected = direct_brackets(p, cfg)
+        calls, reshot = record_sweeps(monkeypatch)
+        brackets, report = sweep_brackets(p, cfg)
+        if reshots is None:
+            assert report.direct_reason == ("coarse sweeps would take 602 steps, "
+                                            "no fewer than the fine sweep's 586")
+            assert [s for s, _ in calls] == [step] and reshot == []
+            assert bracket_fields(brackets) == bracket_fields(expected)
+        else:
+            h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+            assert [s for s, _ in calls] == [h, 0.5 * h]
+            assert report.direct_reason is None
+            assert len(reshot) == report.reshot == reshots
+            assert [(b.r_lo, b.r_hi) for b in brackets] == [(b.r_lo, b.r_hi) for b in expected]
+
     def test_cost_gate_runs_the_direct_sweep(self, monkeypatch):
         p = remark_instances()[0].problem
         cfg = IntegratorConfig(target_step=1e-3)
