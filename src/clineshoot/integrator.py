@@ -111,26 +111,53 @@ def _rk4_side(feval, c, h: float, n: int, u, v, bound: float, x0: float, leave, 
     [-bound, bound]^2; unless it is the bool True, `leave(x, u, v, ok)` gets
     the state and returns the one to go on from. `record(u, v)` is called
     after every step when given.
+
+    Each step computes the classic RK4 expressions with the same operands
+    in the same order, but with augmented assignments on fresh temporaries:
+    a float rebinds and an array updates in place, and IEEE + and * commute
+    exactly, so every value keeps its bits. The arrays written in place are
+    the step's own temporaries and what `feval` returns, which must be a new
+    float or array (see `Nonlinearity.value`); the caller's `u` and `v` are
+    never written.
     """
     hh = 0.5 * h
     h6 = h / 6.0
     for i in range(n):
-        k1u = v
-        k1v = c * feval(u)
-        u2 = u + hh * k1u
-        v2 = v + hh * k1v
-        k2u = v2
-        k2v = c * feval(u2)
-        u3 = u + hh * k2u
-        v3 = v + hh * k2v
-        k3u = v3
-        k3v = c * feval(u3)
-        u4 = u + h * k3u
-        v4 = v + h * k3v
-        k4u = v4
-        k4v = c * feval(u4)
-        u = u + h6 * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
+        # k1 = (v, c f(u)); k2 = (v2, c f(u2)); k3 = (v3, c f(u3)); k4 = (v4, c f(u4))
+        k1v = feval(u)
+        k1v *= c
+        u2 = hh * v
+        u2 += u
+        v2 = hh * k1v
+        v2 += v
+        k2v = feval(u2)
+        k2v *= c
+        u3 = hh * v2
+        u3 += u
+        v3 = hh * k2v
+        v3 += v
+        k3v = feval(u3)
+        k3v *= c
+        u4 = h * v3
+        u4 += u
+        v4 = h * k3v
+        v4 += v
+        k4v = feval(u4)
+        k4v *= c
+        # u + h6 (k1u + 2 (k2u + k3u) + k4u), built up in v2; likewise v in k2v
+        v2 += v3
+        v2 *= 2.0
+        v2 += v
+        v2 += v4
+        v2 *= h6
+        v2 += u
+        k2v += k3v
+        k2v *= 2.0
+        k2v += k1v
+        k2v += k4v
+        k2v *= h6
+        k2v += v
+        u, v = v2, k2v
         ok = (abs(u) <= bound) & (abs(v) <= bound)
         if ok is not True:
             u, v = leave(x0 + (i + 1) * h, u, v, ok)

@@ -24,9 +24,12 @@ ENDPOINT_ZERO_TOL = 1e-12
 
 
 def _horner(coeffs_desc: tuple[float, ...], s: Scalar) -> Scalar:
-    acc = coeffs_desc[0] * (s * 0 + 1.0)  # broadcast-friendly constant
+    acc = s * 0.0  # a float temporary of s's shape, nan where s is not finite
+    acc += 1.0
+    acc *= coeffs_desc[0]
     for c in coeffs_desc[1:]:
-        acc = acc * s + c
+        acc *= s
+        acc += c
     return acc
 
 
@@ -44,6 +47,13 @@ class Nonlinearity:
     KIND: str = ""
 
     def value(self, s: Scalar) -> Scalar:
+        """f(s) for a float or an array s.
+
+        Returns a new float or array and never writes into `s`. The RK4
+        kernel, `integrator._rk4_side`, scales the returned array in place,
+        so an override must not return `s`, a view of it, or an array it
+        keeps.
+        """
         raise NotImplementedError
 
     def deriv(self, s: Scalar, order: int = 1) -> Scalar:
@@ -120,8 +130,16 @@ class DegreeOfDominance(_PolynomialNonlinearity):
         return (0.0, 1.0 + k, -(1.0 + 3.0 * k), 2.0 * k)
 
     def value(self, s: Scalar) -> Scalar:
-        # factored form: exact zeros at s = 0 and s = 1 for every k
-        return s * (1.0 - s) * (1.0 + self.k - 2.0 * self.k * s)
+        # factored form: exact zeros at s = 0 and s = 1 for every k. IEEE
+        # defines x - y as x + (-y), and (-2k)s is exactly -(2ks), so
+        # (-2k)s + (1 + k) has the bits of (1 + k) - 2ks
+        k = self.k
+        out = 1.0 - s
+        out *= s
+        b = (-2.0 * k) * s
+        b += 1.0 + k
+        out *= b
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": self.KIND, "k": self.k}
@@ -150,7 +168,15 @@ class HatFamily(_PolynomialNonlinearity):
         return (0.0, 1.0, -(h + 1.0), 2.0 * h, -h)
 
     def value(self, s: Scalar) -> Scalar:
-        return s * (1.0 - s) * (1.0 - self.h * s + self.h * s * s)
+        # s(1-s)(1 - hs + hs^2), each product and sum as in that expression
+        hs = self.h * s
+        b = 1.0 - hs
+        hs *= s
+        b += hs
+        out = 1.0 - s
+        out *= s
+        out *= b
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": self.KIND, "h": self.h}
@@ -199,8 +225,19 @@ class ArctanDamped(Nonlinearity):
     def value(self, s: Scalar) -> Scalar:
         m = self.m
         if isinstance(s, np.ndarray):
-            g = 10.0 * s * np.exp(-25.0 * s * s) + s / (np.abs(s) + 1.0)
-            return g * np.arctan(m * (1.0 - s))
+            if s.ndim == 0:  # numpy returns scalars for 0-d operands, and out= needs arrays
+                return self.value(s.reshape(1))[0]
+            e = -25.0 * s
+            e *= s
+            g = 10.0 * s
+            g *= np.exp(e, out=e)
+            np.abs(s, out=e)
+            e += 1.0
+            g += np.divide(s, e, out=e)
+            q = 1.0 - s
+            q *= m
+            g *= np.arctan(q, out=q)
+            return g
         g = 10.0 * s * math.exp(-25.0 * s * s) + s / (abs(s) + 1.0)
         return g * math.atan(m * (1.0 - s))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -167,6 +168,18 @@ class TestGamma:
 
     def test_bad_resolution(self, prop1_config, out_dir):
         assert main(["gamma", prop1_config, "--resolution", "10"]) == 2
+
+    # SHA-256 of gamma.csv before the RK4 kernel and f went to in-place
+    # arithmetic. These families' f use only + - *, whose IEEE results do
+    # not depend on the CPU; prop-2's np.exp/np.arctan bits may, so it is
+    # not pinned. The header holds the config's digest and the version.
+    @pytest.mark.parametrize("config, digest", [
+        ("prop1.json", "f19846314a2d2e3b52dc366b7e82909c6879d3bb8be9d751cb2345931ce4e6ff"),
+        ("remark_concave.json", "44e749ab2221b43d8df5f1dcd8b4af83b3376a4054561bd7d4c227f0e1d1ff7f"),
+    ])
+    def test_output_bytes_are_pinned(self, out_dir, config, digest):
+        assert main(["gamma", str(REPO_CONFIGS / config), "--resolution", "201"]) == 0
+        assert hashlib.sha256((out_dir / "gamma.csv").read_bytes()).hexdigest() == digest
 
 
 class TestFind:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import math
 
@@ -17,6 +19,7 @@ from clineshoot.integrator import (
 )
 from clineshoot.nonlinearity import HatFamily
 from clineshoot.problem import Problem, StepWeight
+from clineshoot.reproduction import remark_instances
 
 
 class TestConfigAndPoints:
@@ -171,6 +174,44 @@ class TestBatchAgreement:
             part = sweep_terminals(prop2.problem, cfg, rs[idx])
             assert np.array_equal(part.u_end, full.u_end[idx])
             assert np.array_equal(part.v_end, full.v_end[idx])
+
+
+class TestKernelInputs:
+    """The RK4 kernel updates its step temporaries in place; the caller's
+    state must come back untouched and the values must keep their bits."""
+
+    def test_sweep_leaves_the_heights_unchanged(self, prop1):
+        # remark-full-dominance at lambda 300 blows up 80 of these 201 columns,
+        # so the blow-up freezing runs as well
+        full_dominance = dataclasses.replace(remark_instances()[1].problem, lam=300.0)
+        cfg = IntegratorConfig(target_step=1e-3)
+        for p in (prop1.problem, full_dominance):
+            rs = np.linspace(0.0, 1.0, 201)
+            rs.flags.writeable = False  # any write into rs raises
+            sweep = sweep_terminals(p, cfg, rs)
+            assert np.array_equal(rs, np.linspace(0.0, 1.0, 201))
+            assert np.array_equal(sweep.rs, rs)
+        assert not sweep.ok.all()
+
+    # terminal (u, v) and the SHA-256 of integrate's samples (us then vs,
+    # little-endian float64) on prop-2 at the default step, as computed when
+    # every RK4 operation allocated its own temporary
+    PROP2_FLOATS = {
+        0.1: (1.5189158868011234, 2.1597305976258565,
+              "5bb0572f6980a0f69af55bf053cf4f9f96b7fe3f1ef0c2f1712f50a73a2a1a30"),
+        0.4: (0.776201345254867, -0.020979172529845578,
+              "3528fb71fae69d662227c47e0ab31f7e6614e0c0a39041de112940eceb9c690f"),
+        0.75: (1.4611733387758061, 1.4794446761517692,
+               "f622f26585cfa8d02754113627b3d13036fa0be5917237abedbca447a4572f60"),
+    }
+
+    @pytest.mark.parametrize("r", sorted(PROP2_FLOATS))
+    def test_float_state_keeps_its_bits(self, prop2, default_cfg, r):
+        u, v, digest = self.PROP2_FLOATS[r]
+        assert poincare_map(prop2.problem, default_cfg, PhasePoint(r, 0.0)) == PhasePoint(u, v)
+        traj = integrate(prop2.problem, default_cfg, PhasePoint(r, 0.0))
+        samples = np.concatenate([traj.us, traj.vs]).astype("<f8").tobytes()
+        assert hashlib.sha256(samples).hexdigest() == digest
 
 
 class TestEnergy:

@@ -178,6 +178,76 @@ class TestDerivatives:
         assert f.antiderivative(0.0) == 0.0
 
 
+def _reference_horner(coeffs_desc, s):
+    acc = coeffs_desc[0] * (s * 0 + 1.0)
+    for c in coeffs_desc[1:]:
+        acc = acc * s + c
+    return acc
+
+
+def _reference_value(f, s):
+    """f(s) as each family wrote it with one fresh temporary per operation."""
+    if isinstance(f, DegreeOfDominance):
+        return s * (1.0 - s) * (1.0 + f.k - 2.0 * f.k * s)
+    if isinstance(f, HatFamily):
+        return s * (1.0 - s) * (1.0 - f.h * s + f.h * s * s)
+    if isinstance(f, ArctanDamped):
+        if isinstance(s, np.ndarray):
+            g = 10.0 * s * np.exp(-25.0 * s * s) + s / (np.abs(s) + 1.0)
+            return g * np.arctan(f.m * (1.0 - s))
+        g = 10.0 * s * math.exp(-25.0 * s * s) + s / (abs(s) + 1.0)
+        return g * math.atan(f.m * (1.0 - s))
+    return _reference_horner(f._desc, s)
+
+
+IN_PLACE_INPUTS = {
+    "float": 0.3,
+    "float64": np.float64(-0.7),
+    "0-d array": np.array(0.45),
+    "int array": np.array([-3, -1, 0, 1, 2, 5]),
+    "inf and nan": np.array([-np.inf, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, np.inf, np.nan]),
+}
+
+
+def _assert_same_bits(got, ref):
+    # IEEE 754 leaves the sign and payload of a NaN result open, so NaNs
+    # need only sit in the same places; every other value must match bit
+    # for bit, signed zeros included
+    assert type(got) is type(ref)
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+class TestInPlaceArithmetic:
+    """value() builds its result in place from fresh temporaries; the RK4
+    kernel then scales that result in place. Both rely on it being new."""
+
+    @pytest.mark.parametrize("f", ALL_FAMILIES + [CustomPolynomial((2.5,))],
+                             ids=lambda f: f.KIND + repr(f))
+    @pytest.mark.parametrize("name", IN_PLACE_INPUTS)
+    def test_value_is_new_and_keeps_the_bits(self, f, name):
+        s = IN_PLACE_INPUTS[name]
+        before = np.array(s, copy=True)
+        with np.errstate(all="ignore"):
+            got, ref = f.value(s), _reference_value(f, s)
+        _assert_same_bits(got, ref)
+        assert not np.shares_memory(got, s)
+        assert np.asarray(s).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("f", [HatFamily(h=3.0), DegreeOfDominance(k=0.7),
+                                   CustomPolynomial((2.5,))], ids=lambda f: f.KIND + repr(f))
+    @pytest.mark.parametrize("name", IN_PLACE_INPUTS)
+    def test_polynomial_derivatives_keep_the_bits(self, f, name):
+        s = IN_PLACE_INPUTS[name]
+        with np.errstate(all="ignore"):
+            for desc, got in ((f._deriv1_desc, f.deriv(s, 1)), (f._deriv2_desc, f.deriv(s, 2)),
+                              (f._antideriv_desc, f.antiderivative(s))):
+                _assert_same_bits(got, _reference_horner(desc, s))
+
+
 @given(k=st.floats(min_value=-1.0, max_value=1.0),
        s=st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 @settings(max_examples=200, deadline=None)
