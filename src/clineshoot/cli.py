@@ -4,8 +4,8 @@ Outputs are deterministic: identical config and flags give byte-identical
 files (wall time is printed to the console only). Every file embeds the run
 manifest as comment lines (CSV) or a manifest key (JSON).
 
-Exit codes: 0 ok, 1 hypothesis or reproduction failure, 2 config error,
-3 blow-up or a trivial level where f does not vanish, 4 no brackets found.
+Exit codes: 0 ok, 1 hypothesis or reproduction failure, 2 config error, 3 shoot
+blow-up or find's f(0) or f(1) nonzero (checked before the sweep), 4 no brackets.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ import time
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .integrator import (
     DEFAULT_BLOWUP_BOUND,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
+    Trajectory,
     integrate,
+    sample_grid,
 )
 from .nonlinearity import DEFAULT_GRID_SIZE, ENDPOINT_ZERO_TOL
 from .problem import Problem, problem_from_dict, validate_conjecture_hypotheses
@@ -150,6 +154,14 @@ def cmd_gamma(args) -> int:
 
 def cmd_find(args) -> int:
     problem, digest = _load_problem(args.config)
+    # u = 0 and u = 1 are steady states exactly when f vanishes there; the
+    # clines run between them, so without both nothing is searched
+    for level, f_level in zip((0, 1), problem.f.value(np.array([0.0, 1.0])).tolist()):
+        if abs(f_level) > ENDPOINT_ZERO_TOL:
+            print(f"f({level}) = {f_level:.17g}: the trivial profile u = {level} "
+                  f"(trivial_{level}.csv) is no steady state; no files written",
+                  file=sys.stderr)
+            return EXIT_BLOWUP
     cfg = None if args.step is None else IntegratorConfig(target_step=args.step)
     t0 = time.perf_counter()
     result = find_all_clines(problem, cfg, resolution=args.resolution,
@@ -159,27 +171,8 @@ def cmd_find(args) -> int:
     if bracketing.step_note is not None:
         print(bracketing.step_line(), file=sys.stderr)
     print(bracketing.summary(), file=sys.stderr)
-    cfg = IntegratorConfig(target_step=bracketing.step)   # the step the search used
     manifest = _manifest(digest, bracketing.step, resolution=args.resolution,
                          tol_r=args.tol_r, tol_v=args.tol_v)
-    # u = level is a steady state only if f(level) = 0; otherwise its profile
-    # blows up or drifts, and no file is written. A profile that stayed
-    # exactly constant had f(level) = 0 at every stage, so f is not asked.
-    trivial = []
-    for level, name in ((0.0, "trivial_0.csv"), (1.0, "trivial_1.csv")):
-        try:
-            traj = integrate(problem, cfg, PhasePoint(level, 0.0))
-        except BlowupError as exc:
-            print(f"blow-up on the trivial profile u = {level:g} ({name}) at "
-                  f"x = {exc.x:.17g} (u = {exc.u:.17g}, v = {exc.v:.17g}); "
-                  f"no files written", file=sys.stderr)
-            return EXIT_BLOWUP
-        f_level = problem.f.value(level) if traj.vs.any() else 0.0
-        if abs(f_level) > ENDPOINT_ZERO_TOL:
-            print(f"f({level:g}) = {f_level:.17g}: the trivial profile u = {level:g} "
-                  f"({name}) is no steady state; no files written", file=sys.stderr)
-            return EXIT_BLOWUP
-        trivial.append((name, traj))
     out_dir = _out_dir()
 
     payload = result.to_dict()
@@ -194,9 +187,11 @@ def cmd_find(args) -> int:
                                        + (f"c: {cline.c:.17g}",))
         csv_names.append(name)
     payload["trajectory_files"] = csv_names
-    for name, traj in trivial:
-        with (out_dir / name).open("w") as fh:
-            traj.write_csv(fh, header_lines=_comment_lines(manifest))
+    xs, split = sample_grid(problem, IntegratorConfig(target_step=bracketing.step))
+    for level in (0, 1):
+        with (out_dir / f"trivial_{level}.csv").open("w") as fh:
+            Trajectory(xs=xs, us=np.full_like(xs, level), vs=np.zeros_like(xs),
+                       split_index=split).write_csv(fh, header_lines=_comment_lines(manifest))
     with (out_dir / "clines.json").open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

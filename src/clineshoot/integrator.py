@@ -184,18 +184,22 @@ def _march(p: Problem, cfg: IntegratorConfig, u, v, leave=_raise_blowup, record=
     return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, cfg.blowup_bound, 0.0, leave, record)
 
 
+def sample_grid(p: Problem, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """The x of every step of `step_plan` from omega1 to omega2, and the index of x = 0."""
+    n1, _, n2, _ = step_plan(p, cfg)
+    return np.concatenate([np.linspace(p.weight.omega1, 0.0, n1 + 1),
+                           np.linspace(0.0, p.weight.omega2, n2 + 1)[1:]]), n1
+
+
 def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
     """Integrate from (omega1, z0) to omega2, sampling every step.
 
     Two fixed-step RK4 sweeps, one per constant-weight side; u and v are
     continuous across x = 0 (only the second derivative jumps).
     """
-    w = p.weight
-    n1, _, n2, _ = step_plan(p, cfg)
-    xs = np.concatenate([np.linspace(w.omega1, 0.0, n1 + 1),
-                         np.linspace(0.0, w.omega2, n2 + 1)[1:]])
-    us = np.empty(n1 + n2 + 1)
-    vs = np.empty(n1 + n2 + 1)
+    xs, split = sample_grid(p, cfg)
+    us = np.empty(len(xs))
+    vs = np.empty(len(xs))
     us[0], vs[0] = z0.u, z0.v
     pos = 1
 
@@ -205,7 +209,7 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
         pos += 1
 
     _march(p, cfg, z0.u, z0.v, record=record)
-    return Trajectory(xs=xs, us=us, vs=vs, split_index=n1)
+    return Trajectory(xs=xs, us=us, vs=vs, split_index=split)
 
 
 def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:

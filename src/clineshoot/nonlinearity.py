@@ -364,12 +364,19 @@ def _config_number(value, key: str) -> float:
     """A config number as float; ValueError naming `key` for anything else.
 
     JSON booleans are rejected although Python counts them as ints, and so
-    are the Infinity and NaN that Python's JSON parser accepts.
+    are the Infinity and NaN that Python's JSON parser accepts and an integer
+    beyond the float range.
     """
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value)):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"'{key}' must be a finite number, got an integer too "
+                         "large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+    return number
 
 
 def _coefficients(value) -> tuple[float, ...]:

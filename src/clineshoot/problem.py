@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,9 @@ class StepWeight:
             raise ValueError(f"'weight.omega1' must be < 0, got {self.omega1}")
         if not self.omega2 > 0.0:
             raise ValueError(f"'weight.omega2' must be > 0, got {self.omega2}")
+        if not (math.isfinite(self.span) and math.isfinite(self.mean)):
+            raise ValueError(f"'weight' must have a finite span and mean, got span "
+                             f"{self.span} and mean {self.mean}")
 
     @property
     def mean(self) -> float:

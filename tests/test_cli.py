@@ -114,7 +114,13 @@ class TestCheckF:
         ({"f": {"kind": "hat", "h": -3.0}}, "f.h"),
         ({"f": {"kind": "arctan_damped", "m": 0.0}}, "f.m"),
         ({"f": {"kind": "poly", "coeffs": []}}, "f.coeffs"),
-    ], ids=["alpha", "omega1", "omega2", "lambda", "k", "h", "m", "coeffs-empty"])
+        # json parses a 400-digit integer to an int that float() overflows on
+        ({"lambda": 10**400}, "lambda"),
+        ({"weight": {"alpha": 10**400, "omega1": -0.21, "omega2": 0.2}}, "weight.alpha"),
+        ({"f": {"kind": "hat", "h": 10**400}}, "f.h"),
+        ({"f": {"kind": "poly", "coeffs": [0, 1, -10**400]}}, "f.coeffs[2]"),
+    ], ids=["alpha", "omega1", "omega2", "lambda", "k", "h", "m", "coeffs-empty",
+            "lambda-huge-int", "alpha-huge-int", "h-huge-int", "coeffs-huge-int"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, change, key):
         cfg = tmp_path / "out_of_range.json"
         cfg.write_text(json.dumps({
@@ -123,6 +129,21 @@ class TestCheckF:
         }))
         assert main(["check-f", str(cfg)]) == 2
         assert f"'{key}' must " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check-f"], ["shoot", "--r", "0.5"], ["gamma"],
+                                     ["find"]], ids=lambda c: c[0])
+def test_habitat_with_overflowing_span_and_mean(tmp_path, out_dir, capsys, command):
+    # every number is finite, but omega2 - omega1 and alpha omega1 + omega2 are not
+    cfg = tmp_path / "vast.json"
+    cfg.write_text(json.dumps({
+        "weight": {"alpha": 1e308, "omega1": -1e308, "omega2": 1e308},
+        "f": {"kind": "hat", "h": 3.0}, "lambda": 45.0,
+    }))
+    assert main([command[0], str(cfg)] + command[1:]) == 2
+    assert "'weight' must have a finite span and mean, got span inf and mean -inf" in (
+        capsys.readouterr().err)
+    assert not out_dir.exists()
 
 
 class TestShoot:
@@ -200,11 +221,14 @@ class TestFind:
             assert abs(c - ref) < 0.005
 
     def test_trivial_profiles_written(self, prop1_config, out_dir):
+        # constant profiles on the sample grid of the clines' integrations
         assert main(["find", prop1_config, "--resolution", "201"]) == 0
+        xs = [r.split(",")[0] for r in data_lines(out_dir / "cline_1.csv")]
         for name, level in (("trivial_0.csv", "0"), ("trivial_1.csv", "1")):
             rows = data_lines(out_dir / name)
             assert rows[0] == "x,u,v"
-            assert all(r.split(",")[1] == level for r in rows[1:])
+            assert [r.split(",")[0] for r in rows] == xs
+            assert all(r.split(",")[1:] == [level, "0"] for r in rows[1:])
 
     def test_no_brackets_exit_code(self, tmp_path, out_dir):
         cfg = tmp_path / "flat.json"
@@ -215,33 +239,30 @@ class TestFind:
         }))
         assert main(["find", str(cfg)]) == 4
 
-    def test_trivial_profile_blowup_exit_code(self, tmp_path, out_dir, capsys):
-        # f(0) = 5, so u = 0 is no equilibrium and its constant profile is
-        # no solution: it blows up
+    @pytest.mark.parametrize("coeffs, lam, f0", [([5, 1, -1], 400.0, "5"),
+                                                ([0.001, 1, -1], 45.0, "0.001")],
+                             ids=["profile-blows-up", "profile-drifts"])
+    def test_nonzero_f_at_a_trivial_level_exit_code(self, tmp_path, out_dir, monkeypatch,
+                                                    capsys, coeffs, lam, f0):
+        # u = 0 is no equilibrium, whether its profile would blow up (f(0) = 5)
+        # or only drift (f(0) = 0.001), so there is no constant profile to
+        # write; f says so before any height is swept
+        sweeps = []
+        real_sweep = shooting.sweep_terminals
+        monkeypatch.setattr(shooting, "sweep_terminals",
+                            lambda *args: sweeps.append(args) or real_sweep(*args))
         cfg = tmp_path / "offset.json"
         cfg.write_text(json.dumps({
             "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
-            "f": {"kind": "poly", "coeffs": [5, 1, -1]},
-            "lambda": 400.0,
+            "f": {"kind": "poly", "coeffs": coeffs},
+            "lambda": lam,
         }))
         assert main(["find", str(cfg), "--resolution", "101"]) == 3
-        err = capsys.readouterr().err
-        assert "blow-up on the trivial profile u = 0 (trivial_0.csv) at x = " in err
+        assert capsys.readouterr().err == (
+            f"f(0) = {f0}: the trivial profile u = 0 (trivial_0.csv) is no steady state; "
+            "no files written\n")
         assert not out_dir.exists()
-
-    def test_nonzero_f_at_a_trivial_level_exit_code(self, tmp_path, out_dir, capsys):
-        # f(0) = 0.001 is too small to blow up, but u = 0 is still no
-        # equilibrium, so there is no constant profile to write
-        cfg = tmp_path / "small_offset.json"
-        cfg.write_text(json.dumps({
-            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
-            "f": {"kind": "poly", "coeffs": [0.001, 1, -1]},
-            "lambda": 45.0,
-        }))
-        assert main(["find", str(cfg), "--resolution", "101"]) == 3
-        err = capsys.readouterr().err
-        assert "f(0) = 0.001: the trivial profile u = 0 (trivial_0.csv) is no " in err
-        assert not out_dir.exists()
+        assert sweeps == []
 
     def test_lost_bracket_is_reported(self, prop1_config, out_dir, monkeypatch, capsys):
         # with no time-map root, the first bracket is refined on the map, and
