@@ -66,8 +66,8 @@ class Problem:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"'lambda' must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"'lambda' must be finite and > 0, got {self.lam}")
 
     def to_dict(self) -> dict:
         return {"weight": self.weight.to_dict(), "f": self.f.to_dict(), "lambda": self.lam}

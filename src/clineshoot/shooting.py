@@ -14,12 +14,12 @@ Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
 the pre-pass scans its mixed coarse and fine slopes with the same rule
 `find_brackets` applies to a curve.
 
-When the pre-pass stands, each bracket is first tried with the root of
-the RK4-free time-map (`timemap.find_root`); the one `integrate` that
-validates the cline at that root is its certificate. The brackets it does
-not settle, and all of them when the direct sweep ran, are refined by
-Brent's method on the terminal slope of the scalar Poincare map
-(`bisect_cline`).
+Every bracket is refined by Brent's method on the terminal slope of the
+scalar Poincare map (`bisect_cline`). When the pre-pass stands, its first
+point is the root of the RK4-free time-map (`timemap.find_root`), and a
+root that meets tol_v there costs one `integrate` and no map; a root that
+misses it is Brent's first iterate. After the direct sweep the first point
+is the secant point.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -156,8 +156,8 @@ class BracketingReport:
     from them. `step_note` says how it was chosen from E (see
     choose_step), and is None when the caller gave it. `direct_reason` is
     None when the certified pre-pass stood, which is when find_all_clines
-    tries the time-map seed, and says why the direct fine sweep ran
-    otherwise.
+    starts Brent at the time-map root, and says why the direct fine sweep
+    ran otherwise.
     """
 
     nodes: int                          # interior grid nodes
@@ -351,8 +351,7 @@ class Cline:
         }
 
 
-def _build_cline(p: Problem, cfg: IntegratorConfig, root: float, b: Bracket) -> Cline:
-    traj = integrate(p, cfg, PhasePoint(root, 0.0))
+def _build_cline(p: Problem, traj: Trajectory, b: Bracket) -> Cline:
     min_u = float(np.min(traj.us))
     max_u = float(np.max(traj.us))
     residual = float(traj.vs[-1])
@@ -362,8 +361,8 @@ def _build_cline(p: Problem, cfg: IntegratorConfig, root: float, b: Bracket) -> 
         reason = f"trajectory touches u=0 (min u = {min_u:.3e})"
     elif max_u >= 1.0 - TRIVIAL_MARGIN:
         reason = f"trajectory touches u=1 (max u = {max_u:.3e})"
-    return Cline(c=root, terminal_u=float(traj.us[-1]), terminal_v_residual=residual,
-                 trajectory=traj, min_u=min_u, max_u=max_u,
+    return Cline(c=float(traj.us[0]), terminal_u=float(traj.us[-1]),
+                 terminal_v_residual=residual, trajectory=traj, min_u=min_u, max_u=max_u,
                  necessary_integral=integral, bracket=b, rejection_reason=reason)
 
 
@@ -374,54 +373,43 @@ def _check_tolerances(tol_r: float, tol_v: float) -> None:
 
 
 def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
-                 tol_r: float = DEFAULT_TOL_R, tol_v: float = DEFAULT_TOL_V) -> Cline:
+                 tol_r: float = DEFAULT_TOL_R, tol_v: float = DEFAULT_TOL_V,
+                 first: Optional[float] = None) -> Cline:
     """Refine the terminal-v sign change down to a root of r -> v(omega2).
 
-    The fallback refinement of find_all_clines: `timemap.bracketed_root`,
-    Brent's method, on the terminal slope of poincare_map at cfg's step.
-    Its first point is the secant point of the endpoint slopes stored in
-    the bracket: those of the scalar re-shots when the pre-pass of
-    sweep_brackets stood, else those of the direct sweep. A blow-up inside
-    the bracket raises BracketLostError.
+    The refinement of find_all_clines: `timemap.bracketed_root`, Brent's
+    method, on the terminal slope at cfg's step, from the endpoint slopes
+    stored in the bracket (those of the scalar re-shots when the pre-pass
+    of sweep_brackets stood, else those of the direct sweep). The first
+    point is `first`, or the secant point when it is None; a `first`
+    outside the bracket gives way to the midpoint. `first` is shot with
+    integrate, every other point with poincare_map: the same march, so the
+    same terminal slope. A root at `first` keeps that trajectory, and any
+    other root is integrated once more. A blow-up inside the bracket
+    raises BracketLostError, at `first` as at any other point, and a root
+    whose profile nears 0 or 1 comes back rejected, `first` included.
 
     Stops when the bracket width falls below tol_r, the terminal slope
     magnitude falls below tol_v, or the bracket no longer splits in floating
     point, whichever comes first.
     """
     _check_tolerances(tol_r, tol_v)
-    if b.is_exact:
-        return _build_cline(p, cfg, b.r_lo, b)
+    seed: Optional[Trajectory] = None
 
     def terminal_v(r: float) -> float:
+        nonlocal seed
         try:
+            if r == first:
+                seed = integrate(p, cfg, PhasePoint(r, 0.0))
+                return float(seed.vs[-1])
             return poincare_map(p, cfg, PhasePoint(r, 0.0)).v
         except BlowupError as exc:
             raise BracketLostError(b, r, exc) from exc
 
-    root = timemap.bracketed_root(terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v)
-    return _build_cline(p, cfg, root, b)
-
-
-def _seeded_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
-                  tol_r: float, tol_v: float) -> Optional[Cline]:
-    """The cline at the time-map root in b, or None where the seed does not hold.
-
-    The one integrate of _build_cline is the certificate: the root must lie
-    strictly inside b and give |terminal v| < tol_v at cfg's step. A root
-    whose profile comes near 0 or 1 is left to bisect_cline too, since the
-    time-map's quadrature loses accuracy as the turning height nears 1.
-    None also when the time-map shows no root or the profile blows up.
-    """
-    root = timemap.find_root(p, b.r_lo, b.r_hi, tol_r)
-    if root is None or not b.r_lo < root < b.r_hi:
-        return None
-    try:
-        cline = _build_cline(p, cfg, root, b)
-    except BlowupError:
-        return None
-    if cline.rejected or not abs(cline.terminal_v_residual) < tol_v:
-        return None
-    return cline
+    root = b.r_lo if b.is_exact else timemap.bracketed_root(
+        terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v, first)
+    traj = seed if seed is not None and root == first else integrate(p, cfg, PhasePoint(root, 0.0))
+    return _build_cline(p, traj, b)
 
 
 @dataclass(eq=False)
@@ -454,15 +442,14 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     chooses from its coarse sweeps (`choose_step`); `bracketing.step` holds
     it. The brackets are those of the gamma sweep at the fine step, found
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
-    by that sweep itself otherwise. When the pre-pass stood
-    (`bracketing.direct_reason` is None), each non-exact bracket is first
-    tried with the root of the time-map (`_seeded_cline`); the brackets it
-    does not settle, and all of them after the direct sweep, are refined by
-    `bisect_cline`. Validation always runs at the fine step. A bracket lost
-    to a blow-up is kept as its BracketLostError in `failures` without
-    aborting the other brackets. The brackets are disjoint and ascending
-    and each root lies inside its own, so the roots come out strictly
-    increasing.
+    by that sweep itself otherwise. Every non-exact bracket is refined by
+    `bisect_cline`; when the pre-pass stood (`bracketing.direct_reason` is
+    None), its first point is the root of the time-map
+    (`timemap.find_root`), else the secant point. Validation always runs at
+    the fine step. A bracket lost to a blow-up is kept as its
+    BracketLostError in `failures` without aborting the other brackets.
+    The brackets are disjoint and ascending and each root lies inside its
+    own, so the roots come out strictly increasing.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
@@ -472,9 +459,9 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     found: list[Cline] = []
     failures: list[BracketLostError] = []
     for b in brackets:
-        cline = _seeded_cline(p, cfg, b, tol_r, tol_v) if seed and not b.is_exact else None
+        first = timemap.find_root(p, b.r_lo, b.r_hi, tol_r) if seed and not b.is_exact else None
         try:
-            found.append(cline if cline is not None else bisect_cline(p, cfg, b, tol_r, tol_v))
+            found.append(bisect_cline(p, cfg, b, tol_r, tol_v, first))
         except BracketLostError as exc:
             failures.append(exc)
     return ClineSearchResult(

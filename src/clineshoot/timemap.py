@@ -16,8 +16,11 @@ remove the square-root singularities at the turning points, and each energy
 difference is t^2 times a mean of f, so nothing cancels. Every integral is a
 nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
-`bracketed_root` solves G = 0 here and, in `shooting.bisect_cline`, the
-terminal slope of the fine-step Poincare map = 0, by Brent's method.
+`bracketed_root` solves G = 0 here (`find_root`) and, in
+`shooting.bisect_cline`, the terminal slope of the fine-step Poincare map
+= 0, by Brent's method. When the pre-pass of `shooting.sweep_brackets`
+stood, the root of G is the first point of the second search, so a cline
+is always a root of the RK4 slope and the time-map only saves its maps.
 """
 
 from __future__ import annotations
@@ -104,12 +107,14 @@ def residual(p: Problem, rs) -> np.ndarray:
 
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
-                   y_lo: float, y_hi: float, tol_x: float, tol_y: float) -> float:
+                   y_lo: float, y_hi: float, tol_x: float, tol_y: float,
+                   first: Optional[float] = None) -> float:
     """A root of fn in [lo, hi], where fn(lo) = y_lo and fn(hi) = y_hi differ in sign.
 
     Brent's method (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4). The first point is the secant point of the
-    bracket. After it, b is the end of the bracket with the smaller |fn|,
+    Derivatives, 1973, ch. 4). The first point is `first`, or the secant
+    point of the bracket when it is None; one outside (lo, hi) gives way
+    to the midpoint. After it, b is the end of the bracket with the smaller |fn|,
     c the other end and a the b before the last step. The next point is
     the inverse quadratic through a, b and c, or the secant through b and
     c when a is c. It is taken only if it lies in the three quarters of
@@ -127,7 +132,7 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     tol = 0.5 * tol_x
     b, y_b, c, y_c = (lo, y_lo, hi, y_hi) if abs(y_lo) < abs(y_hi) else (hi, y_hi, lo, y_lo)
     step = step_1 = hi - lo  # the last step and the one before it
-    r = hi - y_hi * (hi - lo) / (y_hi - y_lo)
+    r = hi - y_hi * (hi - lo) / (y_hi - y_lo) if first is None else first
     while hi - lo > tol_x:
         if not lo < r < hi:
             r = 0.5 * (lo + hi)

@@ -60,8 +60,9 @@ def test_mean_closed_form_property(alpha, omega1, omega2):
 class TestProblem:
     def test_lambda_positive(self):
         w = StepWeight(1.0, -0.21, 0.2)
-        with pytest.raises(ValueError):
-            Problem(weight=w, f=HatFamily(h=3.0), lam=0.0)
+        for lam in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="'lambda' must be finite and > 0"):
+                Problem(weight=w, f=HatFamily(h=3.0), lam=lam)
 
     def test_accessors(self):
         p = Problem(weight=StepWeight(1.0, -0.21, 0.2), f=HatFamily(h=3.0), lam=45.0)

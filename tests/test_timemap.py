@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clineshoot import shooting, timemap
-from clineshoot.integrator import IntegratorConfig
+from clineshoot.integrator import BlowupError, IntegratorConfig
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import DEFAULT_TOL_R, bisect_cline, find_all_clines
@@ -112,31 +112,124 @@ def test_no_root_in_a_rejected_bracket(prop2, prop2_search, remark_searches):
         assert timemap.find_root(p, c.bracket.r_lo, c.bracket.r_hi, DEFAULT_TOL_R) is None
 
 
+def trace_refinement(monkeypatch):
+    """Record the marches of shooting, grouped by the bisect_cline call they run in.
+
+    Returns (calls, outside): calls holds (bracket, first, marches) for each
+    bisect_cline call, outside the marches of no such call. A march is
+    ("integrate" or "map", initial height), in call order.
+    """
+    calls, outside = [], []
+    current = [outside]
+    real_bisect = shooting.bisect_cline
+
+    def bisect(p, cfg, b, tol_r, tol_v, first):
+        marches = []
+        calls.append((b, first, marches))
+        current.append(marches)
+        try:
+            return real_bisect(p, cfg, b, tol_r, tol_v, first)
+        finally:
+            current.pop()
+
+    def traced(kind, real):
+        def march(p, cfg, z0):
+            current[-1].append((kind, z0.u))
+            return real(p, cfg, z0)
+        return march
+
+    monkeypatch.setattr(shooting, "bisect_cline", bisect)
+    monkeypatch.setattr(shooting, "integrate", traced("integrate", shooting.integrate))
+    monkeypatch.setattr(shooting, "poincare_map", traced("map", shooting.poincare_map))
+    return calls, outside
+
+
 @pytest.mark.parametrize("name", ["prop1", "prop2"])
-def test_failed_timemap_falls_back_to_map_refinement(name, request, default_cfg, monkeypatch):
+def test_no_timemap_root_starts_brent_at_the_secant_point(name, request, default_cfg,
+                                                          monkeypatch):
+    # with no time-map root every bracket is refined from its secant point,
+    # as bisect_cline alone refines it, and each root is integrated once
     inst = request.getfixturevalue(name)
     seeded, _ = request.getfixturevalue(f"{name}_search")
-    calls = no_timemap(monkeypatch)
-    fallback = find_all_clines(inst.problem, default_cfg)
-    assert len(calls) == len([b for b in seeded.brackets if not b.is_exact])
-    assert fallback.brackets == seeded.brackets
-    alone = [bisect_cline(inst.problem, default_cfg, c.bracket)
-             for c in fallback.clines + fallback.rejected]
-    assert [c.c for c in fallback.clines + fallback.rejected] == [c.c for c in alone]
-    assert [c.to_dict() for c in fallback.rejected] == [c.to_dict() for c in seeded.rejected]
-    for a, b in zip(fallback.clines, seeded.clines):
+    attempts = no_timemap(monkeypatch)
+    calls, _ = trace_refinement(monkeypatch)
+    unseeded = find_all_clines(inst.problem, default_cfg)
+    assert len(attempts) == len([b for b in seeded.brackets if not b.is_exact])
+    assert unseeded.brackets == seeded.brackets
+    assert all(first is None for _, first, _ in calls)
+    found = sorted(unseeded.clines + unseeded.rejected, key=lambda c: c.c)
+    for cline, (_, _, marches) in zip(found, calls):
+        assert [m for m in marches if m[0] == "integrate"] == [("integrate", cline.c)]
+    monkeypatch.undo()
+    alone = [bisect_cline(inst.problem, default_cfg, c.bracket) for c in found]
+    assert [c.c for c in found] == [c.c for c in alone]
+    assert [c.to_dict() for c in unseeded.rejected] == [c.to_dict() for c in seeded.rejected]
+    for a, b in zip(unseeded.clines, seeded.clines):
         assert abs(a.c - b.c) < 1e-9
 
 
-def test_failed_certificate_falls_back_to_map_refinement(prop1, default_cfg, prop1_search,
-                                                         monkeypatch):
-    # a root that misses the certificate by far is not reported
+def test_failed_seed_is_brents_first_iterate(prop1, default_cfg, prop1_search, monkeypatch):
+    # a seed that misses tol_v by far is integrated once, then Brent goes on
+    # from it with maps, and the root it reaches is integrated once more
     result, _ = prop1_search
     monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: lo + 0.25 * (hi - lo))
+    calls, _ = trace_refinement(monkeypatch)
     again = find_all_clines(prop1.problem, default_cfg)
-    for a, b in zip(again.clines, result.clines):
-        assert a.c != b.c and abs(a.c - b.c) < 1e-9
+    assert len(calls) == len(again.clines) == len(result.clines) == 3
+    for (b, first, marches), a, c in zip(calls, again.clines, result.clines):
+        assert first == b.r_lo + 0.25 * (b.r_hi - b.r_lo)
+        assert marches[0] == ("integrate", first)
+        assert marches[-1] == ("integrate", a.c)
+        assert {kind for kind, _ in marches[1:-1]} == {"map"}
+        assert a.c != c.c and abs(a.c - c.c) < 1e-9
         assert abs(a.terminal_v_residual) < 1e-10
+
+
+def test_blowup_at_the_seed_loses_the_bracket(prop1, default_cfg, prop1_search, monkeypatch):
+    result, _ = prop1_search
+    b = result.clines[0].bracket
+    first = 0.5 * (b.r_lo + b.r_hi)
+
+    def blow_up(p, cfg, z0):
+        raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+
+    monkeypatch.setattr(shooting, "integrate", blow_up)
+    with pytest.raises(shooting.BracketLostError) as lost:
+        bisect_cline(prop1.problem, default_cfg, b, first=first)
+    assert lost.value.r == first and lost.value.bracket == b
+
+
+def test_seed_near_a_trivial_level_is_rejected_at_the_seed(prop2, default_cfg, prop2_search,
+                                                           monkeypatch):
+    # prop-2's rejected root meets tol_v; given as the first point it is
+    # reported rejected there, after its one integrate
+    result, _ = prop2_search
+    (reject,) = result.rejected
+    calls, _ = trace_refinement(monkeypatch)
+    again = shooting.bisect_cline(prop2.problem, default_cfg, reject.bracket,
+                                  DEFAULT_TOL_R, shooting.DEFAULT_TOL_V, reject.c)
+    assert calls[0][2] == [("integrate", reject.c)]
+    assert again.to_dict() == reject.to_dict()
+
+
+def test_failed_seed_spends_no_integrate_in_vain_on_prop2_at_1e_3(prop2, monkeypatch):
+    # the seed near 0.018 misses tol_v at this step and is Brent's first
+    # iterate; the other two seeds hold, and the rejected root near 0.0022
+    # has no time-map root, so Brent refines it from its secant point
+    calls, outside = trace_refinement(monkeypatch)
+    result = find_all_clines(prop2.problem, IntegratorConfig(target_step=1e-3))
+    assert result.bracketing.direct_reason is None
+    marches = outside + [m for _, _, ms in calls for m in ms]
+    assert sum(kind == "map" for kind, _ in marches) == 14
+    assert sum(kind == "integrate" for kind, _ in marches) == 5
+    (b, first, near), = [c for c in calls if c[0].r_lo < 0.01815 < c[0].r_hi]
+    assert first == timemap.find_root(prop2.problem, b.r_lo, b.r_hi, DEFAULT_TOL_R)
+    assert near[0] == ("integrate", first)
+    assert len(result.clines) == 3
+    assert abs(result.clines[0].c - 0.018151466775613443) < 1e-12
+    (reject,) = result.rejected
+    assert reject.c == 0.002161882621729777
+    assert reject.rejection_reason == "trajectory touches u=0 (min u = -3.125e-02)"
 
 
 def test_direct_path_never_calls_the_timemap(monkeypatch):
@@ -166,21 +259,17 @@ def test_reshot_cap_never_calls_the_timemap(monkeypatch):
 
 
 def test_seed_settles_prop1_at_its_chosen_step(prop1, monkeypatch):
-    # the pre-pass stands at prop-1's chosen step, so the seed runs and
-    # settles every cline: the only scalar maps are the re-shots, all at
-    # grid heights, and no bracket needs a refinement map
-    heights = []
-    real = shooting.poincare_map
-
-    def recorded(p, cfg, z0):
-        heights.append(z0.u)
-        return real(p, cfg, z0)
-
-    monkeypatch.setattr(shooting, "poincare_map", recorded)
+    # the pre-pass stands at prop-1's chosen step, so each bracket starts at
+    # its time-map root, which settles it with one integrate and no map: the
+    # only scalar maps are the re-shots, all at grid heights
+    calls, outside = trace_refinement(monkeypatch)
     result = find_all_clines(prop1.problem)
     assert result.bracketing.direct_reason is None
-    assert len(result.clines) == 3 and not result.rejected
-    assert len(heights) == result.bracketing.reshot == 6
+    assert len(calls) == len(result.clines) == 3 and not result.rejected
+    for (_, first, marches), cline in zip(calls, result.clines):
+        assert marches == [("integrate", first)] and cline.c == first
+    heights = [u for kind, u in outside if kind == "map"]
+    assert len(heights) == len(outside) == result.bracketing.reshot == 6
     assert np.isin(heights, np.linspace(0.0, 1.0, shooting.DEFAULT_RESOLUTION)).all()
 
 
@@ -208,6 +297,45 @@ def test_residual_does_not_depend_on_the_batch(name):
 def test_residual_is_nan_outside_the_domain(prop2):
     g = timemap.residual(prop2.problem, np.array([0.0, 0.9, 1.0, 1.5, -0.2]))
     assert np.isnan(g).all()
+
+
+def test_bracketed_root_without_first_starts_at_the_secant_point():
+    # the secant point of (0, -0.25) and (1, 0.75) is 0.25, the midpoint 0.5;
+    # the later points are pinned, so the secant start keeps its iterates
+    expected = [0.25, 0.625, 0.6330181446460517, 0.6299363999522815, 0.6299604082277088,
+                0.6299605249474726, 0.6299605249469725]
+    for kwargs in ({}, {"first": None}):
+        calls = []
+
+        def fn(r):
+            calls.append(r)
+            return r * r * r - 0.25
+
+        r = timemap.bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, **kwargs)
+        assert r == 0.6299605249472225 and calls == expected
+
+
+def test_bracketed_root_returns_at_a_first_point_that_is_the_root():
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return r - 0.375
+
+    assert timemap.bracketed_root(fn, 0.0, 1.0, -0.375, 0.625, 1e-12, 0.0, first=0.375) == 0.375
+    assert calls == [0.375]
+
+
+@pytest.mark.parametrize("first", [0.0, 1.0, -0.5, 2.0, math.nan])
+def test_bracketed_root_takes_the_midpoint_for_a_first_point_outside(first):
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return r * r * r - 0.25
+
+    r = timemap.bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, first=first)
+    assert calls[0] == 0.5 and abs(r - 0.25 ** (1.0 / 3.0)) <= 1e-12
 
 
 def test_bracketed_root_returns_an_exact_zero():
