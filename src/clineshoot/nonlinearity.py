@@ -33,14 +33,6 @@ def _horner(coeffs_desc: tuple[float, ...], s: Scalar) -> Scalar:
     return acc
 
 
-def _poly_deriv(coeffs_asc: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(i * c for i, c in enumerate(coeffs_asc))[1:] or (0.0,)
-
-
-def _poly_antideriv(coeffs_asc: tuple[float, ...]) -> tuple[float, ...]:
-    return (0.0,) + tuple(c / (i + 1) for i, c in enumerate(coeffs_asc))
-
-
 class Nonlinearity:
     """Base class: a selection term f with closed-form derivatives."""
 
@@ -71,7 +63,8 @@ class _PolynomialNonlinearity(Nonlinearity):
     """Shared derivative/antiderivative machinery for polynomial families.
 
     Subclasses provide ascending coefficients; value() may override with a
-    factored form so endpoint zeros are exact in floating point.
+    factored form so endpoint zeros are exact in floating point. deriv()
+    and antiderivative() return numpy.float64 for a float s.
     """
 
     @property
@@ -83,29 +76,22 @@ class _PolynomialNonlinearity(Nonlinearity):
         return tuple(reversed(self.coeffs))
 
     @cached_property
-    def _deriv1_desc(self) -> tuple[float, ...]:
-        return tuple(reversed(_poly_deriv(self.coeffs)))
+    def _polynomial(self):
+        # imported here, so importing clineshoot does not load numpy.polynomial
+        from numpy.polynomial import Polynomial
 
-    @cached_property
-    def _deriv2_desc(self) -> tuple[float, ...]:
-        return tuple(reversed(_poly_deriv(_poly_deriv(self.coeffs))))
-
-    @cached_property
-    def _antideriv_desc(self) -> tuple[float, ...]:
-        return tuple(reversed(_poly_antideriv(self.coeffs)))
+        return Polynomial(self.coeffs)
 
     def value(self, s: Scalar) -> Scalar:
         return _horner(self._desc, s)
 
     def deriv(self, s: Scalar, order: int = 1) -> Scalar:
-        if order == 1:
-            return _horner(self._deriv1_desc, s)
-        if order == 2:
-            return _horner(self._deriv2_desc, s)
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+        if order not in (1, 2):
+            raise ValueError(f"derivative order must be 1 or 2, got {order}")
+        return self._polynomial.deriv(order)(s)
 
     def antiderivative(self, s: Scalar) -> Scalar:
-        return _horner(self._antideriv_desc, s)
+        return self._polynomial.integ()(s)
 
 
 @dataclass(frozen=True)
@@ -159,8 +145,8 @@ class HatFamily(_PolynomialNonlinearity):
     KIND = "hat"
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"'f.h' must be > 0, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"'f.h' must be finite and > 0, got {self.h}")
 
     @cached_property
     def coeffs(self) -> tuple[float, ...]:
@@ -219,8 +205,8 @@ class ArctanDamped(Nonlinearity):
     KIND = "arctan_damped"
 
     def __post_init__(self):
-        if not self.m > 0.0:
-            raise ValueError(f"'f.m' must be > 0, got {self.m}")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError(f"'f.m' must be finite and > 0, got {self.m}")
 
     def value(self, s: Scalar) -> Scalar:
         m = self.m

@@ -250,17 +250,16 @@ def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
     )
 
 
-def sweep_cline_counts(instance: NamedInstance, lams: Sequence[float],
-                       cfg: Optional[IntegratorConfig] = None,
-                       resolution: int = 501) -> list[tuple[float, int]]:
+def sweep_cline_counts(instance: NamedInstance,
+                       lams: Sequence[float]) -> list[tuple[float, int]]:
     """Validated-cline count as a function of the intensity parameter.
 
+    Each lambda runs find_all_clines at step 1e-3 over 501 heights.
     Reporting harness for the sweep-mode scenario; it asserts nothing."""
-    if cfg is None:
-        cfg = IntegratorConfig(target_step=1e-3)
+    cfg = IntegratorConfig(target_step=1e-3)
     out = []
     for lam in lams:
         p = replace(instance.problem, lam=float(lam))
-        res = find_all_clines(p, cfg, resolution=resolution)
+        res = find_all_clines(p, cfg, resolution=501)
         out.append((float(lam), len(res.clines)))
     return out

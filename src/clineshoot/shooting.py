@@ -37,6 +37,7 @@ import numpy as np
 from . import timemap
 from .integrator import (
     DEFAULT_TARGET_STEP,
+    MIN_STEPS_PER_SPAN,
     BlowupError,
     GammaCurve,
     IntegratorConfig,
@@ -61,15 +62,15 @@ EXACT_ROOT_TOL = 1e-13
 # rejected as trivial-adjacent rather than reported as clines
 TRIVIAL_MARGIN = 1e-9
 
-# The bracketing pre-pass sweeps at H = span / PREPASS_STEPS_PER_SPAN and
-# H / 2, trusts a coarse sign only where |v| exceeds PREPASS_SAFETY times the
-# largest step-doubling estimate E plus EXACT_ROOT_TOL, and stands only when
-# at most PREPASS_MAX_RESHOTS nodes need a scalar map at the fine step. With
-# a caller's step it runs only when its two sweeps take fewer steps than the
-# fine sweep.
+# The bracketing pre-pass sweeps at H and H / 2, where H is half the
+# coarsest step step_plan allows, span / MIN_STEPS_PER_SPAN, so step_plan
+# clamps neither of them. It trusts a coarse sign only where |v| exceeds
+# PREPASS_SAFETY times the largest step-doubling estimate E plus
+# EXACT_ROOT_TOL, and stands only when at most PREPASS_MAX_RESHOTS nodes
+# need a scalar map at the fine step. With a caller's step it runs only when
+# its two sweeps take fewer steps than the fine sweep.
 # One scalar map costs about 1/70 of the 2001-node fine sweep on prop-2
 # and about 1/90 on prop-1; 32 leaves a margin below that break-even.
-PREPASS_STEPS_PER_SPAN = 200
 PREPASS_SAFETY = 100.0
 PREPASS_MAX_RESHOTS = 32
 
@@ -189,8 +190,8 @@ def _steps(p: Problem, cfg: IntegratorConfig) -> int:
 
 
 def _coarse_steps(p: Problem) -> tuple[float, float]:
-    """The pre-pass steps H = span / PREPASS_STEPS_PER_SPAN and H / 2."""
-    h = p.weight.span / PREPASS_STEPS_PER_SPAN
+    """The pre-pass steps H = span / (2 MIN_STEPS_PER_SPAN) and H / 2."""
+    h = 0.5 * p.weight.span / MIN_STEPS_PER_SPAN
     return h, 0.5 * h
 
 
@@ -202,8 +203,10 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     doubling, Hairer, Norsett & Wanner, Solving ODEs I, II.4). It is
     clamped to [DEFAULT_TARGET_STEP, H / 2]: no finer than the library's
     default step and no coarser than the coarse sweep it is estimated
-    from. A nan E, where no height survived both coarse sweeps, gives
-    DEFAULT_TARGET_STEP. The note completes the line `step: <h>`.
+    from; H / 2 wins where it lies below the floor, on a habitat shorter
+    than 400 DEFAULT_TARGET_STEP. A nan E, where no height survived both
+    coarse sweeps, gives DEFAULT_TARGET_STEP. The note names the bound
+    that set the step and completes the line `step: <h>`.
     """
     half = _coarse_steps(p)[1]
     if math.isnan(error):
@@ -213,7 +216,10 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     step = min(max(rule, DEFAULT_TARGET_STEP), half)
     note = f" from E = {error:.3g} (tol_v/10)"
     if step > rule:
-        note += f", clamped: the rule gives {rule:.3g}, below the floor {step:.3g}"
+        note += (f", clamped: the rule gives {rule:.3g}, below the floor "
+                 f"{DEFAULT_TARGET_STEP:.3g}")
+        if step < DEFAULT_TARGET_STEP:
+            note += f", which lies above H/2 = {step:.3g}"
     elif step < rule:
         note += f", clamped: the rule gives {rule:.3g}, above H/2 = {step:.3g}"
     return step, note
@@ -241,8 +247,8 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     column in the last bit. When the direct sweep runs, they are all the
     sweep's.
 
-    The interior nodes are swept at H = span / PREPASS_STEPS_PER_SPAN and at
-    H / 2. E is the largest step-doubling (Richardson) estimate
+    The interior nodes are swept at H = span / (2 MIN_STEPS_PER_SPAN) and
+    at H / 2. E is the largest step-doubling (Richardson) estimate
     |v_H - v_{H/2}| / 15 of the error of v_{H/2} over the nodes that
     survived both (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and nan
     when no node did, which then trusts no coarse sign. A node's

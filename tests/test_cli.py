@@ -8,7 +8,13 @@ import pytest
 import clineshoot.shooting as shooting
 from clineshoot import __version__, timemap
 from clineshoot.cli import main
-from clineshoot.integrator import BlowupError, IntegratorConfig, step_plan, sweep_terminals
+from clineshoot.integrator import (
+    MIN_STEPS_PER_SPAN,
+    BlowupError,
+    IntegratorConfig,
+    step_plan,
+    sweep_terminals,
+)
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -41,7 +47,7 @@ def data_lines(path):
 def chosen_step(p, resolution):
     """choose_step's (step, note) for E of the two coarse sweeps, tol_v 1e-10."""
     inner = np.linspace(0.0, 1.0, resolution)[1:-1]
-    h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+    h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)   # H, half the coarsest step
     wide, half = (sweep_terminals(p, IntegratorConfig(target_step=t), inner)
                   for t in (h, 0.5 * h))
     error = float(np.nanmax(np.abs(wide.v_end - half.v_end))) / 15.0

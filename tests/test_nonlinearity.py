@@ -241,11 +241,20 @@ class TestInPlaceArithmetic:
                                    CustomPolynomial((2.5,))], ids=lambda f: f.KIND + repr(f))
     @pytest.mark.parametrize("name", IN_PLACE_INPUTS)
     def test_polynomial_derivatives_keep_the_bits(self, f, name):
+        # reference: f', f'' and F from the ascending coefficients by hand,
+        # then Horner; a float s gives a numpy.float64, any other s its own type
         s = IN_PLACE_INPUTS[name]
+        asc = f.coeffs
+        d1 = tuple(i * c for i, c in enumerate(asc))[1:] or (0.0,)
+        d2 = tuple(i * c for i, c in enumerate(d1))[1:] or (0.0,)
+        anti = (0.0,) + tuple(c / (i + 1) for i, c in enumerate(asc))
         with np.errstate(all="ignore"):
-            for desc, got in ((f._deriv1_desc, f.deriv(s, 1)), (f._deriv2_desc, f.deriv(s, 2)),
-                              (f._antideriv_desc, f.antiderivative(s))):
-                _assert_same_bits(got, _reference_horner(desc, s))
+            for coeffs, got in ((d1, f.deriv(s, 1)), (d2, f.deriv(s, 2)),
+                                (anti, f.antiderivative(s))):
+                ref = _reference_horner(coeffs[::-1], s)
+                if type(s) is float:
+                    ref = np.float64(ref)
+                _assert_same_bits(got, ref)
 
 
 @given(k=st.floats(min_value=-1.0, max_value=1.0),
@@ -325,11 +334,17 @@ class TestValidationAndSerialization:
     def test_hat_requires_positive(self):
         with pytest.raises(ValueError):
             HatFamily(h=0.0)
+        # h = inf would make f nan everywhere, and a search find nothing silently
+        with pytest.raises(ValueError, match=r"^'f\.h' must be finite and > 0, got inf$"):
+            HatFamily(h=math.inf)
         HatFamily(h=7.0)  # above 3 is allowed; verdicts are reported, not assumed
 
     def test_arctan_requires_positive(self):
         with pytest.raises(ValueError):
             ArctanDamped(m=0.0)
+        # m = inf would make f(1) nan, yet a search would validate a cline
+        with pytest.raises(ValueError, match=r"^'f\.m' must be finite and > 0, got inf$"):
+            ArctanDamped(m=math.inf)
 
     def test_poly_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):

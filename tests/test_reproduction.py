@@ -175,6 +175,6 @@ class TestRemarkScenarios:
     def test_sweep_consistent_with_direct_run(self):
         _, skewed = remark_instances()
         cfg = IntegratorConfig(target_step=1e-3)
-        sweep = sweep_cline_counts(skewed, [45.0], cfg=cfg, resolution=501)
+        sweep = sweep_cline_counts(skewed, [45.0])
         direct = find_all_clines(skewed.problem, cfg, resolution=501)
         assert sweep[0][1] == len(direct.clines)

@@ -5,19 +5,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clineshoot.shooting as shooting
 from clineshoot import timemap
 from clineshoot.integrator import (
     CSV_CHUNK_ROWS,
     DEFAULT_TARGET_STEP,
+    MIN_STEPS_PER_SPAN,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
     poincare_map,
+    step_plan,
 )
-from clineshoot.nonlinearity import CustomPolynomial
-from clineshoot.problem import problem_from_json
+from clineshoot.nonlinearity import CustomPolynomial, HatFamily
+from clineshoot.problem import Problem, StepWeight, problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import (
     DEFAULT_TOL_R,
@@ -577,7 +581,7 @@ class TestSweepBrackets:
             assert [s for s, _ in calls] == [step] and reshot == []
             assert bracket_fields(brackets) == bracket_fields(expected)
         else:
-            h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+            h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)
             assert [s for s, _ in calls] == [h, 0.5 * h]
             assert report.direct_reason is None
             assert len(reshot) == report.reshot == reshots
@@ -609,9 +613,27 @@ def case_problem(name):
     return replace(problems[instance], lam=float(lam))
 
 
+@given(omega1=st.floats(min_value=-20.0, max_value=-1e-6),
+       omega2=st.floats(min_value=1e-6, max_value=20.0))
+@settings(max_examples=300, deadline=None)
+def test_step_plan_never_clamps_the_coarse_steps(omega1, omega2):
+    # H is half the coarsest step step_plan allows, so it marches H and H / 2
+    # as given, and the two plans differ: a clamp would put both onto
+    # span / MIN_STEPS_PER_SPAN and leave E = 0
+    p = Problem(StepWeight(1.0, omega1, omega2), HatFamily(h=3.0), 45.0)
+    coarse = shooting._coarse_steps(p)
+    assert coarse == (p.weight.span / (2 * MIN_STEPS_PER_SPAN),
+                      p.weight.span / (4 * MIN_STEPS_PER_SPAN))
+    plans = [step_plan(p, IntegratorConfig(target_step=h)) for h in coarse]
+    for h, (n1, _, n2, _) in zip(coarse, plans):
+        assert (n1, n2) == (max(1, math.ceil(-omega1 / h)), max(1, math.ceil(omega2 / h)))
+    (n1, _, n2, _), (m1, _, m2, _) = plans
+    assert m1 + m2 > n1 + n2 >= 2 * MIN_STEPS_PER_SPAN
+
+
 class TestChooseStep:
     P = remark_instances()[0].problem
-    HALF = 0.5 * P.weight.span / shooting.PREPASS_STEPS_PER_SPAN   # H / 2
+    HALF = 0.5 * P.weight.span / (2 * MIN_STEPS_PER_SPAN)   # H / 2
 
     def test_rule_between_the_clamps(self):
         # E 16 times tol_v / 10 gives half of H / 2
@@ -630,6 +652,17 @@ class TestChooseStep:
         step, note = choose_step(self.P, error, 1e-10)
         assert step == self.HALF
         assert f"above H/2 = {self.HALF:.3g}" in note
+
+    def test_short_habitat_takes_h_over_2_below_the_floor(self):
+        # span 0.03 < 400 * 1e-4, so H / 2 = 7.5e-05 lies below the floor
+        # 1e-4 and caps the step; the note names H / 2, not the floor
+        p = replace(self.P, weight=StepWeight(1.0, -0.01, 0.02))
+        half = 0.5 * p.weight.span / (2 * MIN_STEPS_PER_SPAN)
+        assert half < DEFAULT_TARGET_STEP
+        step, note = choose_step(p, 1e-6, 1e-10)
+        assert step == half
+        assert note == (" from E = 1e-06 (tol_v/10), clamped: the rule gives 4.22e-06, "
+                        "below the floor 0.0001, which lies above H/2 = 7.5e-05")
 
     def test_nan_falls_back_to_the_default(self):
         step, note = choose_step(self.P, math.nan, 1e-10)
@@ -653,7 +686,7 @@ class TestChooseStep:
         p = case_problem(name)
         calls, reshot = record_sweeps(monkeypatch)
         brackets, report = sweep_brackets(p, None)
-        h = p.weight.span / shooting.PREPASS_STEPS_PER_SPAN
+        h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)
         assert [step for step, _ in calls] == [h, 0.5 * h]
         assert report.step_note is not None and report.direct_reason is None
         assert report.step == choose_step(p, report.error_estimate, shooting.DEFAULT_TOL_V)[0]
