@@ -3,9 +3,10 @@ of the terminal slope, and refine each bracket down to a steady state.
 
 The brackets are those of the sweep at the fine step, but they are
 usually found without running it: two coarse sweeps settle the sign of the
-terminal slope wherever it clears their step-doubling error estimate by a
-wide margin, and only the other nodes and the bracket endpoints are shot
-again at the fine step, one scalar Poincare map each (`sweep_brackets`).
+terminal slope wherever it clears the node's own step-doubling error
+estimate by a wide margin, and settle as blown a node blown in both; only
+the other nodes, their neighbours and the edges of blow-ups are shot again
+at the fine step, one scalar Poincare map each (`sweep_brackets`).
 The fine step is the caller's, or, when the caller gives none, the one
 `choose_step` takes from that same error estimate. A caller's step is swept
 directly when its sweep takes no more steps than the two coarse sweeps.
@@ -65,7 +66,7 @@ TRIVIAL_MARGIN = 1e-9
 # The bracketing pre-pass sweeps at H and H / 2, where H is half the
 # coarsest step step_plan allows, span / MIN_STEPS_PER_SPAN, so step_plan
 # clamps neither of them. It trusts a coarse sign only where |v| exceeds
-# PREPASS_SAFETY times the largest step-doubling estimate E plus
+# PREPASS_SAFETY times the node's step-doubling estimate plus
 # EXACT_ROOT_TOL, and stands only when at most PREPASS_MAX_RESHOTS nodes
 # need a scalar map at the fine step. With a caller's step it runs only when
 # its two sweeps take fewer steps than the fine sweep.
@@ -158,7 +159,8 @@ class BracketingReport:
     choose_step), and is None when the caller gave it. `direct_reason` is
     None when the certified pre-pass stood, which is when find_all_clines
     starts Brent at the time-map root, and says why the direct fine sweep
-    ran otherwise.
+    ran otherwise. With the pre-pass, a node neither re-shot nor blown
+    keeps its H / 2 value.
     """
 
     nodes: int                          # interior grid nodes
@@ -168,6 +170,7 @@ class BracketingReport:
     reshot: int = 0                     # nodes that need a fine-step value
     direct_reason: Optional[str] = None
     step_note: Optional[str] = None
+    blown: int = 0                      # blown in both coarse sweeps and not re-shot
 
     def step_line(self) -> Optional[str]:
         """The stderr line of a chosen step; None for the caller's."""
@@ -181,7 +184,8 @@ class BracketingReport:
         h, h2 = self.coarse_steps
         return (f"bracketing: coarse steps {h:.6g} and {h2:.6g}, "
                 f"E = {self.error_estimate:.3g}, "
-                f"{self.reshot} of {self.nodes} nodes re-shot at the fine step")
+                f"{self.reshot} of {self.nodes} nodes re-shot at the fine step, "
+                f"{self.blown} taken as blown")
 
 
 def _steps(p: Problem, cfg: IntegratorConfig) -> int:
@@ -205,13 +209,16 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     default step and no coarser than the coarse sweep it is estimated
     from; H / 2 wins where it lies below the floor, on a habitat shorter
     than 400 DEFAULT_TARGET_STEP. A nan E, where no height survived both
-    coarse sweeps, gives DEFAULT_TARGET_STEP. The note names the bound
-    that set the step and completes the line `step: <h>`.
+    coarse sweeps, gives DEFAULT_TARGET_STEP, or H / 2 where that is
+    smaller. The note names the bound that set the step and completes the
+    line `step: <h>`.
     """
     half = _coarse_steps(p)[1]
     if math.isnan(error):
-        return DEFAULT_TARGET_STEP, (", the default: no height survived both coarse "
-                                     "sweeps (E = nan)")
+        bound = ("the default" if half >= DEFAULT_TARGET_STEP else
+                 f"H/2, below the default {DEFAULT_TARGET_STEP:.3g}")
+        return min(DEFAULT_TARGET_STEP, half), (f", {bound}: no height survived both "
+                                                "coarse sweeps (E = nan)")
     rule = half * (0.1 * tol_v / error) ** 0.25 if error > 0.0 else math.inf
     step = min(max(rule, DEFAULT_TARGET_STEP), half)
     note = f" from E = {error:.3g} (tol_v/10)"
@@ -225,10 +232,12 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     return step, note
 
 
-def _endpoints(inner: np.ndarray, brackets: list[Bracket]) -> np.ndarray:
-    """Interior-node indices of the bracket endpoints."""
-    rs = [r for b in brackets for r in (b.r_lo, b.r_hi)]
-    return np.searchsorted(inner, rs).astype(int)
+def _spread(a: np.ndarray, op=np.logical_or) -> np.ndarray:
+    """a with each entry combined by op with its two neighbours."""
+    out = a.copy()
+    op(out[1:], a[:-1], out=out[1:])
+    op(out[:-1], a[1:], out=out[:-1])
+    return out
 
 
 def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
@@ -241,32 +250,32 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     so the sweeps run once; the report holds it either way. Returns the
     brackets of find_brackets(build_gamma(p, fine, resolution)) with a
     report of how they were found. When the pre-pass stands, r_lo and r_hi
-    are the full sweep's and v_lo and v_hi are the terminal slopes of
-    poincare_map at the fine step, the arithmetic bisect_cline iterates
-    with; where f calls exp or arctan a scalar map can differ from a batch
-    column in the last bit. When the direct sweep runs, they are all the
-    sweep's.
+    are the full sweep's, and v_lo and v_hi have the full sweep's signs:
+    each is the terminal slope of poincare_map at the fine step where the
+    endpoint was re-shot, and that of the H / 2 sweep where its sign was
+    trusted. When the direct sweep runs, they are all the sweep's.
 
     The interior nodes are swept at H = span / (2 MIN_STEPS_PER_SPAN) and
-    at H / 2. E is the largest step-doubling (Richardson) estimate
-    |v_H - v_{H/2}| / 15 of the error of v_{H/2} over the nodes that
-    survived both (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and nan
-    when no node did, which then trusts no coarse sign. A node's
-    coarse sign is trusted only if it and both neighbours survived both
-    sweeps and |v_{H/2}| > PREPASS_SAFETY * E + EXACT_ROOT_TOL. Every other
-    node, its neighbours and the endpoints of the brackets the coarse signs
-    form are shot again at the fine step, one poincare_map each; a
-    BlowupError marks the node blown. A node that is no endpoint changes no
-    bracket by its value as long as its sign holds, so the brackets then
-    equal the full sweep's.
+    at H / 2. A node that survived both has the step-doubling (Richardson)
+    estimate |v_H - v_{H/2}| / 15 of the error of v_{H/2} (Hairer, Norsett
+    & Wanner, Solving ODEs I, II.4). E is the largest of them, and nan when
+    no node survived both. A node's coarse sign is trusted if it survived
+    both sweeps and |v_{H/2}| > PREPASS_SAFETY * d + EXACT_ROOT_TOL, where d
+    is the largest estimate of the node and its two neighbours. A node that
+    blew up in both sweeps is taken as blown. Every other node and its
+    neighbours are shot again at the fine step, one poincare_map each, and
+    so is every node next to a change of blown status, until no such change
+    borders a node that was not re-shot; a BlowupError marks the node
+    blown. A node that keeps its coarse state changes no bracket as long
+    as its sign, or its blow-up, holds at the fine step, so the brackets
+    then equal the full sweep's.
 
     The direct sweep runs instead when cfg is given and the two coarse
     sweeps would take no fewer steps than the fine sweep, checked before
     they run: then they save nothing, and one time-map root costs more than
     refining on the short march does. Either way the direct sweep also runs
-    when more than PREPASS_MAX_RESHOTS nodes need a fine value, and after
-    the re-shots if a bracket ends at a node that still has a coarse value,
-    which only a wrong trusted sign can cause.
+    when E is nan, since then no coarse sign is trusted, and when more than
+    PREPASS_MAX_RESHOTS nodes need a fine value.
     """
     inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
@@ -287,42 +296,40 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
 
     wide, half = (sweep_terminals(p, c, inner) for c in coarse)
     ok = wide.ok & half.ok
-    delta = np.abs(wide.v_end[ok] - half.v_end[ok])
-    error = float(delta.max()) / 15.0 if delta.size else math.nan
+    estimate = np.where(ok, np.abs(wide.v_end - half.v_end), 0.0) / 15.0
+    error = float(estimate.max()) if ok.any() else math.nan
     note = None
     if cfg is None:
         step, note = choose_step(p, error, tol_v)
         cfg = replace(base, target_step=step)
     report = BracketingReport(nodes, cfg.target_step, tuple(c.target_step for c in coarse),
                               error, step_note=note)
+    if math.isnan(error):
+        return direct(replace(report, direct_reason="no node survived both coarse "
+                                                    "sweeps, E = nan"))
 
-    trusted = ok & (np.abs(half.v_end) > PREPASS_SAFETY * error + EXACT_ROOT_TOL)
-    trusted[1:] &= ok[:-1]
-    trusted[:-1] &= ok[1:]
-    need = ~trusted
-    need[1:] |= ~trusted[:-1]
-    need[:-1] |= ~trusted[1:]
-    v = half.v_end
-    need[_endpoints(inner, _brackets(inner, v, ok))] = True
-    report = replace(report, reshot=int(need.sum()))
-    if report.reshot > PREPASS_MAX_RESHOTS:
-        reason = (f"{report.reshot} nodes need the fine step, "
-                  f"more than {PREPASS_MAX_RESHOTS} scalar re-shots, E = {error:.3g}")
-        return direct(replace(report, direct_reason=reason))
-
-    for i in np.flatnonzero(need):
-        try:
-            v[i] = poincare_map(p, cfg, PhasePoint(float(inner[i]), 0.0)).v
-            ok[i] = True
-        except BlowupError:
-            v[i] = np.nan
-            ok[i] = False
-    brackets = _brackets(inner, v, ok)
-    if not need[_endpoints(inner, brackets)].all():
-        reason = (f"a bracket ends at a node with a trusted coarse value "
-                  f"after {report.reshot} re-shots, E = {error:.3g}")
-        return direct(replace(report, direct_reason=reason))
-    return brackets, report
+    v, gone = half.v_end, ~(wide.ok | half.ok)
+    margin = PREPASS_SAFETY * _spread(estimate, np.maximum) + EXACT_ROOT_TOL
+    need = _spread(~gone & ~(ok & (np.abs(v) > margin)))
+    shot = np.zeros_like(need)
+    while True:
+        need |= _spread(gone) & _spread(~gone)   # the nodes next to a change of blown status
+        if (need == shot).all():
+            break
+        if need.sum() > PREPASS_MAX_RESHOTS:
+            reason = (f"{need.sum()} nodes need the fine step, "
+                      f"more than {PREPASS_MAX_RESHOTS} scalar re-shots, E = {error:.3g}")
+            return direct(replace(report, reshot=int(need.sum()), direct_reason=reason))
+        for i in np.flatnonzero(need & ~shot):
+            try:
+                v[i] = poincare_map(p, cfg, PhasePoint(float(inner[i]), 0.0)).v
+                gone[i] = False
+            except BlowupError:
+                v[i] = np.nan
+                gone[i] = True
+        shot = need.copy()
+    report = replace(report, reshot=int(shot.sum()), blown=int(gone[~shot].sum()))
+    return _brackets(inner, v, ~gone), report
 
 
 @dataclass(eq=False)
@@ -385,8 +392,8 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
 
     The refinement of find_all_clines: `timemap.bracketed_root`, Brent's
     method, on the terminal slope at cfg's step, from the endpoint slopes
-    stored in the bracket (those of the scalar re-shots when the pre-pass
-    of sweep_brackets stood, else those of the direct sweep). The first
+    stored in the bracket, which have the signs at cfg's step (those of the
+    H / 2 sweep at a trusted node, see sweep_brackets). The first
     point is `first`, or the secant point when it is None; a `first`
     outside the bracket gives way to the midpoint. `first` is shot with
     integrate, every other point with poincare_map: the same march, so the
