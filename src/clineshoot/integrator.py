@@ -90,14 +90,19 @@ class Trajectory:
                 self.xs[rows].tolist(), self.us[rows].tolist(), self.vs[rows].tolist())))
 
 
+def coarsest_step(p: Problem) -> float:
+    """span / MIN_STEPS_PER_SPAN, the largest target step_plan marches as given."""
+    return p.weight.span / MIN_STEPS_PER_SPAN
+
+
 def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float]:
     """Step counts and sizes (n1, h1, n2, h2) of the left and right sides.
 
-    The target is cfg.target_step, clamped so the habitat never gets fewer
-    than MIN_STEPS_PER_SPAN steps; each side takes the largest step not
-    exceeding it that divides the side length exactly.
+    The target is cfg.target_step, clamped to coarsest_step so the habitat
+    never gets fewer than MIN_STEPS_PER_SPAN steps; each side takes the
+    largest step not exceeding it that divides the side length exactly.
     """
-    target = min(cfg.target_step, p.weight.span / MIN_STEPS_PER_SPAN)
+    target = min(cfg.target_step, coarsest_step(p))
     n1 = max(1, math.ceil(-p.weight.omega1 / target))
     n2 = max(1, math.ceil(p.weight.omega2 / target))
     return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2

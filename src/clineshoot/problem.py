@@ -121,29 +121,30 @@ def validate_conjecture_hypotheses(
     )
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+def _trapezoid(y: np.ndarray, x: np.ndarray, dy: np.ndarray) -> float:
+    """Uniform trapezoid rule less its Euler-Maclaurin end term (h^2/12) (dy[1] - dy[0])."""
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x))) - h * h / 12.0 * (dy[1] - dy[0])
 
 
 def neumann_necessary_integral(p: Problem, traj: "Trajectory") -> float:
-    """Trapezoidal approximation of the habitat integral of w(x) f(u(x)).
+    """End-corrected trapezoidal approximation of the habitat integral of w(x) f(u(x)).
 
-    The sum is split at x = 0 so no panel straddles the weight discontinuity.
-    For a genuine zero-flux solution the result vanishes up to quadrature
-    error.
+    The sum is split at x = 0 so no panel straddles the weight discontinuity,
+    and is O(h^4). As v' = -lam w f(u), it is -v(omega2) / lam from v = 0:
+    for a genuine zero-flux solution it vanishes up to integration error.
     """
     xs, us, w = traj.xs, traj.us, p.weight
     if abs(xs[0] - w.omega1) > 1e-9 or abs(xs[-1] - w.omega2) > 1e-9:
-        raise ValueError(
-            f"trajectory spans [{xs[0]}, {xs[-1]}], expected [{w.omega1}, {w.omega2}]"
-        )
+        raise ValueError(f"trajectory spans [{xs[0]}, {xs[-1]}], "
+                         f"expected [{w.omega1}, {w.omega2}]")
     split = traj.split_index
     if xs[split] != 0.0:
         raise ValueError("trajectory has no sample at x = 0")
     fvals = np.asarray(p.f.value(us), dtype=float)
-    left = -w.alpha * _trapezoid(fvals[: split + 1], xs[: split + 1])
-    right = _trapezoid(fvals[split:], xs[split:])
-    return left + right
+    slope = p.f.deriv(us[[0, split, -1]]) * traj.vs[[0, split, -1]]   # (f(u))' = f'(u) v
+    return (-w.alpha * _trapezoid(fvals[: split + 1], xs[: split + 1], slope[:2])
+            + _trapezoid(fvals[split:], xs[split:], slope[1:]))
 
 
 def problem_from_dict(d: dict) -> Problem:

@@ -16,11 +16,10 @@ the pre-pass scans its mixed coarse and fine slopes with the same rule
 `find_brackets` applies to a curve.
 
 Every bracket is refined by Brent's method on the terminal slope of the
-scalar Poincare map (`bisect_cline`). When the pre-pass stands, its first
-point is the root of the RK4-free time-map (`timemap.find_root`), and a
-root that meets tol_v there costs one `integrate` and no map; a root that
-misses it is Brent's first iterate. After the direct sweep the first point
-is the secant point.
+scalar Poincare map (`bisect_cline`). When the pre-pass stands at the step
+it chose, its first point is the RK4-free time-map root (`timemap.find_root`):
+a root that meets tol_v there costs one `integrate` and no map, one that
+misses it is Brent's first iterate. Otherwise it is the secant point.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -38,12 +37,12 @@ import numpy as np
 from . import timemap
 from .integrator import (
     DEFAULT_TARGET_STEP,
-    MIN_STEPS_PER_SPAN,
     BlowupError,
     GammaCurve,
     IntegratorConfig,
     PhasePoint,
     Trajectory,
+    coarsest_step,
     integrate,
     poincare_map,
     step_plan,
@@ -63,9 +62,9 @@ EXACT_ROOT_TOL = 1e-13
 # rejected as trivial-adjacent rather than reported as clines
 TRIVIAL_MARGIN = 1e-9
 
-# The bracketing pre-pass sweeps at H and H / 2, where H is half the
-# coarsest step step_plan allows, span / MIN_STEPS_PER_SPAN, so step_plan
-# clamps neither of them. It trusts a coarse sign only where |v| exceeds
+# The bracketing pre-pass sweeps at H and H / 2, where H is the coarsest
+# step step_plan allows, integrator.coarsest_step, so step_plan clamps
+# neither of them. It trusts a coarse sign only where |v| exceeds
 # PREPASS_SAFETY times the node's step-doubling estimate plus
 # EXACT_ROOT_TOL, and stands only when at most PREPASS_MAX_RESHOTS nodes
 # need a scalar map at the fine step. With a caller's step it runs only when
@@ -157,10 +156,10 @@ class BracketingReport:
     `step` is the target step of the brackets, and every number computed
     from them. `step_note` says how it was chosen from E (see
     choose_step), and is None when the caller gave it. `direct_reason` is
-    None when the certified pre-pass stood, which is when find_all_clines
-    starts Brent at the time-map root, and says why the direct fine sweep
-    ran otherwise. With the pre-pass, a node neither re-shot nor blown
-    keeps its H / 2 value.
+    None when the certified pre-pass stood, and says why the direct fine
+    sweep ran otherwise; find_all_clines starts Brent at the time-map root
+    when the pre-pass stood at a chosen step. With the pre-pass, a node
+    neither re-shot nor blown keeps its H / 2 value.
     """
 
     nodes: int                          # interior grid nodes
@@ -193,12 +192,6 @@ def _steps(p: Problem, cfg: IntegratorConfig) -> int:
     return n1 + n2
 
 
-def _coarse_steps(p: Problem) -> tuple[float, float]:
-    """The pre-pass steps H = span / (2 MIN_STEPS_PER_SPAN) and H / 2."""
-    h = 0.5 * p.weight.span / MIN_STEPS_PER_SPAN
-    return h, 0.5 * h
-
-
 def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     """The fine step for an error estimate E of v at H / 2, and how it was chosen.
 
@@ -208,12 +201,12 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
     clamped to [DEFAULT_TARGET_STEP, H / 2]: no finer than the library's
     default step and no coarser than the coarse sweep it is estimated
     from; H / 2 wins where it lies below the floor, on a habitat shorter
-    than 400 DEFAULT_TARGET_STEP. A nan E, where no height survived both
+    than 200 DEFAULT_TARGET_STEP. A nan E, where no height survived both
     coarse sweeps, gives DEFAULT_TARGET_STEP, or H / 2 where that is
     smaller. The note names the bound that set the step and completes the
     line `step: <h>`.
     """
-    half = _coarse_steps(p)[1]
+    half = 0.5 * coarsest_step(p)
     if math.isnan(error):
         bound = ("the default" if half >= DEFAULT_TARGET_STEP else
                  f"H/2, below the default {DEFAULT_TARGET_STEP:.3g}")
@@ -255,8 +248,8 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     endpoint was re-shot, and that of the H / 2 sweep where its sign was
     trusted. When the direct sweep runs, they are all the sweep's.
 
-    The interior nodes are swept at H = span / (2 MIN_STEPS_PER_SPAN) and
-    at H / 2. A node that survived both has the step-doubling (Richardson)
+    The interior nodes are swept at H = integrator.coarsest_step and at
+    H / 2. A node that survived both has the step-doubling (Richardson)
     estimate |v_H - v_{H/2}| / 15 of the error of v_{H/2} (Hairer, Norsett
     & Wanner, Solving ODEs I, II.4). E is the largest of them, and nan when
     no node survived both. A node's coarse sign is trusted if it survived
@@ -272,8 +265,7 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
 
     The direct sweep runs instead when cfg is given and the two coarse
     sweeps would take no fewer steps than the fine sweep, checked before
-    they run: then they save nothing, and one time-map root costs more than
-    refining on the short march does. Either way the direct sweep also runs
+    they run: then they save nothing. Either way the direct sweep also runs
     when E is nan, since then no coarse sign is trusted, and when more than
     PREPASS_MAX_RESHOTS nodes need a fine value.
     """
@@ -285,7 +277,7 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
         return find_brackets(build_gamma(p, cfg, resolution)), report
 
     base = cfg or IntegratorConfig()   # the blow-up bound of every sweep
-    coarse = [replace(base, target_step=t) for t in _coarse_steps(p)]
+    coarse = [replace(base, target_step=coarsest_step(p) / k) for k in (1.0, 2.0)]   # H, H / 2
     if cfg is not None:
         coarse_steps = sum(_steps(p, c) for c in coarse)
         fine_steps = _steps(p, cfg)
@@ -456,19 +448,21 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     it. The brackets are those of the gamma sweep at the fine step, found
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
     by that sweep itself otherwise. Every non-exact bracket is refined by
-    `bisect_cline`; when the pre-pass stood (`bracketing.direct_reason` is
-    None), its first point is the root of the time-map
-    (`timemap.find_root`), else the secant point. Validation always runs at
-    the fine step. A bracket lost to a blow-up is kept as its
+    `bisect_cline`. When the pre-pass stood at a chosen step (`direct_reason`
+    None, `step_note` not), its first point is the time-map root
+    (`timemap.find_root`), an exact root of the ODE: it meets tol_v at a step
+    whose RK4 error of v is tol_v / 10, but a caller's step promises no such
+    error. Otherwise it is the secant point. Validation always runs at the
+    fine step. A bracket lost to a blow-up is kept as its
     BracketLostError in `failures` without aborting the other brackets.
     The brackets are disjoint and ascending and each root lies inside its
     own, so the roots come out strictly increasing.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
+    seed = bracketing.direct_reason is None and bracketing.step_note is not None
     if cfg is None:
         cfg = IntegratorConfig(target_step=bracketing.step)
-    seed = bracketing.direct_reason is None
     found: list[Cline] = []
     failures: list[BracketLostError] = []
     for b in brackets:

@@ -18,9 +18,9 @@ nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
 `bracketed_root` solves G = 0 here (`find_root`) and, in
 `shooting.bisect_cline`, the terminal slope of the fine-step Poincare map
-= 0, by Brent's method. When the pre-pass of `shooting.sweep_brackets`
-stood, the root of G is the first point of the second search, so a cline
-is always a root of the RK4 slope and the time-map only saves its maps.
+= 0, by Brent's method. When `shooting.sweep_brackets` chose the step, the
+root of G is the first point of the second search, so a cline is always
+a root of the RK4 slope and the time-map only saves its maps.
 """
 
 from __future__ import annotations

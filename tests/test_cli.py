@@ -9,9 +9,9 @@ import clineshoot.shooting as shooting
 from clineshoot import __version__, timemap
 from clineshoot.cli import main
 from clineshoot.integrator import (
-    MIN_STEPS_PER_SPAN,
     BlowupError,
     IntegratorConfig,
+    coarsest_step,
     step_plan,
     sweep_terminals,
 )
@@ -47,7 +47,7 @@ def data_lines(path):
 def chosen_step(p, resolution):
     """choose_step's (step, note) for E of the two coarse sweeps, tol_v 1e-10."""
     inner = np.linspace(0.0, 1.0, resolution)[1:-1]
-    h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)   # H, half the coarsest step
+    h = coarsest_step(p)   # H
     wide, half = (sweep_terminals(p, IntegratorConfig(target_step=t), inner)
                   for t in (h, 0.5 * h))
     error = float(np.nanmax(np.abs(wide.v_end - half.v_end))) / 15.0
@@ -326,9 +326,9 @@ class TestFind:
     def test_bracketing_line_on_stderr(self, prop1_config, out_dir, capsys):
         assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-4"]) == 0
         err = capsys.readouterr().err
-        assert "bracketing: coarse steps 0.00205 and 0.001025, E = " in err
+        assert "bracketing: coarse steps 0.0041 and 0.00205, E = " in err
         assert "bracketing" not in (out_dir / "clines.json").read_text()
-        assert main(["find", prop1_config, "--resolution", "201", "--step", "1e-3"]) == 0
+        assert main(["find", prop1_config, "--resolution", "201", "--step", "2e-3"]) == 0
         assert "bracketing: direct sweep (coarse sweeps would take" in capsys.readouterr().err
 
     def test_chosen_step_in_manifest(self, prop1_config, prop1, out_dir, capsys):

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clineshoot.integrator import PhasePoint, integrate
+from clineshoot.integrator import IntegratorConfig, PhasePoint, integrate
 from clineshoot.nonlinearity import DegreeOfDominance, HatFamily
 from clineshoot.problem import (
     Problem,
@@ -15,6 +17,10 @@ from clineshoot.problem import (
     problem_from_json,
     validate_conjecture_hypotheses,
 )
+from clineshoot.reproduction import remark_instances
+from clineshoot.shooting import find_all_clines
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestStepWeight:
@@ -182,3 +188,24 @@ class TestNecessaryIntegral:
         expected = p.weight.mean * float(p.f.value(0.5))
         val = neumann_necessary_integral(p, traj)
         assert val == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("step", [None, 1e-4])
+    @pytest.mark.parametrize("name", ["prop1", "prop2", "remark_concave",
+                                      "remark-no-dominance", "remark-full-dominance"])
+    def test_equals_the_terminal_slope_over_lambda(self, name, step, chosen_search):
+        # v' = -lam w f(u) from v = 0 gives v(omega2) = -lam times the
+        # integral; the end-corrected rule and RK4 are both O(h^4), so they
+        # agree to 1e-12 on every root, also at lambda = 5, where the chosen
+        # step is H / 2 = 2.05e-3
+        if name.startswith("remark-"):
+            p = replace({i.name: i.problem for i in remark_instances()}[name], lam=5.0)
+        else:
+            p = problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
+        if step is None:
+            result = chosen_search(p)
+        else:
+            result = find_all_clines(p, IntegratorConfig(target_step=step))
+        found = result.clines + result.rejected
+        assert found
+        for cline in found:
+            assert abs(cline.necessary_integral + cline.terminal_v_residual / p.lam) < 1e-12

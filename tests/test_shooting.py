@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from clineshoot.integrator import (
     BlowupError,
     IntegratorConfig,
     PhasePoint,
+    coarsest_step,
     poincare_map,
     step_plan,
     sweep_terminals,
@@ -431,7 +433,8 @@ def flip_node(k, step):
 
 class TestSweepBrackets:
     # prop-1's coarse steps H and H / 2, and a node far from its brackets
-    H, HALF = shooting._coarse_steps(proposition_1().problem)
+    H = coarsest_step(proposition_1().problem)
+    HALF = 0.5 * H
     K = node_index(0.9)
 
     @pytest.mark.parametrize("name", ["prop1", "prop2"])
@@ -484,12 +487,12 @@ class TestSweepBrackets:
         # the step choose_step gives for E = nan
         p = replace(problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text()),
                     f=CustomPolynomial((5.0, 1.0, -1.0)), lam=400.0)
-        h, half = shooting._coarse_steps(p)
+        h = coarsest_step(p)
         calls, reshot = record_sweeps(monkeypatch)
         brackets, report = sweep_brackets(p, None, resolution=11)
         assert report.direct_reason.endswith("E = nan") and reshot == []
         assert report.step == DEFAULT_TARGET_STEP
-        assert [(s, len(u0)) for s, u0 in calls] == [(h, 9), (half, 9),
+        assert [(s, len(u0)) for s, u0 in calls] == [(h, 9), (0.5 * h, 9),
                                                     (DEFAULT_TARGET_STEP, 11)]
         assert brackets == []
 
@@ -665,37 +668,40 @@ class TestSweepBrackets:
                       for r in (b.r_lo, b.r_hi))
         assert bracket_fields(brackets[:1]) == [(b.r_lo, b.r_hi, v_lo, v_hi)]
 
-    @pytest.mark.parametrize("name, step", [("prop1", 5e-4), ("prop2", 1e-3), ("prop1", 7e-4)])
+    @pytest.mark.parametrize("name, step", [("prop1", 5e-4), ("prop2", 1e-3),
+                                            ("prop1", 1.35e-3), ("prop1", 1.362e-3)])
     def test_gate_at_its_boundary(self, name, step, request, monkeypatch):
         # a caller's step takes the pre-pass exactly when the two coarse
-        # sweeps take fewer steps than the fine sweep: 0.73 and 0.70 of it
-        # here, and 602 against 586 at 7e-4 on prop-1
+        # sweeps take fewer steps than the fine sweep: 302 against 820 and
+        # 855 here, and against 305 at 1.35e-3 on prop-1; at 1.362e-3 the
+        # fine sweep takes 302 steps too, and runs alone
         p = request.getfixturevalue(name).problem
         cfg = IntegratorConfig(target_step=step)
         expected = direct_brackets(p, cfg)
         calls, reshot = record_sweeps(monkeypatch)
         brackets, report = sweep_brackets(p, cfg)
-        if step == 7e-4:
-            assert report.direct_reason == ("coarse sweeps would take 602 steps, "
-                                            "no fewer than the fine sweep's 586")
+        if step == 1.362e-3:
+            assert report.direct_reason == ("coarse sweeps would take 302 steps, "
+                                            "no fewer than the fine sweep's 302")
             assert [s for s, _ in calls] == [step] and reshot == []
             assert bracket_fields(brackets) == bracket_fields(expected)
         else:
-            h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)
+            h = coarsest_step(p)
             assert [s for s, _ in calls] == [h, 0.5 * h]
             assert report.direct_reason is None
             assert reshot == [] and report.reshot == 0
             assert bracket_cells(brackets) == bracket_cells(expected)
 
     def test_cost_gate_runs_the_direct_sweep(self, monkeypatch):
+        # on the remark habitat 2e-3 takes 205 steps, the coarse sweeps 302
         p = remark_instances()[0].problem
-        cfg = IntegratorConfig(target_step=1e-3)
+        cfg = IntegratorConfig(target_step=2e-3)
         calls, reshot = record_sweeps(monkeypatch)
         _, report = sweep_brackets(p, cfg)
         assert report.direct_reason is not None
         assert len(calls) == 1 and reshot == []
         step, u0 = calls[0]
-        assert step == 1e-3 and len(u0) == shooting.DEFAULT_RESOLUTION
+        assert step == 2e-3 and len(u0) == shooting.DEFAULT_RESOLUTION
 
 
 @given(f=st.one_of(st.builds(HatFamily, h=st.floats(0.1, 3.0)),
@@ -732,23 +738,24 @@ def case_problem(name):
        omega2=st.floats(min_value=1e-6, max_value=20.0))
 @settings(max_examples=300, deadline=None)
 def test_step_plan_never_clamps_the_coarse_steps(omega1, omega2):
-    # H is half the coarsest step step_plan allows, so it marches H and H / 2
-    # as given, and the two plans differ: a clamp would put both onto
-    # span / MIN_STEPS_PER_SPAN and leave E = 0
+    # H is step_plan's clamp: any coarser target marches as H does, while
+    # H and H / 2 march as given, and the two plans differ; a clamp of
+    # H / 2 onto H would leave E = 0
     p = Problem(StepWeight(1.0, omega1, omega2), HatFamily(h=3.0), 45.0)
-    coarse = shooting._coarse_steps(p)
-    assert coarse == (p.weight.span / (2 * MIN_STEPS_PER_SPAN),
-                      p.weight.span / (4 * MIN_STEPS_PER_SPAN))
-    plans = [step_plan(p, IntegratorConfig(target_step=h)) for h in coarse]
-    for h, (n1, _, n2, _) in zip(coarse, plans):
-        assert (n1, n2) == (max(1, math.ceil(-omega1 / h)), max(1, math.ceil(omega2 / h)))
+    h = coarsest_step(p)
+    assert h == p.weight.span / MIN_STEPS_PER_SPAN
+    coarse = (h, 0.5 * h)
+    plans = [step_plan(p, IntegratorConfig(target_step=t)) for t in coarse]
+    assert step_plan(p, IntegratorConfig(target_step=sys.float_info.max)) == plans[0]
+    for t, (n1, _, n2, _) in zip(coarse, plans):
+        assert (n1, n2) == (max(1, math.ceil(-omega1 / t)), max(1, math.ceil(omega2 / t)))
     (n1, _, n2, _), (m1, _, m2, _) = plans
-    assert m1 + m2 > n1 + n2 >= 2 * MIN_STEPS_PER_SPAN
+    assert m1 + m2 > n1 + n2 >= MIN_STEPS_PER_SPAN
 
 
 class TestChooseStep:
     P = remark_instances()[0].problem
-    HALF = 0.5 * P.weight.span / (2 * MIN_STEPS_PER_SPAN)   # H / 2
+    HALF = 0.5 * coarsest_step(P)   # H / 2
 
     def test_rule_between_the_clamps(self):
         # E 16 times tol_v / 10 gives half of H / 2
@@ -769,10 +776,10 @@ class TestChooseStep:
         assert f"above H/2 = {self.HALF:.3g}" in note
 
     def test_short_habitat_takes_h_over_2_below_the_floor(self):
-        # span 0.03 < 400 * 1e-4, so H / 2 = 7.5e-05 lies below the floor
+        # span 0.015 < 200 * 1e-4, so H / 2 = 7.5e-05 lies below the floor
         # 1e-4 and caps the step; the note names H / 2, not the floor
-        p = replace(self.P, weight=StepWeight(1.0, -0.01, 0.02))
-        half = 0.5 * p.weight.span / (2 * MIN_STEPS_PER_SPAN)
+        p = replace(self.P, weight=StepWeight(1.0, -0.005, 0.01))
+        half = 0.5 * coarsest_step(p)
         assert half < DEFAULT_TARGET_STEP
         step, note = choose_step(p, 1e-6, 1e-10)
         assert step == half
@@ -788,9 +795,9 @@ class TestChooseStep:
         # H / 2 = 7.5e-05 lies below the default step, and no fine step is
         # coarser than the coarse sweep; choose_step runs no sweep
         monkeypatch.setattr(shooting, "sweep_terminals", None)
-        p = replace(self.P, weight=StepWeight(1.0, -0.01, 0.02))
+        p = replace(self.P, weight=StepWeight(1.0, -0.005, 0.01))
         step, note = choose_step(p, math.nan, 1e-10)
-        assert step == 0.5 * p.weight.span / (2 * MIN_STEPS_PER_SPAN) < DEFAULT_TARGET_STEP
+        assert step == 0.5 * coarsest_step(p) < DEFAULT_TARGET_STEP
         assert note == (", H/2, below the default 0.0001: no height survived both "
                         "coarse sweeps (E = nan)")
 
@@ -812,7 +819,7 @@ class TestChooseStep:
         p = case_problem(name)
         calls, reshot = record_sweeps(monkeypatch)
         brackets, report = sweep_brackets(p, None)
-        h = p.weight.span / (2 * MIN_STEPS_PER_SPAN)
+        h = coarsest_step(p)
         assert [step for step, _ in calls] == [h, 0.5 * h]
         assert report.step_note is not None and report.direct_reason is None
         assert report.step == choose_step(p, report.error_estimate, shooting.DEFAULT_TOL_V)[0]

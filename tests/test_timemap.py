@@ -145,15 +145,17 @@ def trace_refinement(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["prop1", "prop2"])
-def test_no_timemap_root_starts_brent_at_the_secant_point(name, request, default_cfg,
+def test_no_timemap_root_starts_brent_at_the_secant_point(name, request, chosen_search,
                                                           monkeypatch):
-    # with no time-map root every bracket is refined from its secant point,
-    # as bisect_cline alone refines it, and each root is integrated once
-    inst = request.getfixturevalue(name)
-    seeded, _ = request.getfixturevalue(f"{name}_search")
+    # at the chosen step, with no time-map root every bracket is refined
+    # from its secant point, as bisect_cline alone refines it, and each
+    # root is integrated once
+    p = request.getfixturevalue(name).problem
+    seeded = chosen_search(p)
+    cfg = IntegratorConfig(target_step=seeded.bracketing.step)
     attempts = no_timemap(monkeypatch)
     calls, _ = trace_refinement(monkeypatch)
-    unseeded = find_all_clines(inst.problem, default_cfg)
+    unseeded = find_all_clines(p)
     assert len(attempts) == len([b for b in seeded.brackets if not b.is_exact])
     assert unseeded.brackets == seeded.brackets
     assert all(first is None for _, first, _ in calls)
@@ -161,20 +163,21 @@ def test_no_timemap_root_starts_brent_at_the_secant_point(name, request, default
     for cline, (_, _, marches) in zip(found, calls):
         assert [m for m in marches if m[0] == "integrate"] == [("integrate", cline.c)]
     monkeypatch.undo()
-    alone = [bisect_cline(inst.problem, default_cfg, c.bracket) for c in found]
+    alone = [bisect_cline(p, cfg, c.bracket) for c in found]
     assert [c.c for c in found] == [c.c for c in alone]
     assert [c.to_dict() for c in unseeded.rejected] == [c.to_dict() for c in seeded.rejected]
     for a, b in zip(unseeded.clines, seeded.clines):
         assert abs(a.c - b.c) < 1e-9
 
 
-def test_failed_seed_is_brents_first_iterate(prop1, default_cfg, prop1_search, monkeypatch):
-    # a seed that misses tol_v by far is integrated once, then Brent goes on
-    # from it with maps, and the root it reaches is integrated once more
-    result, _ = prop1_search
+def test_failed_seed_is_brents_first_iterate(prop1, chosen_search, monkeypatch):
+    # at the chosen step, a seed that misses tol_v by far is integrated
+    # once, then Brent goes on from it with maps, and the root it reaches is
+    # integrated once more
+    result = chosen_search(prop1.problem)
     monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: lo + 0.25 * (hi - lo))
     calls, _ = trace_refinement(monkeypatch)
-    again = find_all_clines(prop1.problem, default_cfg)
+    again = find_all_clines(prop1.problem)
     assert len(calls) == len(again.clines) == len(result.clines) == 3
     for (b, first, marches), a, c in zip(calls, again.clines, result.clines):
         assert first == b.r_lo + 0.25 * (b.r_hi - b.r_lo)
@@ -212,34 +215,69 @@ def test_seed_near_a_trivial_level_is_rejected_at_the_seed(prop2, default_cfg, p
     assert again.to_dict() == reject.to_dict()
 
 
-def test_failed_seed_spends_no_integrate_in_vain_on_prop2_at_1e_3(prop2, monkeypatch):
-    # the seed near 0.018 misses tol_v at this step and is Brent's first
-    # iterate; the other two seeds hold, and the rejected root near 0.0022
-    # has no time-map root, so Brent refines it from its secant point
+def test_prop2_seeds_hold_at_its_chosen_step_and_are_skipped_at_1e_3(prop2, monkeypatch):
+    # at the chosen step each cline's seed meets tol_v with one integrate
+    # and no map; the rejected root near 0.0022 has no time-map root, so
+    # Brent refines it from its secant point. At the caller's step 1e-3 the
+    # pre-pass stands too, but no bracket is seeded
+    calls, outside = trace_refinement(monkeypatch)
+    result = find_all_clines(prop2.problem)
+    assert result.bracketing.direct_reason is None and outside == []
+    (reject,) = result.rejected
+    for b, first, marches in calls:
+        assert first == timemap.find_root(prop2.problem, b.r_lo, b.r_hi, DEFAULT_TOL_R)
+        if b is reject.bracket:
+            assert first is None and len(marches) == 6
+        else:
+            assert marches == [("integrate", first)]
+    assert [c.c for c in result.clines] == [first for b, first, _ in calls[1:]]
+
+    monkeypatch.undo()
+    attempts = no_timemap(monkeypatch)
     calls, outside = trace_refinement(monkeypatch)
     result = find_all_clines(prop2.problem, IntegratorConfig(target_step=1e-3))
-    assert result.bracketing.direct_reason is None
+    assert result.bracketing.direct_reason is None and attempts == []
+    assert all(first is None for _, first, _ in calls)
     marches = outside + [m for _, _, ms in calls for m in ms]
-    assert sum(kind == "map" for kind, _ in marches) == 6
-    assert sum(kind == "integrate" for kind, _ in marches) == 5
-    (b, first, near), = [c for c in calls if c[0].r_lo < 0.01815 < c[0].r_hi]
-    assert first == timemap.find_root(prop2.problem, b.r_lo, b.r_hi, DEFAULT_TOL_R)
-    assert near[0] == ("integrate", first)
+    assert sum(kind == "map" for kind, _ in marches) == 13
+    assert sum(kind == "integrate" for kind, _ in marches) == 4
     assert len(result.clines) == 3
     assert abs(result.clines[0].c - 0.018151466775613443) < 1e-12
     (reject,) = result.rejected
-    assert reject.c == 0.0021618826217297805
+    assert reject.c == 0.002161882621729806
     assert reject.rejection_reason == "trajectory touches u=0 (min u = -3.125e-02)"
 
 
-def test_direct_path_never_calls_the_timemap(monkeypatch):
-    # the lambda-scan setting: step 1e-3 at 501 heights
-    calls = no_timemap(monkeypatch)
+@pytest.mark.parametrize("name", ["prop1", "prop2"])
+def test_caller_step_never_calls_the_timemap(name, request, monkeypatch):
+    # the library default step is a caller's step: the pre-pass stands
+    # and gives the brackets of the session search, none of them seeded
+    p = request.getfixturevalue(name).problem
+    seeded, _ = request.getfixturevalue(f"{name}_search")
+    attempts = no_timemap(monkeypatch)
+    result = find_all_clines(p, IntegratorConfig())
+    assert result.bracketing.direct_reason is None and attempts == []
+    assert result.brackets == seeded.brackets
+
+
+def test_lambda_scan_setting_takes_the_prepass_without_the_timemap(monkeypatch):
+    # sweep_cline_counts' setting, step 1e-3 at 501 heights, over its
+    # geometric grid of 16 lambda from 5 to 300: the coarse sweeps take
+    # 302 steps against 410, the pre-pass stands and finds the direct
+    # sweep's cells, and no time-map runs at the caller's step
+    attempts = no_timemap(monkeypatch)
     cfg = IntegratorConfig(target_step=1e-3)
     for inst in remark_instances():
-        result = find_all_clines(replace(inst.problem, lam=45.0), cfg, resolution=501)
-        assert result.clines
-    assert calls == []
+        for k in range(16):
+            p = replace(inst.problem, lam=5.0 * 60.0 ** (k / 15))
+            result = find_all_clines(p, cfg, resolution=501)
+            assert result.bracketing.direct_reason is None
+            direct = shooting.find_brackets(shooting.build_gamma(p, cfg, 501))
+            assert [(b.r_lo, b.r_hi, np.sign(b.v_lo), np.sign(b.v_hi))
+                    for b in result.brackets] == [
+                (b.r_lo, b.r_hi, np.sign(b.v_lo), np.sign(b.v_hi)) for b in direct]
+            assert result.clines
+    assert attempts == []
 
 
 def test_reshot_cap_never_calls_the_timemap(monkeypatch):
