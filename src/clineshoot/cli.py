@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .integrator import (
-    DEFAULT_BLOWUP_BOUND,
+    BLOWUP_BOUND,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -38,6 +38,8 @@ from .shooting import (
     DEFAULT_RESOLUTION,
     DEFAULT_TOL_R,
     DEFAULT_TOL_V,
+    _check_tolerances,
+    _grid,
     build_gamma,
     find_all_clines,
 )
@@ -78,9 +80,14 @@ def _load_problem(path: str) -> tuple[Problem, str]:
 
 
 def _out_dir() -> Path:
+    """The output directory, made if missing; called after the input checks, before any work."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     d = Path(override) if override else Path.cwd()
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{OUTPUT_DIR_ENV}={override} is no usable output directory: "
+                          f"{exc}") from exc
     return d
 
 
@@ -88,7 +95,7 @@ def _manifest(digest: str, step: Optional[float], resolution: Optional[int] = No
               tol_r: Optional[float] = None, tol_v: Optional[float] = None) -> dict:
     """Provenance block embedded in every output file; unset fields are left out."""
     manifest = {"config_digest": digest, "target_step": step,
-                "blowup_bound": DEFAULT_BLOWUP_BOUND, "version": __version__,
+                "blowup_bound": BLOWUP_BOUND, "version": __version__,
                 "resolution": resolution, "tol_r": tol_r, "tol_v": tol_v}
     return {k: v for k, v in manifest.items() if v is not None}
 
@@ -118,15 +125,16 @@ def cmd_check_f(args) -> int:
 
 def cmd_shoot(args) -> int:
     problem, digest = _load_problem(args.config)
+    z0 = PhasePoint(args.r, 0.0)
+    out = _out_dir() / f"shoot_r{args.r:g}.csv"
     cfg = IntegratorConfig()
     manifest = _manifest(digest, cfg.target_step)
     try:
-        traj = integrate(problem, cfg, PhasePoint(args.r, 0.0))
+        traj = integrate(problem, cfg, z0)
     except BlowupError as exc:
         print(f"blow-up at x = {exc.x:.17g} (u = {exc.u:.17g}, v = {exc.v:.17g})",
               file=sys.stderr)
         return EXIT_BLOWUP
-    out = _out_dir() / f"shoot_r{args.r:g}.csv"
     with out.open("w") as fh:
         traj.write_csv(fh, header_lines=_comment_lines(manifest) + (f"r: {args.r:.17g}",))
     z = traj.terminal
@@ -137,12 +145,13 @@ def cmd_shoot(args) -> int:
 
 def cmd_gamma(args) -> int:
     problem, digest = _load_problem(args.config)
+    _grid(args.resolution)   # rejects a resolution below MIN_RESOLUTION
+    out = _out_dir() / "gamma.csv"
     cfg = IntegratorConfig()
     manifest = _manifest(digest, cfg.target_step, resolution=args.resolution)
     t0 = time.perf_counter()
     gamma = build_gamma(problem, cfg, resolution=args.resolution)
     elapsed = time.perf_counter() - t0
-    out = _out_dir() / "gamma.csv"
     with out.open("w") as fh:
         gamma.write_csv(fh, header_lines=_comment_lines(manifest))
     blowups = int((~gamma.ok).sum())
@@ -163,6 +172,9 @@ def cmd_find(args) -> int:
                   file=sys.stderr)
             return EXIT_BLOWUP
     cfg = None if args.step is None else IntegratorConfig(target_step=args.step)
+    _check_tolerances(args.tol_r, args.tol_v)
+    _grid(args.resolution)   # rejects a resolution below MIN_RESOLUTION
+    out_dir = _out_dir()
     t0 = time.perf_counter()
     result = find_all_clines(problem, cfg, resolution=args.resolution,
                              tol_r=args.tol_r, tol_v=args.tol_v)
@@ -173,7 +185,6 @@ def cmd_find(args) -> int:
     print(bracketing.summary(), file=sys.stderr)
     manifest = _manifest(digest, bracketing.step, resolution=args.resolution,
                          tol_r=args.tol_r, tol_v=args.tol_v)
-    out_dir = _out_dir()
 
     payload = result.to_dict()
     payload["manifest"] = manifest
@@ -217,6 +228,8 @@ def cmd_find(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg = None if args.step is None else IntegratorConfig(target_step=args.step)
+    _grid(args.resolution)   # rejects a resolution below MIN_RESOLUTION
+    out = _out_dir() / "reproduce.json"
     instances = [proposition_1(), proposition_2()]
     digest = "sha256:" + hashlib.sha256(
         "\n".join(i.to_json() for i in instances).encode()).hexdigest()
@@ -239,7 +252,6 @@ def cmd_reproduce(args) -> int:
         all_pass = all_pass and report.passed
     elapsed = time.perf_counter() - t0
     payload = {"manifest": manifest, "reports": reports}
-    out = _out_dir() / "reproduce.json"
     with out.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,7 +21,7 @@ import numpy as np
 from .problem import Problem
 
 DEFAULT_TARGET_STEP = 1e-4
-DEFAULT_BLOWUP_BOUND = 1e3
+BLOWUP_BOUND = 1e3   # a march stops as a blow-up once |u| or |v| exceeds it
 
 # Effective step is clamped so each instance gets at least this many steps
 # across the habitat, whatever the requested target.
@@ -57,13 +57,10 @@ class PhasePoint:
 @dataclass(frozen=True)
 class IntegratorConfig:
     target_step: float = DEFAULT_TARGET_STEP
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND
 
     def __post_init__(self):
         if not 0.0 < self.target_step < math.inf:
             raise ValueError(f"target_step must be finite and > 0, got {self.target_step}")
-        if not 0.0 < self.blowup_bound < math.inf:
-            raise ValueError(f"blowup_bound must be finite and > 0, got {self.blowup_bound}")
 
 
 @dataclass(eq=False)
@@ -108,14 +105,14 @@ def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float
     return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2
 
 
-def _rk4_side(feval, c, h: float, n: int, u, v, bound: float, x0: float, leave, record=None):
+def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, leave, record=None):
     """March n RK4 steps of u' = v, v' = c f(u) from x0; returns final (u, v).
 
     The state is a float or an array of columns, and `feval` picks its
     arithmetic by type. After each step `ok` says whether the state lies in
-    [-bound, bound]^2; unless it is the bool True, `leave(x, u, v, ok)` gets
-    the state and returns the one to go on from. `record(u, v)` is called
-    after every step when given.
+    [-BLOWUP_BOUND, BLOWUP_BOUND]^2; unless it is the bool True,
+    `leave(x, u, v, ok)` gets the state and returns the one to go on from.
+    `record(u, v)` is called after every step when given.
 
     Each step computes the classic RK4 expressions with the same operands
     in the same order, but with augmented assignments on fresh temporaries:
@@ -163,7 +160,7 @@ def _rk4_side(feval, c, h: float, n: int, u, v, bound: float, x0: float, leave, 
         k2v *= h6
         k2v += v
         u, v = v2, k2v
-        ok = (abs(u) <= bound) & (abs(v) <= bound)
+        ok = (abs(u) <= BLOWUP_BOUND) & (abs(v) <= BLOWUP_BOUND)
         if ok is not True:
             u, v = leave(x0 + (i + 1) * h, u, v, ok)
         if record is not None:
@@ -184,9 +181,8 @@ def _march(p: Problem, cfg: IntegratorConfig, u, v, leave=_raise_blowup, record=
     """
     w = p.weight
     n1, h1, n2, h2 = step_plan(p, cfg)
-    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, cfg.blowup_bound, w.omega1,
-                     leave, record)
-    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, cfg.blowup_bound, 0.0, leave, record)
+    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, w.omega1, leave, record)
+    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, 0.0, leave, record)
 
 
 def sample_grid(p: Problem, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:

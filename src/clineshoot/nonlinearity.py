@@ -365,6 +365,16 @@ def _config_number(value, key: str) -> float:
     return number
 
 
+def _check_keys(d: dict, keys: tuple[str, ...], prefix: str = "") -> None:
+    """ValueError naming a key of keys missing from d, or else a key of d not in keys."""
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"missing required key '{prefix}{key}'")
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"unknown key '{prefix}{key}'; expected only {', '.join(keys)}")
+
+
 def _coefficients(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ValueError(f"'f.coeffs' must be a list of numbers, got {value!r}")
@@ -372,10 +382,10 @@ def _coefficients(value) -> tuple[float, ...]:
 
 
 _KINDS = {
-    DegreeOfDominance.KIND: lambda d: DegreeOfDominance(k=_config_number(d["k"], "f.k")),
-    HatFamily.KIND: lambda d: HatFamily(h=_config_number(d["h"], "f.h")),
-    ArctanDamped.KIND: lambda d: ArctanDamped(m=_config_number(d["m"], "f.m")),
-    CustomPolynomial.KIND: lambda d: CustomPolynomial(coefficients=_coefficients(d["coeffs"])),
+    DegreeOfDominance.KIND: ("k", lambda x: DegreeOfDominance(k=_config_number(x, "f.k"))),
+    HatFamily.KIND: ("h", lambda x: HatFamily(h=_config_number(x, "f.h"))),
+    ArctanDamped.KIND: ("m", lambda x: ArctanDamped(m=_config_number(x, "f.m"))),
+    CustomPolynomial.KIND: ("coeffs", lambda x: CustomPolynomial(coefficients=_coefficients(x))),
 }
 
 
@@ -386,7 +396,6 @@ def nonlinearity_from_dict(d: dict) -> Nonlinearity:
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown nonlinearity kind {kind!r}; expected one of {sorted(_KINDS)}")
-    try:
-        return _KINDS[kind](d)
-    except KeyError as exc:
-        raise ValueError(f"nonlinearity kind {kind!r} is missing parameter {exc}") from None
+    param, build = _KINDS[kind]
+    _check_keys(d, ("kind", param), "f.")
+    return build(d[param])

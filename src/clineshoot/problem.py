@@ -13,6 +13,7 @@ from .nonlinearity import (
     DEFAULT_GRID_SIZE,
     FStarReport,
     Nonlinearity,
+    _check_keys,
     _config_number,
     check_f_star,
     nonlinearity_from_dict,
@@ -151,17 +152,12 @@ def problem_from_dict(d: dict) -> Problem:
     """Build a Problem from its JSON object form; ValueError carries the bad key."""
     if not isinstance(d, dict):
         raise ValueError("problem config must be a JSON object")
-    for key in ("weight", "f", "lambda"):
-        if key not in d:
-            raise ValueError(f"problem config is missing required key {key!r}")
+    _check_keys(d, ("weight", "f", "lambda"))
     wd = d["weight"]
     if not isinstance(wd, dict):
         raise ValueError("'weight' must be an object with alpha/omega1/omega2")
-    sides = {}
-    for key in ("alpha", "omega1", "omega2"):
-        if key not in wd:
-            raise ValueError(f"'weight' is missing required key {key!r}")
-        sides[key] = _config_number(wd[key], f"weight.{key}")
+    _check_keys(wd, ("alpha", "omega1", "omega2"), "weight.")
+    sides = {key: _config_number(value, f"weight.{key}") for key, value in wd.items()}
     lam = _config_number(d["lambda"], "lambda")
     return Problem(weight=StepWeight(**sides), f=nonlinearity_from_dict(d["f"]), lam=lam)
 

@@ -22,45 +22,29 @@ DEFAULT_TOLERANCE = 0.005
 
 @dataclass(frozen=True)
 class NamedInstance:
-    """A benchmark problem with its reference values.
+    """A benchmark problem with its reference values, if it has any.
 
-    count_mode states how expected_cline_count is meant: "exact" for the
-    quantitative instances, "at_most" for the uniqueness scenario, "sweep"
-    when the count is only reported as a function of the intensity.
+    expected_c lists the reference initial heights, and expected_terminal_u,
+    when given, the terminal abscissa of each.
     """
 
     name: str
     problem: Problem
-    expected_cline_count: Optional[int]
-    expected_c: Optional[tuple[float, ...]]
-    expected_terminal_u: Optional[tuple[float, ...]]
-    tolerance: float
-    count_mode: str = "exact"
-    notes: str = ""
+    expected_c: Optional[tuple[float, ...]] = None
+    expected_terminal_u: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.count_mode not in ("exact", "at_most", "sweep"):
-            raise ValueError(f"unknown count_mode {self.count_mode!r}")
-        if self.expected_cline_count is not None:
-            for label, seq in (("expected_c", self.expected_c),
-                               ("expected_terminal_u", self.expected_terminal_u)):
-                if seq is not None and len(seq) != self.expected_cline_count:
-                    raise ValueError(f"{label} must list {self.expected_cline_count} "
-                                     f"values, got {len(seq)}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        u = self.expected_terminal_u
+        if u is not None and len(u) != len(self.expected_c or ()):
+            raise ValueError("expected_terminal_u must list one value per expected_c")
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "problem": self.problem.to_dict(),
-            "expected_cline_count": self.expected_cline_count,
             "expected_c": None if self.expected_c is None else list(self.expected_c),
             "expected_terminal_u": (None if self.expected_terminal_u is None
                                     else list(self.expected_terminal_u)),
-            "tolerance": self.tolerance,
-            "count_mode": self.count_mode,
-            "notes": self.notes,
         }
 
     def to_json(self) -> str:
@@ -77,10 +61,8 @@ def proposition_1() -> NamedInstance:
     return NamedInstance(
         name="proposition-1",
         problem=problem,
-        expected_cline_count=3,
         expected_c=(0.125, 0.479, 0.683),
         expected_terminal_u=(0.273, 0.601, 0.833),
-        tolerance=DEFAULT_TOLERANCE,
     )
 
 
@@ -97,17 +79,7 @@ def proposition_2() -> NamedInstance:
         f=ArctanDamped(m=10.0),
         lam=3.0,
     )
-    return NamedInstance(
-        name="proposition-2",
-        problem=problem,
-        expected_cline_count=3,
-        expected_c=(0.436, 0.776, 0.854),
-        expected_terminal_u=None,
-        tolerance=DEFAULT_TOLERANCE,
-        notes=("reference values match the terminal abscissae of the computed "
-               "steady states, not their initial heights (computed initial "
-               "heights: about 0.018, 0.383, 0.488)"),
-    )
+    return NamedInstance(name="proposition-2", problem=problem, expected_c=(0.436, 0.776, 0.854))
 
 
 def remark_instances() -> list[NamedInstance]:
@@ -116,22 +88,10 @@ def remark_instances() -> list[NamedInstance]:
     geometry = StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2)
     concave = NamedInstance(
         name="remark-no-dominance",
-        problem=Problem(weight=geometry, f=DegreeOfDominance(k=0.0), lam=45.0),
-        expected_cline_count=1,
-        expected_c=None,
-        expected_terminal_u=None,
-        tolerance=DEFAULT_TOLERANCE,
-        count_mode="at_most",
-    )
+        problem=Problem(weight=geometry, f=DegreeOfDominance(k=0.0), lam=45.0))
     skewed = NamedInstance(
         name="remark-full-dominance",
-        problem=Problem(weight=geometry, f=DegreeOfDominance(k=-1.0), lam=45.0),
-        expected_cline_count=None,
-        expected_c=None,
-        expected_terminal_u=None,
-        tolerance=DEFAULT_TOLERANCE,
-        count_mode="sweep",
-    )
+        problem=Problem(weight=geometry, f=DegreeOfDominance(k=-1.0), lam=45.0))
     return [concave, skewed]
 
 
@@ -208,45 +168,39 @@ def _greedy_match(expected: Sequence[float], found: Sequence[float]) -> list[tup
 def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
     """Match found clines against the instance's reference values.
 
-    Only meaningful for count_mode "exact": every expectation must be met
-    within tolerance, with no extra roots, for the report to pass.
+    Every expectation must be met within DEFAULT_TOLERANCE, with no extra
+    roots, for the report to pass. An instance without expected_c has
+    nothing to compare against and raises ValueError.
     """
-    if instance.count_mode != "exact":
-        raise ValueError(f"compare needs an exact-count instance, "
-                         f"got count_mode={instance.count_mode!r}")
-    expected = list(instance.expected_c or ())
+    if instance.expected_c is None:
+        raise ValueError(f"instance {instance.name!r} has no reference values to compare")
+    expected = list(instance.expected_c)
     found_c = [c.c for c in found]
     pairing = _greedy_match(expected, found_c)
     matches: list[MatchRecord] = []
-    ok = True
     for i, j in pairing:
         eu = fu = dev_u = None
         if instance.expected_terminal_u is not None:
             eu, fu = instance.expected_terminal_u[i], found[j].terminal_u
             dev_u = abs(eu - fu)
-            if dev_u > instance.tolerance:
-                ok = False
-        rec = MatchRecord(expected_c=expected[i], found_c=found_c[j],
-                          deviation_c=abs(expected[i] - found_c[j]),
-                          expected_u=eu, found_u=fu, deviation_u=dev_u)
-        if rec.deviation_c > instance.tolerance:
-            ok = False
-        matches.append(rec)
+        matches.append(MatchRecord(expected_c=expected[i], found_c=found_c[j],
+                                   deviation_c=abs(expected[i] - found_c[j]),
+                                   expected_u=eu, found_u=fu, deviation_u=dev_u))
     matched_e = {i for i, _ in pairing}
     matched_f = {j for _, j in pairing}
     misses = [e for i, e in enumerate(expected) if i not in matched_e]
     extras = [f for j, f in enumerate(found_c) if j not in matched_f]
-    if misses or extras:
-        ok = False
+    too_far = any(dev is not None and dev > DEFAULT_TOLERANCE
+                  for m in matches for dev in (m.deviation_c, m.deviation_u))
     return ComparisonReport(
         instance_name=instance.name,
-        tolerance=instance.tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         matches=matches,
         misses=misses,
         extras=extras,
         count_expected=len(expected),
         count_found=len(found_c),
-        passed=ok,
+        passed=not (misses or extras or too_far),
     )
 
 

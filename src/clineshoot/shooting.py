@@ -69,8 +69,9 @@ TRIVIAL_MARGIN = 1e-9
 # EXACT_ROOT_TOL, and stands only when at most PREPASS_MAX_RESHOTS nodes
 # need a scalar map at the fine step. With a caller's step it runs only when
 # its two sweeps take fewer steps than the fine sweep.
-# One scalar map costs about 1/70 of the 2001-node fine sweep on prop-2
-# and about 1/90 on prop-1; 32 leaves a margin below that break-even.
+# At the chosen step one scalar map costs 1/38 to 1/75 of the 1999-node sweep
+# on prop-2 and prop-1, and at step 1e-3 at most 1/35 of lambda-scan's
+# 499-node sweep (one core, medians); 32 stays below each break-even.
 PREPASS_SAFETY = 100.0
 PREPASS_MAX_RESHOTS = 32
 
@@ -276,8 +277,7 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
         # cfg is the fine config by the time this runs
         return find_brackets(build_gamma(p, cfg, resolution)), report
 
-    base = cfg or IntegratorConfig()   # the blow-up bound of every sweep
-    coarse = [replace(base, target_step=coarsest_step(p) / k) for k in (1.0, 2.0)]   # H, H / 2
+    coarse = [IntegratorConfig(coarsest_step(p) / k) for k in (1.0, 2.0)]   # H, H / 2
     if cfg is not None:
         coarse_steps = sum(_steps(p, c) for c in coarse)
         fine_steps = _steps(p, cfg)
@@ -293,7 +293,7 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     note = None
     if cfg is None:
         step, note = choose_step(p, error, tol_v)
-        cfg = replace(base, target_step=step)
+        cfg = IntegratorConfig(step)
     report = BracketingReport(nodes, cfg.target_step, tuple(c.target_step for c in coarse),
                               error, step_note=note)
     if math.isnan(error):

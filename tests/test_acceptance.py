@@ -196,8 +196,7 @@ def test_criterion_6_solution_certificates(prop1_search, prop2_search):
 def test_criterion_7_stability_of_conclusions(prop1, prop2, default_cfg,
                                               prop1_search, prop2_search):
     failures = []
-    fine_cfg = IntegratorConfig(target_step=default_cfg.target_step / 2,
-                                blowup_bound=default_cfg.blowup_bound)
+    fine_cfg = IntegratorConfig(target_step=default_cfg.target_step / 2)
     worst = 0.0
     for inst, (base, _) in ((prop1, prop1_search), (prop2, prop2_search)):
         fine = find_all_clines(inst.problem, fine_cfg, resolution=4001)

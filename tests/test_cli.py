@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clineshoot.integrator as integrator
 import clineshoot.shooting as shooting
 from clineshoot import __version__, timemap
 from clineshoot.cli import main
 from clineshoot.integrator import (
+    BLOWUP_BOUND,
     BlowupError,
     IntegratorConfig,
     coarsest_step,
@@ -136,6 +138,25 @@ class TestCheckF:
         assert main(["check-f", str(cfg)]) == 2
         assert f"'{key}' must " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"step": 0.01}, "step"),
+        ({"weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2, "alpha2": 3.0}},
+         "weight.alpha2"),
+        ({"f": {"kind": "hat", "h": 3.0, "k": 1.0}}, "f.k"),
+        ({"f": {"kind": "degree_of_dominance", "k": 0.0, "h": 3.0}}, "f.h"),
+        ({"f": {"kind": "arctan_damped", "m": 10.0, "M": 10.0}}, "f.M"),
+        ({"f": {"kind": "poly", "coeffs": [0, 1, -1], "coefs": [0, 1]}}, "f.coefs"),
+    ], ids=["top-level", "weight", "hat", "degree_of_dominance", "arctan_damped", "poly"])
+    def test_unknown_key_names_it(self, tmp_path, capsys, change, key):
+        # a misspelt or misplaced key would otherwise be ignored in silence
+        cfg = tmp_path / "stray.json"
+        cfg.write_text(json.dumps({
+            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+            "f": {"kind": "hat", "h": 3.0}, "lambda": 45.0, **change,
+        }))
+        assert main(["check-f", str(cfg)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [["check-f"], ["shoot", "--r", "0.5"], ["gamma"],
                                      ["find"]], ids=lambda c: c[0])
@@ -149,6 +170,41 @@ def test_habitat_with_overflowing_span_and_mean(tmp_path, out_dir, capsys, comma
     assert main([command[0], str(cfg)] + command[1:]) == 2
     assert "'weight' must have a finite span and mean, got span inf and mean -inf" in (
         capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", [["shoot", "--r", "0.5"], ["gamma"], ["find"],
+                                     ["reproduce"]], ids=lambda c: c[0])
+def test_unusable_output_dir_exits_2_before_any_march(tmp_path, monkeypatch, capsys,
+                                                       prop1_config, command, below):
+    # CLINE_SEED_DIR names a regular file, or a path below one: no directory
+    # can be made there, which must be said before a single RK4 step runs
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    target = blocker / "out" if below else blocker
+    monkeypatch.setenv("CLINE_SEED_DIR", str(target))
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("a march ran before the output directory was checked")
+
+    monkeypatch.setattr(integrator, "_march", no_march)
+    argv = command[:1] + ([] if command[0] == "reproduce" else [prop1_config]) + command[1:]
+    assert main(argv) == 2
+    assert f"CLINE_SEED_DIR={target} is no usable output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    (["shoot", "--r", "nan"], "phase point must be finite"),
+    (["gamma", "--resolution", "5"], "resolution must be >= 11"),
+    (["find", "--resolution", "5"], "resolution must be >= 11"),
+    (["reproduce", "--resolution", "5"], "resolution must be >= 11"),
+], ids=["shoot", "gamma", "find", "reproduce"])
+def test_bad_input_makes_no_output_dir(out_dir, capsys, prop1_config, command, message):
+    argv = command[:1] + ([] if command[0] == "reproduce" else [prop1_config]) + command[1:]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -281,7 +337,7 @@ class TestFind:
         def blow_up_inside(p, cfg, z0):
             if 0.1 < z0.u < 0.4 and z0.u not in nodes:
                 lost.append(z0.u)
-                raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+                raise BlowupError(0.05, 2.0 * BLOWUP_BOUND, 0.0)
             return real_map(p, cfg, z0)
 
         monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: None)

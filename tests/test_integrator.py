@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clineshoot.integrator import (
+    BLOWUP_BOUND,
     CSV_CHUNK_ROWS,
     BlowupError,
     IntegratorConfig,
@@ -26,17 +27,12 @@ class TestConfigAndPoints:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(target_step=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(blowup_bound=-1.0)
         with pytest.raises(ValueError, match="target_step must be finite"):
             IntegratorConfig(target_step=math.inf)
-        with pytest.raises(ValueError, match="blowup_bound must be finite"):
-            IntegratorConfig(blowup_bound=math.inf)
 
     def test_defaults(self):
         cfg = IntegratorConfig()
         assert cfg.target_step == 1e-4
-        assert cfg.blowup_bound == 1e3
 
     def test_phase_point_finite(self):
         with pytest.raises(ValueError):
@@ -120,7 +116,7 @@ class TestBlowup:
             integrate(p, default_cfg, PhasePoint(5.0, 0.0))
         err = exc_info.value
         assert p.weight.omega1 < err.x <= p.weight.omega2
-        assert max(abs(err.u), abs(err.v)) > default_cfg.blowup_bound
+        assert max(abs(err.u), abs(err.v)) > BLOWUP_BOUND
 
     @pytest.mark.parametrize("r", [5.0, -0.5, 2.0])
     def test_batch_matches_scalar(self, prop1, default_cfg, r):

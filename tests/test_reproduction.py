@@ -27,10 +27,8 @@ class TestNamedInstances:
         assert (p.weight.alpha, p.weight.omega1, p.weight.omega2) == (1.0, -0.21, 0.2)
         assert p.f.to_dict() == {"kind": "hat", "h": 3.0}
         assert p.lam == 45.0
-        assert prop1.expected_cline_count == 3
         assert prop1.expected_c == (0.125, 0.479, 0.683)
         assert prop1.expected_terminal_u == (0.273, 0.601, 0.833)
-        assert prop1.tolerance == 0.005
 
     def test_second_instance_parameters(self, prop2):
         p = prop2.problem
@@ -52,23 +50,10 @@ class TestNamedInstances:
             assert problem_from_dict(d["problem"]) == inst.problem
 
     def test_list_length_validated(self, prop1):
-        with pytest.raises(ValueError):
-            NamedInstance(name="bad", problem=prop1.problem,
-                          expected_cline_count=2, expected_c=(0.1, 0.2, 0.3),
-                          expected_terminal_u=None, tolerance=0.005)
-
-    def test_count_mode_validated(self, prop1):
-        with pytest.raises(ValueError):
-            NamedInstance(name="bad", problem=prop1.problem,
-                          expected_cline_count=None, expected_c=None,
-                          expected_terminal_u=None, tolerance=0.005,
-                          count_mode="sometimes")
-
-    def test_tolerance_validated(self, prop1):
-        with pytest.raises(ValueError):
-            NamedInstance(name="bad", problem=prop1.problem,
-                          expected_cline_count=None, expected_c=None,
-                          expected_terminal_u=None, tolerance=0.0)
+        for expected_c in ((0.1, 0.2, 0.3), None):
+            with pytest.raises(ValueError, match="one value per expected_c"):
+                NamedInstance(name="bad", problem=prop1.problem, expected_c=expected_c,
+                              expected_terminal_u=(0.5, 0.6))
 
 
 class TestCompare:
@@ -159,9 +144,6 @@ class TestRemarkScenarios:
 
     def test_concave_scenario_metadata(self):
         concave, skewed = remark_instances()
-        assert concave.count_mode == "at_most"
-        assert concave.expected_cline_count == 1
-        assert skewed.count_mode == "sweep"
         from clineshoot.nonlinearity import check_f_star
         assert check_f_star(concave.problem.f).is_concave is True
         assert check_f_star(skewed.problem.f).is_concave is False

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import clineshoot.shooting as shooting
 from clineshoot import timemap
 from clineshoot.integrator import (
+    BLOWUP_BOUND,
     CSV_CHUNK_ROWS,
     DEFAULT_TARGET_STEP,
     MIN_STEPS_PER_SPAN,
@@ -252,7 +253,7 @@ class TestFindAllClines:
 
         def blow_up_inside(p, cfg, z0):
             if b.r_lo < z0.u < b.r_hi:
-                raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+                raise BlowupError(0.05, 2.0 * BLOWUP_BOUND, 0.0)
             return real_map(p, cfg, z0)
 
         monkeypatch.setattr(shooting, "sweep_brackets",
@@ -406,7 +407,7 @@ def record_sweeps(monkeypatch, patch_coarse=None, blow_up_at=()):
     def recorded_map(p, cfg, z0):
         reshot.append(z0.u)
         if z0.u in blow_up_at:
-            raise BlowupError(0.0, 2.0 * cfg.blowup_bound, 0.0)
+            raise BlowupError(0.0, 2.0 * BLOWUP_BOUND, 0.0)
         return real_map(p, cfg, z0)
 
     monkeypatch.setattr(shooting, "sweep_terminals", recorded_sweep)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clineshoot import shooting, timemap
-from clineshoot.integrator import BlowupError, IntegratorConfig
+from clineshoot.integrator import BLOWUP_BOUND, BlowupError, IntegratorConfig
 from clineshoot.problem import problem_from_json
 from clineshoot.reproduction import remark_instances
 from clineshoot.shooting import DEFAULT_TOL_R, bisect_cline, find_all_clines
@@ -194,7 +194,7 @@ def test_blowup_at_the_seed_loses_the_bracket(prop1, default_cfg, prop1_search, 
     first = 0.5 * (b.r_lo + b.r_hi)
 
     def blow_up(p, cfg, z0):
-        raise BlowupError(0.05, 2.0 * cfg.blowup_bound, 0.0)
+        raise BlowupError(0.05, 2.0 * BLOWUP_BOUND, 0.0)
 
     monkeypatch.setattr(shooting, "integrate", blow_up)
     with pytest.raises(shooting.BracketLostError) as lost:
