@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from clineshoot.integrator import (
     step_plan,
     sweep_terminals,
 )
+from clineshoot.reproduction import remark_instances
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -44,6 +46,10 @@ def out_dir(tmp_path, monkeypatch):
 
 def data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def chosen_step(p, resolution):
@@ -234,6 +240,12 @@ class TestShoot:
         assert main(["shoot", prop1_config, "--r", "5"]) == 3
         assert "blow-up at x" in capsys.readouterr().err
 
+    def test_output_bytes_are_pinned(self, out_dir):
+        # polynomial f, so the bits do not depend on the CPU (see TestGamma)
+        assert main(["shoot", str(REPO_CONFIGS / "prop1.json"), "--r", "0.1"]) == 0
+        assert sha256(out_dir / "shoot_r0.1.csv") == (
+            "cd987f21c402ff9a0c5cd26996c0665143b5699e248a4a56785fe2024144e14b")
+
 
 class TestGamma:
     def test_rows_and_first_entry(self, prop1_config, out_dir):
@@ -262,7 +274,18 @@ class TestGamma:
     ])
     def test_output_bytes_are_pinned(self, out_dir, config, digest):
         assert main(["gamma", str(REPO_CONFIGS / config), "--resolution", "201"]) == 0
-        assert hashlib.sha256((out_dir / "gamma.csv").read_bytes()).hexdigest() == digest
+        assert sha256(out_dir / "gamma.csv") == digest
+
+    def test_blown_rows_are_pinned(self, tmp_path, out_dir, capsys):
+        # remark-no-dominance at lambda = 300: 108 of the 201 heights blow up
+        # and are written as r,nan,nan,blowup; the digest covers the config's
+        # bytes, which to_json fixes
+        cfg = tmp_path / "remark0_300.json"
+        cfg.write_text(replace(remark_instances()[0].problem, lam=300.0).to_json())
+        assert main(["gamma", str(cfg), "--resolution", "201"]) == 0
+        assert "108 blow-ups" in capsys.readouterr().out
+        assert sha256(out_dir / "gamma.csv") == (
+            "bba7dc6d77635f756f1d65f3f4b03d654bc1571e5622e64efcdd910f8e6026c2")
 
 
 class TestFind:
@@ -413,6 +436,19 @@ class TestFind:
             main(["find", "--help"])
         assert exc_info.value.code == 0
         assert "(default 2001)" in " ".join(capsys.readouterr().out.split())
+
+    def test_output_bytes_are_pinned(self, out_dir):
+        # every file of a run at a caller's step; polynomial f (see TestGamma)
+        assert main(["find", str(REPO_CONFIGS / "prop1.json"), "--resolution", "201",
+                     "--step", "1e-4"]) == 0
+        assert {p.name: sha256(p) for p in out_dir.iterdir()} == {
+            "clines.json": "e3652071fe0bcd7b9ea91e775b99fcaee4acaa25afc8943ae431107f1c340167",
+            "cline_1.csv": "eb16131a34a6289199adf4ef780861c71070819d34a71ebe0be9eea5105f2bdd",
+            "cline_2.csv": "39aba2d008cbf9120c6a4f4c4d8516fb4ab8415aec1bec7adb2a5abf76145a18",
+            "cline_3.csv": "be7a81db16f1dbab6ca2b90925575f2971317dad66f49a0185416faae84d6a68",
+            "trivial_0.csv": "0387186528b2c2df71019b12b33c27d9cd5adf8d8e3eb7ccc4f3c3794f7616ec",
+            "trivial_1.csv": "c06102abac778bfc9ce7109a5578a3a1fb7e62b544a2babe2380a19917f6e897",
+        }
 
     def test_determinism(self, prop1_config, tmp_path, monkeypatch):
         outputs = []
