@@ -2,7 +2,8 @@
 
 Outputs are deterministic: identical config and flags give byte-identical
 files (wall time is printed to the console only). Every file embeds the run
-manifest as comment lines (CSV) or a manifest key (JSON).
+manifest as comment lines (CSV) or a manifest key (JSON), and every file is
+written by `_write_csv` or `_write_json`.
 
 Exit codes: 0 ok, 1 hypothesis or reproduction failure, 2 config error, 3 shoot
 blow-up or find's f(0) or f(1) nonzero (checked before the sweep), 4 no brackets.
@@ -27,7 +28,6 @@ from .integrator import (
     BlowupError,
     IntegratorConfig,
     PhasePoint,
-    Trajectory,
     integrate,
     sample_grid,
 )
@@ -53,6 +53,11 @@ EXIT_NO_BRACKETS = 4
 OUTPUT_DIR_ENV = "CLINE_SEED_DIR"
 
 STEP_HELP = "integrator target step (default: chosen from the coarse sweeps' error estimate)"
+
+# CSV rows are formatted this many at a time, from Python floats; joining
+# a whole file into one string would hold every row in memory at once.
+CSV_CHUNK_ROWS = 1024
+XUV_ROW = "%.17g,%.17g,%.17g\n"   # an x,u,v row: shoot, cline_<i> and trivial_<level>
 
 
 class ConfigError(Exception):
@@ -100,10 +105,26 @@ def _manifest(digest: str, step: Optional[float], resolution: Optional[int] = No
     return {k: v for k, v in manifest.items() if v is not None}
 
 
-def _comment_lines(manifest: dict) -> tuple[str, ...]:
-    """The manifest as CSV comment lines, floats at 17 significant digits."""
-    return tuple(f"{k}: {v:.17g}" if isinstance(v, float) else f"{k}: {v}"
-                 for k, v in manifest.items())
+def _write_csv(path: Path, manifest: dict, header: str, columns: tuple, row: str) -> None:
+    """Write the manifest as `# key: value` lines, floats at 17 significant
+    digits, then the header, then `row % values` for each index of the columns.
+
+    `%.17g` writes a float as `f"{x:.17g}"` does, nan included.
+    """
+    with path.open("w") as fh:
+        for k, v in manifest.items():
+            fh.write(f"# {k}: {v:.17g}\n" if isinstance(v, float) else f"# {k}: {v}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join(row % values for values in zip(*chunk)))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """The payload as indented JSON with sorted keys and a final newline."""
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_check_f(args) -> int:
@@ -135,10 +156,8 @@ def cmd_shoot(args) -> int:
         print(f"blow-up at x = {exc.x:.17g} (u = {exc.u:.17g}, v = {exc.v:.17g})",
               file=sys.stderr)
         return EXIT_BLOWUP
-    with out.open("w") as fh:
-        traj.write_csv(fh, header_lines=_comment_lines(manifest) + (f"r: {args.r:.17g}",))
-    z = traj.terminal
-    print(f"terminal point: ({z.u:.17g}, {z.v:.17g})")
+    _write_csv(out, {**manifest, "r": args.r}, "x,u,v", (traj.xs, traj.us, traj.vs), XUV_ROW)
+    print(f"terminal point: ({traj.us[-1]:.17g}, {traj.vs[-1]:.17g})")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -152,10 +171,12 @@ def cmd_gamma(args) -> int:
     t0 = time.perf_counter()
     gamma = build_gamma(problem, cfg, resolution=args.resolution)
     elapsed = time.perf_counter() - t0
-    with out.open("w") as fh:
-        gamma.write_csv(fh, header_lines=_comment_lines(manifest))
+    # a blown column holds nan in u_end and v_end, so its row reads r,nan,nan,blowup
+    _write_csv(out, manifest, "r,u_end,v_end,status",
+               (gamma.rs, gamma.u_end, gamma.v_end, np.where(gamma.ok, "ok", "blowup")),
+               "%.17g,%.17g,%.17g,%s\n")
     blowups = int((~gamma.ok).sum())
-    print(f"{gamma.resolution} rows, {gamma.sign_changes()} interior sign changes, "
+    print(f"{args.resolution} rows, {gamma.sign_changes()} interior sign changes, "
           f"{blowups} blow-ups")
     print(f"wrote {out} (wall time {elapsed:.2f} s)")
     return EXIT_OK
@@ -193,19 +214,16 @@ def cmd_find(args) -> int:
     csv_names = []
     for i, cline in enumerate(result.clines, start=1):
         name = f"cline_{i}.csv"
-        with (out_dir / name).open("w") as fh:
-            cline.trajectory.write_csv(fh, header_lines=_comment_lines(manifest)
-                                       + (f"c: {cline.c:.17g}",))
+        traj = cline.trajectory
+        _write_csv(out_dir / name, {**manifest, "c": cline.c}, "x,u,v",
+                   (traj.xs, traj.us, traj.vs), XUV_ROW)
         csv_names.append(name)
     payload["trajectory_files"] = csv_names
-    xs, split = sample_grid(problem, IntegratorConfig(target_step=bracketing.step))
+    xs, _ = sample_grid(problem, IntegratorConfig(target_step=bracketing.step))
     for level in (0, 1):
-        with (out_dir / f"trivial_{level}.csv").open("w") as fh:
-            Trajectory(xs=xs, us=np.full_like(xs, level), vs=np.zeros_like(xs),
-                       split_index=split).write_csv(fh, header_lines=_comment_lines(manifest))
-    with (out_dir / "clines.json").open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_csv(out_dir / f"trivial_{level}.csv", manifest, "x,u,v",
+                   (xs, np.full_like(xs, level), np.zeros_like(xs)), XUV_ROW)
+    _write_json(out_dir / "clines.json", payload)
 
     for cline in result.clines:
         print(f"cline: c = {cline.c:.17g}, terminal u = {cline.terminal_u:.17g}, "
@@ -251,10 +269,7 @@ def cmd_reproduce(args) -> int:
         reports.append(record)
         all_pass = all_pass and report.passed
     elapsed = time.perf_counter() - t0
-    payload = {"manifest": manifest, "reports": reports}
-    with out.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, {"manifest": manifest, "reports": reports})
     print(f"wrote {out} (wall time {elapsed:.2f} s)")
     if no_brackets:
         return EXIT_NO_BRACKETS

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -26,10 +25,6 @@ BLOWUP_BOUND = 1e3   # a march stops as a blow-up once |u| or |v| exceeds it
 # Effective step is clamped so each instance gets at least this many steps
 # across the habitat, whatever the requested target.
 MIN_STEPS_PER_SPAN = 100
-
-# CSV writers format this many rows per write, from Python floats; joining
-# a whole file into one string would hold every row in memory at once.
-CSV_CHUNK_ROWS = 1024
 
 
 class BlowupError(RuntimeError):
@@ -71,20 +66,6 @@ class Trajectory:
     us: np.ndarray
     vs: np.ndarray
     split_index: int
-
-    @property
-    def terminal(self) -> PhasePoint:
-        return PhasePoint(float(self.us[-1]), float(self.vs[-1]))
-
-    def write_csv(self, out: TextIO, header_lines: tuple[str, ...] = ()) -> None:
-        """Write one `x,u,v` row per sample."""
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("x,u,v\n")
-        for start in range(0, len(self.xs), CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            out.write("".join(f"{x:.17g},{u:.17g},{v:.17g}\n" for x, u, v in zip(
-                self.xs[rows].tolist(), self.us[rows].tolist(), self.vs[rows].tolist())))
 
 
 def coarsest_step(p: Problem) -> float:
@@ -231,27 +212,11 @@ class GammaCurve:
     v_end: np.ndarray     # nan where the column blew up
     ok: np.ndarray        # False where the column blew up
 
-    @property
-    def resolution(self) -> int:
-        return len(self.rs)
-
     def sign_changes(self) -> int:
         """Count of strict sign changes of terminal v over interior ok entries."""
         inner = self.v_end[1:-1][self.ok[1:-1]]
         inner = inner[inner != 0.0]
         return int(np.sum(inner[:-1] * inner[1:] < 0.0))
-
-    def write_csv(self, out: TextIO, header_lines: tuple[str, ...] = ()) -> None:
-        """Write one `r,u_end,v_end,status` row per height."""
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("r,u_end,v_end,status\n")
-        for start in range(0, self.resolution, CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            out.write("".join(
-                f"{r:.17g},{u:.17g},{v:.17g},ok\n" if ok else f"{r:.17g},nan,nan,blowup\n"
-                for r, u, v, ok in zip(self.rs[rows].tolist(), self.u_end[rows].tolist(),
-                                       self.v_end[rows].tolist(), self.ok[rows].tolist())))
 
 
 def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaCurve:

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from clineshoot import IntegratorConfig, find_all_clines, proposition_1, proposition_2
+from clineshoot.shooting import build_gamma
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,18 @@ def prop2_search(prop2, default_cfg):
     t0 = time.perf_counter()
     result = find_all_clines(prop2.problem, default_cfg)
     return result, time.perf_counter() - t0
+
+
+# The direct 2001-column sweeps at the default step, swept once each.
+
+@pytest.fixture(scope="session")
+def prop1_gamma(prop1, default_cfg):
+    return build_gamma(prop1.problem, default_cfg)
+
+
+@pytest.fixture(scope="session")
+def prop2_gamma(prop2, default_cfg):
+    return build_gamma(prop2.problem, default_cfg)
 
 
 @pytest.fixture(scope="session")

@@ -6,15 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clineshoot.cli as cli
 import clineshoot.integrator as integrator
 import clineshoot.shooting as shooting
 from clineshoot import __version__, timemap
-from clineshoot.cli import main
+from clineshoot.cli import CSV_CHUNK_ROWS, XUV_ROW, _write_csv, main
 from clineshoot.integrator import (
     BLOWUP_BOUND,
     BlowupError,
+    GammaCurve,
     IntegratorConfig,
+    PhasePoint,
     coarsest_step,
+    integrate,
     step_plan,
     sweep_terminals,
 )
@@ -60,6 +64,32 @@ def chosen_step(p, resolution):
                   for t in (h, 0.5 * h))
     error = float(np.nanmax(np.abs(wide.v_end - half.v_end))) / 15.0
     return shooting.choose_step(p, error, 1e-10)
+
+
+class TestWriteCsv:
+    def test_header_and_rows(self, prop1, tmp_path):
+        traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),
+                         PhasePoint(0.4, 0.0))
+        path = tmp_path / "traj.csv"
+        _write_csv(path, {"alpha": 1.0, "resolution": 11, "version": "x"}, "x,u,v",
+                   (traj.xs, traj.us, traj.vs), XUV_ROW)
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# alpha: 1", "# resolution: 11", "# version: x", "x,u,v"]
+        assert len(lines) == 4 + len(traj.xs)
+        first = lines[4].split(",")
+        assert float(first[0]) == prop1.problem.weight.omega1
+
+    def test_rows_match_per_element_format(self, prop2, tmp_path):
+        # at the default step the trajectory has 8551 samples, not a
+        # multiple of the chunk
+        traj = integrate(prop2.problem, IntegratorConfig(), PhasePoint(0.4, 0.0))
+        n = len(traj.xs)
+        assert n > CSV_CHUNK_ROWS and n % CSV_CHUNK_ROWS
+        expected = "x,u,v\n" + "".join(
+            f"{traj.xs[i]:.17g},{traj.us[i]:.17g},{traj.vs[i]:.17g}\n" for i in range(n))
+        path = tmp_path / "traj.csv"
+        _write_csv(path, {}, "x,u,v", (traj.xs, traj.us, traj.vs), XUV_ROW)
+        assert path.read_text() == expected
 
 
 class TestCheckF:
@@ -254,6 +284,24 @@ class TestGamma:
         assert rows[0] == "r,u_end,v_end,status"
         assert rows[1] == "0,0,0,ok"
         assert len(rows) == 1 + 101
+
+    def test_rows_match_per_element_format(self, prop1_config, out_dir, monkeypatch):
+        # a blown column holds nan, as sweep_terminals leaves it, and its row
+        # reads r,nan,nan,blowup; the rows span two chunks and part of a third
+        rng = np.random.default_rng(7)
+        n = 2 * CSV_CHUNK_ROWS + 5
+        ok = rng.random(n) > 0.1
+        g = GammaCurve(rs=np.linspace(0.0, 1.0, n),
+                       u_end=np.where(ok, rng.normal(size=n), np.nan),
+                       v_end=np.where(ok, rng.normal(size=n) * 1e-7, np.nan), ok=ok)
+        monkeypatch.setattr(cli, "build_gamma", lambda p, cfg, resolution: g)
+        assert main(["gamma", prop1_config, "--resolution", str(n)]) == 0
+        expected = "r,u_end,v_end,status\n" + "".join(
+            f"{g.rs[i]:.17g},{g.u_end[i]:.17g},{g.v_end[i]:.17g},ok\n" if ok[i]
+            else f"{g.rs[i]:.17g},nan,nan,blowup\n" for i in range(n))
+        text = (out_dir / "gamma.csv").read_text()
+        assert text[text.index("r,u_end"):] == expected
+        assert text.count(",blowup\n") == int((~ok).sum()) > 0
 
     def test_sign_alternations_reported(self, prop1_config, out_dir, capsys):
         assert main(["gamma", prop1_config, "--resolution", "401"]) == 0

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from clineshoot.integrator import (
     BLOWUP_BOUND,
-    CSV_CHUNK_ROWS,
     BlowupError,
     IntegratorConfig,
     PhasePoint,
@@ -72,7 +70,7 @@ class TestTrajectoryGrid:
         z0 = PhasePoint(0.37, 0.0)
         traj = integrate(prop1.problem, default_cfg, z0)
         z = poincare_map(prop1.problem, default_cfg, z0)
-        assert traj.terminal.u == z.u and traj.terminal.v == z.v
+        assert traj.us[-1] == z.u and traj.vs[-1] == z.v
 
 
 class TestEquilibria:
@@ -253,32 +251,6 @@ class TestConvergenceOrder:
             d1 = max(abs(zs[0].u - zs[1].u), abs(zs[0].v - zs[1].v))
             d2 = max(abs(zs[1].u - zs[2].u), abs(zs[1].v - zs[2].v))
             assert 12.0 <= d1 / d2 <= 20.0
-
-
-class TestCsvExport:
-    def test_header_and_rows(self, prop1):
-        traj = integrate(prop1.problem, IntegratorConfig(target_step=1e-2),
-                         PhasePoint(0.4, 0.0))
-        buf = io.StringIO()
-        traj.write_csv(buf, header_lines=("alpha: 1",))
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# alpha: 1"
-        assert lines[1] == "x,u,v"
-        assert len(lines) == 2 + len(traj.xs)
-        first = lines[2].split(",")
-        assert float(first[0]) == prop1.problem.weight.omega1
-
-    def test_rows_match_per_element_format(self, prop2):
-        # at the default step the trajectory has 8551 samples, not a
-        # multiple of the chunk
-        traj = integrate(prop2.problem, IntegratorConfig(), PhasePoint(0.4, 0.0))
-        n = len(traj.xs)
-        assert n > CSV_CHUNK_ROWS and n % CSV_CHUNK_ROWS
-        expected = "x,u,v\n" + "".join(
-            f"{traj.xs[i]:.17g},{traj.us[i]:.17g},{traj.vs[i]:.17g}\n" for i in range(n))
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        assert buf.getvalue() == expected
 
 
 class TestStepSplitting:

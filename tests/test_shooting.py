@@ -1,4 +1,3 @@
-import io
 import math
 import sys
 from dataclasses import replace
@@ -13,7 +12,6 @@ import clineshoot.shooting as shooting
 from clineshoot import timemap
 from clineshoot.integrator import (
     BLOWUP_BOUND,
-    CSV_CHUNK_ROWS,
     DEFAULT_TARGET_STEP,
     MIN_STEPS_PER_SPAN,
     BlowupError,
@@ -60,43 +58,15 @@ class TestGammaCurve:
 
     def test_grid_and_trivial_endpoints(self, prop1, default_cfg):
         g = build_gamma(prop1.problem, default_cfg, resolution=101)
-        assert g.resolution == 101
+        assert len(g.rs) == 101
         assert g.rs[0] == 0.0 and g.rs[-1] == 1.0
         assert np.max(np.abs(np.diff(g.rs) - 0.01)) < 1e-15
         assert g.u_end[0] == 0.0 and g.v_end[0] == 0.0
         assert g.u_end[-1] == 1.0 and g.v_end[-1] == 0.0
 
-    def test_sign_changes_first_instance(self, prop1, default_cfg):
-        g = build_gamma(prop1.problem, default_cfg, resolution=401)
-        assert g.sign_changes() >= 3
-
-    def test_sign_changes_second_instance(self, prop2, default_cfg):
-        g = build_gamma(prop2.problem, default_cfg, resolution=801)
-        assert g.sign_changes() >= 3
-
-    def test_csv_export(self, prop1, default_cfg):
-        g = build_gamma(prop1.problem, default_cfg, resolution=11)
-        buf = io.StringIO()
-        g.write_csv(buf, header_lines=("resolution: 11",))
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# resolution: 11"
-        assert lines[1] == "r,u_end,v_end,status"
-        assert len(lines) == 2 + 11
-        assert lines[2] == "0,0,0,ok"
-
-    def test_csv_rows_match_per_element_format(self):
-        rng = np.random.default_rng(7)
-        n = 2 * CSV_CHUNK_ROWS + 5
-        ok = rng.random(n) > 0.1
-        g = GammaCurve(rs=np.linspace(0.0, 1.0, n), u_end=rng.normal(size=n),
-                       v_end=rng.normal(size=n) * 1e-7, ok=ok)
-        expected = "r,u_end,v_end,status\n" + "".join(
-            f"{g.rs[i]:.17g},{g.u_end[i]:.17g},{g.v_end[i]:.17g},ok\n" if ok[i]
-            else f"{g.rs[i]:.17g},nan,nan,blowup\n" for i in range(n))
-        buf = io.StringIO()
-        g.write_csv(buf)
-        assert buf.getvalue() == expected
-        assert buf.getvalue().count(",blowup\n") == int((~ok).sum()) > 0
+    def test_sign_changes_second_instance(self, prop2_gamma):
+        # prop-1's count is asserted through the gamma command in test_cli.py
+        assert prop2_gamma.sign_changes() >= 3
 
 
 class TestFindBrackets:
@@ -439,12 +409,11 @@ class TestSweepBrackets:
     K = node_index(0.9)
 
     @pytest.mark.parametrize("name", ["prop1", "prop2"])
-    def test_propositions_match_direct_sweep(self, name, request, default_cfg):
-        inst = request.getfixturevalue(name)
+    def test_propositions_match_direct_sweep(self, name, request):
         result, _ = request.getfixturevalue(f"{name}_search")
         assert result.bracketing.direct_reason is None
         assert bracket_cells(result.brackets) == bracket_cells(
-            direct_brackets(inst.problem, default_cfg))
+            find_brackets(request.getfixturevalue(f"{name}_gamma")))
 
     def test_remark_concave_config_matches_direct_sweep(self, default_cfg):
         p = problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text())
