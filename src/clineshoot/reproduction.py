@@ -111,7 +111,6 @@ class MatchRecord:
 @dataclass(eq=False)
 class ComparisonReport:
     instance_name: str
-    tolerance: float
     matches: list[MatchRecord]
     misses: list[float]    # expected c values with no counterpart
     extras: list[float]    # found c values with no counterpart
@@ -122,7 +121,7 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "instance": self.instance_name,
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_TOLERANCE,
             "matches": [m.to_dict() for m in self.matches],
             "misses": list(self.misses),
             "extras": list(self.extras),
@@ -133,7 +132,7 @@ class ComparisonReport:
 
     def render(self) -> str:
         lines = [f"instance {self.instance_name}: expected {self.count_expected}, "
-                 f"found {self.count_found} (tolerance {self.tolerance:g})"]
+                 f"found {self.count_found} (tolerance {DEFAULT_TOLERANCE:g})"]
         for m in self.matches:
             line = (f"  c {m.found_c:.6f} vs {m.expected_c:.6f} "
                     f"(dev {m.deviation_c:.2e})")
@@ -194,7 +193,6 @@ def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
                   for m in matches for dev in (m.deviation_c, m.deviation_u))
     return ComparisonReport(
         instance_name=instance.name,
-        tolerance=DEFAULT_TOLERANCE,
         matches=matches,
         misses=misses,
         extras=extras,
