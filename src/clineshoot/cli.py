@@ -201,8 +201,6 @@ def cmd_find(args) -> int:
                              tol_r=args.tol_r, tol_v=args.tol_v)
     elapsed = time.perf_counter() - t0
     bracketing = result.bracketing
-    if bracketing.step_note is not None:
-        print(bracketing.step_line(), file=sys.stderr)
     print(bracketing.summary(), file=sys.stderr)
     manifest = _manifest(digest, bracketing.step, resolution=args.resolution,
                          tol_r=args.tol_r, tol_v=args.tol_v)

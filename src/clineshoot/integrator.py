@@ -180,18 +180,14 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
     continuous across x = 0 (only the second derivative jumps).
     """
     xs, split = sample_grid(p, cfg)
-    us = np.empty(len(xs))
-    vs = np.empty(len(xs))
-    us[0], vs[0] = z0.u, z0.v
-    pos = 1
+    us, vs = [z0.u], [z0.v]
 
     def record(u, v):
-        nonlocal pos
-        us[pos], vs[pos] = u, v
-        pos += 1
+        us.append(u)
+        vs.append(v)
 
     _march(p, cfg, z0.u, z0.v, record=record)
-    return Trajectory(xs=xs, us=us, vs=vs, split_index=split)
+    return Trajectory(xs=xs, us=np.array(us), vs=np.array(vs), split_index=split)
 
 
 def poincare_map(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> PhasePoint:

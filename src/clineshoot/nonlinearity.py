@@ -330,7 +330,10 @@ def check_f_star(f: Nonlinearity, grid_size: int = DEFAULT_GRID_SIZE) -> FStarRe
     """
     if grid_size < 100:
         raise ValueError(f"grid_size must be >= 100, got {grid_size}")
-    grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    try:
+        grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    except MemoryError as exc:
+        raise ValueError(f"grid_size {grid_size} is too large to allocate") from exc
     values = np.asarray(f.value(grid), dtype=float)
     second = np.asarray(f.deriv(grid, order=2), dtype=float)
     ratio = values / grid

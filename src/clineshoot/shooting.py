@@ -29,7 +29,7 @@ interval map lands back on the u-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -58,8 +58,8 @@ DEFAULT_TOL_V = 1e-10
 # terminal v this small at a sweep node counts as an exact root
 EXACT_ROOT_TOL = 1e-13
 
-# trajectories approaching the trivial equilibria closer than this are
-# rejected as trivial-adjacent rather than reported as clines
+# trajectories approaching the trivial equilibria closer than this, or
+# spanning no more than this, are rejected rather than reported as clines
 TRIVIAL_MARGIN = 1e-9
 
 # The bracketing pre-pass sweeps at H and H / 2, where H is the coarsest
@@ -79,7 +79,10 @@ PREPASS_MAX_RESHOTS = 32
 def _grid(resolution: int) -> np.ndarray:
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    return np.linspace(0.0, 1.0, resolution)
+    try:
+        return np.linspace(0.0, 1.0, resolution)
+    except MemoryError as exc:
+        raise ValueError(f"resolution {resolution} is too large to allocate") from exc
 
 
 def build_gamma(p: Problem, cfg: IntegratorConfig,
@@ -158,9 +161,8 @@ class BracketingReport:
     from them. `step_note` says how it was chosen from E (see
     choose_step), and is None when the caller gave it. `direct_reason` is
     None when the certified pre-pass stood, and says why the direct fine
-    sweep ran otherwise; find_all_clines starts Brent at the time-map root
-    when the pre-pass stood at a chosen step. With the pre-pass, a node
-    neither re-shot nor blown keeps its H / 2 value.
+    sweep ran otherwise. With the pre-pass, a node neither re-shot nor
+    blown keeps its H / 2 value.
     """
 
     nodes: int                          # interior grid nodes
@@ -172,17 +174,13 @@ class BracketingReport:
     step_note: Optional[str] = None
     blown: int = 0                      # blown in both coarse sweeps and not re-shot
 
-    def step_line(self) -> Optional[str]:
-        """The stderr line of a chosen step; None for the caller's."""
-        if self.step_note is None:
-            return None
-        return f"step: {self.step:.3g}{self.step_note}"
-
     def summary(self) -> str:
+        """The `step:` line of a chosen step, then the `bracketing:` line."""
+        step = "" if self.step_note is None else f"step: {self.step:.3g}{self.step_note}\n"
         if self.direct_reason is not None:
-            return f"bracketing: direct sweep ({self.direct_reason})"
+            return f"{step}bracketing: direct sweep ({self.direct_reason})"
         h, h2 = self.coarse_steps
-        return (f"bracketing: coarse steps {h:.6g} and {h2:.6g}, "
+        return (f"{step}bracketing: coarse steps {h:.6g} and {h2:.6g}, "
                 f"E = {self.error_estimate:.3g}, "
                 f"{self.reshot} of {self.nodes} nodes re-shot at the fine step, "
                 f"{self.blown} taken as blown")
@@ -198,31 +196,24 @@ def choose_step(p: Problem, error: float, tol_v: float) -> tuple[float, str]:
 
     RK4's global error scales with h^4, so the step whose estimated error
     of v is tol_v / 10 is h* = (H / 2) (tol_v / (10 E))^(1/4) (step
-    doubling, Hairer, Norsett & Wanner, Solving ODEs I, II.4). It is
-    clamped to [DEFAULT_TARGET_STEP, H / 2]: no finer than the library's
-    default step and no coarser than the coarse sweep it is estimated
-    from; H / 2 wins where it lies below the floor, on a habitat shorter
-    than 200 DEFAULT_TARGET_STEP. A nan E, where no height survived both
-    coarse sweeps, gives DEFAULT_TARGET_STEP, or H / 2 where that is
-    smaller. The note names the bound that set the step and completes the
-    line `step: <h>`.
+    doubling, Hairer, Norsett & Wanner, Solving ODEs I, II.4). It is kept
+    within [low, H / 2]: no coarser than the coarse sweep it is estimated
+    from, and no finer than low = min(DEFAULT_TARGET_STEP, H / 2), the
+    library's default step or, on a habitat shorter than 200
+    DEFAULT_TARGET_STEP, H / 2 itself. A nan E, where no height survived
+    both coarse sweeps, gives low. The note completes the line
+    `step: <h>`, and names the interval wherever it set the step.
     """
     half = 0.5 * coarsest_step(p)
+    low = min(DEFAULT_TARGET_STEP, half)
+    within = f"[{low:.3g}, {half:.3g}]"
     if math.isnan(error):
-        bound = ("the default" if half >= DEFAULT_TARGET_STEP else
-                 f"H/2, below the default {DEFAULT_TARGET_STEP:.3g}")
-        return min(DEFAULT_TARGET_STEP, half), (f", {bound}: no height survived both "
-                                                "coarse sweeps (E = nan)")
+        return low, f", the low end of {within}: no height survived both coarse sweeps (E = nan)"
     rule = half * (0.1 * tol_v / error) ** 0.25 if error > 0.0 else math.inf
-    step = min(max(rule, DEFAULT_TARGET_STEP), half)
+    step = min(max(rule, low), half)
     note = f" from E = {error:.3g} (tol_v/10)"
-    if step > rule:
-        note += (f", clamped: the rule gives {rule:.3g}, below the floor "
-                 f"{DEFAULT_TARGET_STEP:.3g}")
-        if step < DEFAULT_TARGET_STEP:
-            note += f", which lies above H/2 = {step:.3g}"
-    elif step < rule:
-        note += f", clamped: the rule gives {rule:.3g}, above H/2 = {step:.3g}"
+    if step != rule:
+        note += f", clamped: the rule gives {rule:.3g}, kept within {within}"
     return step, note
 
 
@@ -267,8 +258,8 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     The direct sweep runs instead when cfg is given and the two coarse
     sweeps would take no fewer steps than the fine sweep, checked before
     they run: then they save nothing. Either way the direct sweep also runs
-    when E is nan, since then no coarse sign is trusted, and when more than
-    PREPASS_MAX_RESHOTS nodes need a fine value.
+    when E is nan, and when more than PREPASS_MAX_RESHOTS nodes need a fine
+    value.
     """
     inner = _grid(resolution)[1:-1]
     nodes = resolution - 2
@@ -297,6 +288,9 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
     report = BracketingReport(nodes, cfg.target_step, tuple(c.target_step for c in coarse),
                               error, step_note=note)
     if math.isnan(error):
+        # no node survived both coarse sweeps, so every node counts as blown
+        # and none is re-shot: no re-shot can reach a height that survives
+        # only at the fine step
         return direct(replace(report, direct_reason="no node survived both coarse "
                                                     "sweeps, E = nan"))
 
@@ -343,17 +337,11 @@ class Cline:
         return self.rejection_reason is not None
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "terminal_u": self.terminal_u,
-            "terminal_v_residual": self.terminal_v_residual,
-            "min_u": self.min_u,
-            "max_u": self.max_u,
-            "necessary_integral": self.necessary_integral,
-            "bracket": [self.bracket.r_lo, self.bracket.r_hi],
-            "rejected": self.rejected,
-            "rejection_reason": self.rejection_reason,
-        }
+        """Every field but the trajectory, the bracket as [r_lo, r_hi], and `rejected`."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectory"}
+        out["bracket"] = [self.bracket.r_lo, self.bracket.r_hi]
+        out["rejected"] = self.rejected
+        return out
 
 
 def _build_cline(p: Problem, traj: Trajectory, b: Bracket) -> Cline:
@@ -366,6 +354,8 @@ def _build_cline(p: Problem, traj: Trajectory, b: Bracket) -> Cline:
         reason = f"trajectory touches u=0 (min u = {min_u:.3e})"
     elif max_u >= 1.0 - TRIVIAL_MARGIN:
         reason = f"trajectory touches u=1 (max u = {max_u:.3e})"
+    elif max_u - min_u <= TRIVIAL_MARGIN:
+        reason = f"trajectory is constant (u = {min_u:.3e})"
     return Cline(c=float(traj.us[0]), terminal_u=float(traj.us[-1]),
                  terminal_v_residual=residual, trajectory=traj, min_u=min_u, max_u=max_u,
                  necessary_integral=integral, bracket=b, rejection_reason=reason)
@@ -392,7 +382,8 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
     same terminal slope. A root at `first` keeps that trajectory, and any
     other root is integrated once more. A blow-up inside the bracket
     raises BracketLostError, at `first` as at any other point, and a root
-    whose profile nears 0 or 1 comes back rejected, `first` included.
+    whose profile nears 0 or 1 or is constant comes back rejected, `first`
+    included.
 
     Stops when the bracket width falls below tol_r, the terminal slope
     magnitude falls below tol_v, or the bracket no longer splits in floating
@@ -422,7 +413,7 @@ class ClineSearchResult:
     """Everything a cline search produced, including the rejects."""
 
     clines: list[Cline]                # validated, sorted by c
-    rejected: list[Cline]              # converged but trivial-adjacent
+    rejected: list[Cline]              # converged but trivial-adjacent or constant
     failures: list[BracketLostError]   # lost to a blow-up inside the bracket
     brackets: list[Bracket]
     bracketing: BracketingReport
@@ -448,8 +439,8 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     it. The brackets are those of the gamma sweep at the fine step, found
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
     by that sweep itself otherwise. Every non-exact bracket is refined by
-    `bisect_cline`. When the pre-pass stood at a chosen step (`direct_reason`
-    None, `step_note` not), its first point is the time-map root
+    `bisect_cline`. When the pre-pass stood at a chosen step (cfg None and
+    `direct_reason` None), its first point is the time-map root
     (`timemap.find_root`), an exact root of the ODE: it meets tol_v at a step
     whose RK4 error of v is tol_v / 10, but a caller's step promises no such
     error. Otherwise it is the secant point. Validation always runs at the
@@ -460,7 +451,7 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
-    seed = bracketing.direct_reason is None and bracketing.step_note is not None
+    seed = cfg is None and bracketing.direct_reason is None
     if cfg is None:
         cfg = IntegratorConfig(target_step=bracketing.step)
     found: list[Cline] = []

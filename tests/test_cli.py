@@ -236,7 +236,13 @@ def test_unusable_output_dir_exits_2_before_any_march(tmp_path, monkeypatch, cap
     (["gamma", "--resolution", "5"], "resolution must be >= 11"),
     (["find", "--resolution", "5"], "resolution must be >= 11"),
     (["reproduce", "--resolution", "5"], "resolution must be >= 11"),
-], ids=["shoot", "gamma", "find", "reproduce"])
+    # numpy refuses 8 TB grids at once, allocating nothing
+    (["gamma", "--resolution", "1000000000000"], "resolution 1000000000000 is too large"),
+    (["find", "--resolution", "1000000000000"], "resolution 1000000000000 is too large"),
+    (["reproduce", "--resolution", "1000000000000"], "resolution 1000000000000 is too large"),
+    (["check-f", "--grid-size", "1000000000000"], "grid_size 1000000000000 is too large"),
+], ids=["shoot", "gamma", "find", "reproduce", "gamma-huge", "find-huge", "reproduce-huge",
+        "check-f-huge"])
 def test_bad_input_makes_no_output_dir(out_dir, capsys, prop1_config, command, message):
     argv = command[:1] + ([] if command[0] == "reproduce" else [prop1_config]) + command[1:]
     assert main(argv) == 2
@@ -396,6 +402,21 @@ class TestFind:
             "no files written\n")
         assert not out_dir.exists()
         assert sweeps == []
+
+    def test_constant_steady_state_is_rejected(self, tmp_path, prop1, out_dir, capsys):
+        # f = s (1 - s) (s - 1/2) vanishes at 1/2, so u = 1/2 is a steady
+        # state, and a constant one: no cline
+        cfg = tmp_path / "cubic.json"
+        cfg.write_text(json.dumps({"weight": prop1.problem.weight.to_dict(),
+                                   "f": {"kind": "poly", "coeffs": [0, -0.5, 1.5, -1]},
+                                   "lambda": 45.0}))
+        assert main(["find", str(cfg), "--resolution", "101"]) == 0
+        payload = json.loads((out_dir / "clines.json").read_text())
+        assert len(payload["clines"]) == 2
+        (rejected,) = payload["rejected"]
+        assert rejected["c"] == rejected["min_u"] == rejected["max_u"] == 0.5
+        assert rejected["rejection_reason"] == "trajectory is constant (u = 5.000e-01)"
+        assert "rejected: c = 0.5 (trajectory is constant" in capsys.readouterr().out
 
     def test_lost_bracket_is_reported(self, prop1_config, out_dir, monkeypatch, capsys):
         # with no time-map root, the first bracket is refined on the map, and

@@ -439,8 +439,9 @@ class TestSweepBrackets:
             assert report.blown > 0
 
     def test_no_survivor_reports_nan_error(self, default_cfg, monkeypatch):
-        # f(0) = 5 sends every height out of the bound in both coarse sweeps;
-        # with E nan no coarse sign is trusted, so the direct sweep runs
+        # f(0) = 5 sends every height out of the bound in both coarse sweeps,
+        # so E is nan and the direct sweep runs; it finds no bracket here, so
+        # why it runs is pinned by test_no_survivor_still_brackets_at_the_fine_step
         p = replace(problem_from_json((REPO_CONFIGS / "remark_concave.json").read_text()),
                     f=CustomPolynomial((5.0, 1.0, -1.0)), lam=400.0)
         calls, reshot = record_sweeps(monkeypatch)
@@ -465,6 +466,20 @@ class TestSweepBrackets:
         assert [(s, len(u0)) for s, u0 in calls] == [(h, 9), (0.5 * h, 9),
                                                     (DEFAULT_TARGET_STEP, 11)]
         assert brackets == []
+
+    def test_no_survivor_still_brackets_at_the_fine_step(self):
+        # prop-2 at lambda = 1e5: all 49 nodes blow up in both coarse sweeps,
+        # so the pre-pass would take each as blown and re-shoot none, yet the
+        # fine sweep brackets 9 sign changes between the nodes that survive it
+        p = replace(case_problem("prop2"), lam=1e5)
+        cfg = IntegratorConfig(2e-3)
+        for k in (1.0, 2.0):
+            coarse = IntegratorConfig(coarsest_step(p) / k)
+            assert not sweep_terminals(p, coarse, np.linspace(0.0, 1.0, 51)[1:-1]).ok.any()
+        brackets, report = sweep_brackets(p, cfg, resolution=51)
+        assert report.direct_reason == "no node survived both coarse sweeps, E = nan"
+        assert len(brackets) == 9
+        assert bracket_fields(brackets) == bracket_fields(direct_brackets(p, cfg, 51))
 
     def test_endpoint_slopes_come_from_the_half_step_sweep(self, prop1, prop2, prop1_search,
                                                            prop2_search, default_cfg):
@@ -737,29 +752,30 @@ class TestChooseStep:
         step, note = choose_step(self.P, 1e-3, 1e-10)
         assert step == DEFAULT_TARGET_STEP
         assert note.endswith(f"clamped: the rule gives {self.HALF * 1e-2:.3g}, "
-                             f"below the floor 0.0001")
+                             f"kept within [0.0001, {self.HALF:.3g}]")
 
     @pytest.mark.parametrize("error", [1e-20, 0.0])
     def test_ceiling(self, error):
         step, note = choose_step(self.P, error, 1e-10)
         assert step == self.HALF
-        assert f"above H/2 = {self.HALF:.3g}" in note
+        assert note.endswith(f"kept within [0.0001, {self.HALF:.3g}]")
 
     def test_short_habitat_takes_h_over_2_below_the_floor(self):
         # span 0.015 < 200 * 1e-4, so H / 2 = 7.5e-05 lies below the floor
-        # 1e-4 and caps the step; the note names H / 2, not the floor
+        # 1e-4 and is both ends of the interval the rule is kept within
         p = replace(self.P, weight=StepWeight(1.0, -0.005, 0.01))
         half = 0.5 * coarsest_step(p)
         assert half < DEFAULT_TARGET_STEP
         step, note = choose_step(p, 1e-6, 1e-10)
         assert step == half
         assert note == (" from E = 1e-06 (tol_v/10), clamped: the rule gives 4.22e-06, "
-                        "below the floor 0.0001, which lies above H/2 = 7.5e-05")
+                        "kept within [7.5e-05, 7.5e-05]")
 
     def test_nan_falls_back_to_the_default(self):
         step, note = choose_step(self.P, math.nan, 1e-10)
         assert step == DEFAULT_TARGET_STEP
-        assert note == ", the default: no height survived both coarse sweeps (E = nan)"
+        assert note == (f", the low end of [0.0001, {self.HALF:.3g}]: no height survived "
+                        "both coarse sweeps (E = nan)")
 
     def test_nan_on_a_short_habitat_takes_h_over_2(self, monkeypatch):
         # H / 2 = 7.5e-05 lies below the default step, and no fine step is
@@ -768,7 +784,7 @@ class TestChooseStep:
         p = replace(self.P, weight=StepWeight(1.0, -0.005, 0.01))
         step, note = choose_step(p, math.nan, 1e-10)
         assert step == 0.5 * coarsest_step(p) < DEFAULT_TARGET_STEP
-        assert note == (", H/2, below the default 0.0001: no height survived both "
+        assert note == (", the low end of [7.5e-05, 7.5e-05]: no height survived both "
                         "coarse sweeps (E = nan)")
 
     @pytest.mark.parametrize("name", ["remark-no-dominance-300", "remark-full-dominance-300"])
@@ -776,8 +792,10 @@ class TestChooseStep:
         result = chosen_search(case_problem(name))
         report = result.bracketing
         assert report.step == DEFAULT_TARGET_STEP
-        assert report.step_line().startswith(
+        step_line, bracketing_line = report.summary().split("\n")
+        assert step_line.startswith(
             f"step: 0.0001 from E = {report.error_estimate:.3g} (tol_v/10), clamped: ")
+        assert bracketing_line.startswith("bracketing: coarse steps ")
 
     @pytest.mark.parametrize("name, reshots, bracket_count", [
         ("prop1", 0, 3), ("prop2", 0, 4), ("remark_concave", 0, 1),
@@ -798,7 +816,9 @@ class TestChooseStep:
     def test_explicit_step_is_not_chosen(self, prop1_search):
         result, _ = prop1_search
         assert result.bracketing.step == DEFAULT_TARGET_STEP
-        assert result.bracketing.step_note is None and result.bracketing.step_line() is None
+        assert result.bracketing.step_note is None
+        assert "\n" not in result.bracketing.summary()
+        assert result.bracketing.summary().startswith("bracketing: ")
 
 
 class TestChosenSearch:
