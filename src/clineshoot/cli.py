@@ -42,6 +42,7 @@ from .shooting import (
     _grid,
     build_gamma,
     find_all_clines,
+    find_brackets,
 )
 
 EXIT_OK = 0
@@ -147,7 +148,7 @@ def cmd_check_f(args) -> int:
 def cmd_shoot(args) -> int:
     problem, digest = _load_problem(args.config)
     z0 = PhasePoint(args.r, 0.0)
-    out = _out_dir() / f"shoot_r{args.r:g}.csv"
+    out = _out_dir() / f"shoot_r{args.r!r}.csv"
     cfg = IntegratorConfig()
     manifest = _manifest(digest, cfg.target_step)
     try:
@@ -176,8 +177,7 @@ def cmd_gamma(args) -> int:
                (gamma.rs, gamma.u_end, gamma.v_end, np.where(gamma.ok, "ok", "blowup")),
                "%.17g,%.17g,%.17g,%s\n")
     blowups = int((~gamma.ok).sum())
-    print(f"{args.resolution} rows, {gamma.sign_changes()} interior sign changes, "
-          f"{blowups} blow-ups")
+    print(f"{args.resolution} rows, {len(find_brackets(gamma))} brackets, {blowups} blow-ups")
     print(f"wrote {out} (wall time {elapsed:.2f} s)")
     return EXIT_OK
 

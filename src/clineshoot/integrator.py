@@ -206,13 +206,11 @@ class GammaCurve:
     rs: np.ndarray
     u_end: np.ndarray     # nan where the column blew up
     v_end: np.ndarray     # nan where the column blew up
-    ok: np.ndarray        # False where the column blew up
 
-    def sign_changes(self) -> int:
-        """Count of strict sign changes of terminal v over interior ok entries."""
-        inner = self.v_end[1:-1][self.ok[1:-1]]
-        inner = inner[inner != 0.0]
-        return int(np.sum(inner[:-1] * inner[1:] < 0.0))
+    @property
+    def ok(self) -> np.ndarray:
+        """False where the column blew up."""
+        return ~np.isnan(self.v_end)
 
 
 def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaCurve:
@@ -233,7 +231,7 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaC
         u, v = _march(p, cfg, rs, np.zeros_like(rs), leave)
     u[~active] = np.nan
     v[~active] = np.nan
-    return GammaCurve(rs=rs, u_end=u, v_end=v, ok=active)
+    return GammaCurve(rs=rs, u_end=u, v_end=v)
 
 
 def energy_profile(p: Problem, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

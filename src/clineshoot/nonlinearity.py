@@ -395,10 +395,10 @@ _KINDS = {
 def nonlinearity_from_dict(d: dict) -> Nonlinearity:
     """Build a family from its JSON object form; raises ValueError on bad input."""
     if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("nonlinearity object must be a mapping with a 'kind' field")
+        raise ValueError(f"'f' must be an object with a 'kind' field, got {d!r}")
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValueError(f"unknown nonlinearity kind {kind!r}; expected one of {sorted(_KINDS)}")
+        raise ValueError(f"'f.kind' must be one of {sorted(_KINDS)}, got {kind!r}")
     param, build = _KINDS[kind]
     _check_keys(d, ("kind", param), "f.")
     return build(d[param])

@@ -11,9 +11,9 @@ The fine step is the caller's, or, when the caller gives none, the one
 `choose_step` takes from that same error estimate. A caller's step is swept
 directly when its sweep takes no more steps than the two coarse sweeps.
 Every reported number is computed at the fine step.
-Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`;
-the pre-pass scans its mixed coarse and fine slopes with the same rule
-`find_brackets` applies to a curve.
+Every sweep comes back from `integrator.sweep_terminals` as a `GammaCurve`,
+and the pre-pass puts its mixed coarse and fine values into one; each is
+scanned by `find_brackets`.
 
 Every bracket is refined by Brent's method on the terminal slope of the
 scalar Poincare map (`bisect_cline`). When the pre-pass stands at the step
@@ -129,20 +129,17 @@ class BracketLostError(RuntimeError):
 
 
 def find_brackets(g: GammaCurve) -> list[Bracket]:
-    """Scan interior ok entries for strict sign changes of terminal v.
+    """Scan a terminal sweep for strict sign changes of terminal v.
 
-    Endpoints r=0 and r=1 are the trivial equilibria and never bracket;
-    blow-up entries are skipped, so a bracket may span a blow-up gap (the
-    sign change is then confirmed or lost during refinement). Entries with
-    |v| <= EXACT_ROOT_TOL come back as degenerate brackets and separate
-    their neighbours.
+    The one scan of a sweep: `gamma` counts its brackets and the pre-pass
+    runs it on its mixed curve. Heights outside (0, 1) are the trivial
+    equilibria and never bracket; blow-up (nan) entries are skipped, so a
+    bracket may span a blow-up gap (the sign change is then confirmed or
+    lost during refinement). Entries with |v| <= EXACT_ROOT_TOL come back
+    as degenerate brackets and separate their neighbours.
     """
-    return _brackets(g.rs[1:-1], g.v_end[1:-1], g.ok[1:-1])
-
-
-def _brackets(rs: np.ndarray, v: np.ndarray, ok: np.ndarray) -> list[Bracket]:
-    """find_brackets over interior heights rs with terminal slopes v."""
-    rs, vs = rs[ok].tolist(), v[ok].tolist()
+    keep = g.ok & (g.rs > 0.0) & (g.rs < 1.0)
+    rs, vs = g.rs[keep].tolist(), g.v_end[keep].tolist()
     out: list[Bracket] = []
     for j in range(len(rs)):
         if abs(vs[j]) <= EXACT_ROOT_TOL:
@@ -294,7 +291,7 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
         return direct(replace(report, direct_reason="no node survived both coarse "
                                                     "sweeps, E = nan"))
 
-    v, gone = half.v_end, ~(wide.ok | half.ok)
+    u, v, gone = half.u_end, half.v_end, ~(wide.ok | half.ok)
     margin = PREPASS_SAFETY * _spread(estimate, np.maximum) + EXACT_ROOT_TOL
     need = _spread(~gone & ~(ok & (np.abs(v) > margin)))
     shot = np.zeros_like(need)
@@ -308,14 +305,14 @@ def sweep_brackets(p: Problem, cfg: Optional[IntegratorConfig],
             return direct(replace(report, reshot=int(need.sum()), direct_reason=reason))
         for i in np.flatnonzero(need & ~shot):
             try:
-                v[i] = poincare_map(p, cfg, PhasePoint(float(inner[i]), 0.0)).v
-                gone[i] = False
+                z = poincare_map(p, cfg, PhasePoint(float(inner[i]), 0.0))
+                u[i], v[i], gone[i] = z.u, z.v, False
             except BlowupError:
-                v[i] = np.nan
-                gone[i] = True
+                u[i], v[i], gone[i] = np.nan, np.nan, True
         shot = need.copy()
     report = replace(report, reshot=int(shot.sum()), blown=int(gone[~shot].sum()))
-    return _brackets(inner, v, ~gone), report
+    # a node neither re-shot nor gone was trusted, so v is nan exactly where gone
+    return find_brackets(GammaCurve(inner, u, v)), report
 
 
 @dataclass(eq=False)

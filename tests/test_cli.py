@@ -110,12 +110,15 @@ class TestCheckF:
         assert "(negative: False)" in out
         assert "in conjecture scope: False" in out
 
-    def test_truncated_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"weight": {', "parse error at line 1 column 13"),
+        (b'{"lambda": 45.0, "f": "\xff"}', "is not UTF-8"),
+    ], ids=["truncated", "not-utf-8"])
+    def test_unparsable_config(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "broken.json"
-        cfg.write_text('{"weight": {')
+        cfg.write_bytes(raw)
         assert main(["check-f", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "line" in err and "column" in err
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["check-f", str(tmp_path / "nope.json")]) == 2
@@ -163,8 +166,13 @@ class TestCheckF:
         ({"weight": {"alpha": 10**400, "omega1": -0.21, "omega2": 0.2}}, "weight.alpha"),
         ({"f": {"kind": "hat", "h": 10**400}}, "f.h"),
         ({"f": {"kind": "poly", "coeffs": [0, 1, -10**400]}}, "f.coeffs[2]"),
+        ({"weight": 1}, "weight"),
+        ({"f": [1]}, "f"),
+        ({"f": {"h": 3.0}}, "f"),
+        ({"f": {"kind": "tent", "h": 3.0}}, "f.kind"),
     ], ids=["alpha", "omega1", "omega2", "lambda", "k", "h", "m", "coeffs-empty",
-            "lambda-huge-int", "alpha-huge-int", "h-huge-int", "coeffs-huge-int"])
+            "lambda-huge-int", "alpha-huge-int", "h-huge-int", "coeffs-huge-int",
+            "weight-number", "f-list", "f-no-kind", "f-unknown-kind"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, change, key):
         cfg = tmp_path / "out_of_range.json"
         cfg.write_text(json.dumps({
@@ -261,16 +269,18 @@ class TestShoot:
         assert csv.read_text().startswith("# config_digest: sha256:")
 
     def test_file_records_its_height(self, prop2_config, out_dir):
-        # the file name rounds r to 6 significant digits, so both heights
-        # write shoot_r0.383454.csv; only its r: line tells them apart
+        # the file name holds the shortest repr of r, so two heights that
+        # agree to 6 significant digits write two files
         for r in ("0.38345441948", "0.3834544"):
             assert main(["shoot", prop2_config, "--r", r]) == 0
-            header = (out_dir / "shoot_r0.383454.csv").read_text().split("x,u,v\n")[0]
+            header = (out_dir / f"shoot_r{r}.csv").read_text().split("x,u,v\n")[0]
             assert header.endswith(f"# r: {float(r):.17g}\n")
+        assert len(list(out_dir.glob("shoot_r*.csv"))) == 2
 
     def test_zero_initial_height(self, prop1_config, out_dir, capsys):
         assert main(["shoot", prop1_config, "--r", "0"]) == 0
         assert "terminal point: (0, 0)" in capsys.readouterr().out
+        assert (out_dir / "shoot_r0.0.csv").exists()
 
     def test_blowup_exit_code(self, prop1_config, out_dir, capsys):
         assert main(["shoot", prop1_config, "--r", "5"]) == 3
@@ -299,7 +309,7 @@ class TestGamma:
         ok = rng.random(n) > 0.1
         g = GammaCurve(rs=np.linspace(0.0, 1.0, n),
                        u_end=np.where(ok, rng.normal(size=n), np.nan),
-                       v_end=np.where(ok, rng.normal(size=n) * 1e-7, np.nan), ok=ok)
+                       v_end=np.where(ok, rng.normal(size=n) * 1e-7, np.nan))
         monkeypatch.setattr(cli, "build_gamma", lambda p, cfg, resolution: g)
         assert main(["gamma", prop1_config, "--resolution", str(n)]) == 0
         expected = "r,u_end,v_end,status\n" + "".join(
@@ -312,8 +322,19 @@ class TestGamma:
     def test_sign_alternations_reported(self, prop1_config, out_dir, capsys):
         assert main(["gamma", prop1_config, "--resolution", "401"]) == 0
         out = capsys.readouterr().out
-        changes = int(out.split("rows,")[1].split("interior sign changes")[0])
-        assert changes >= 3
+        assert int(out.split("rows,")[1].split("brackets")[0]) >= 3
+
+    @pytest.mark.parametrize("v", [1e-14, 0.0], ids=["near-zero", "exact-zero"])
+    def test_count_is_the_bracket_count_at_a_tangency(self, prop1_config, out_dir,
+                                                      monkeypatch, capsys, v):
+        # v_end touches zero at one node without changing sign: one exact
+        # root, the one bracket find would refine
+        g = GammaCurve(rs=np.linspace(0.0, 1.0, 11), u_end=np.full(11, 0.5),
+                       v_end=np.array([0.0] + [-1.0] * 4 + [v] + [-1.0] * 4 + [0.0]))
+        monkeypatch.setattr(cli, "build_gamma", lambda p, cfg, resolution: g)
+        assert main(["gamma", prop1_config, "--resolution", "11"]) == 0
+        assert len(shooting.find_brackets(g)) == 1
+        assert "11 rows, 1 brackets, 0 blow-ups\n" in capsys.readouterr().out
 
     def test_bad_resolution(self, prop1_config, out_dir):
         assert main(["gamma", prop1_config, "--resolution", "10"]) == 2
@@ -369,14 +390,21 @@ class TestFind:
             assert [r.split(",")[0] for r in rows] == xs
             assert all(r.split(",")[1:] == [level, "0"] for r in rows[1:])
 
-    def test_no_brackets_exit_code(self, tmp_path, out_dir):
+    @pytest.mark.parametrize("f, lam, flags, message", [
+        ({"kind": "degree_of_dominance", "k": 0.0}, 0.001, [],
+         "no brackets found at this resolution"),
+        # f = 0 makes every height a constant steady state: 9 exact
+        # brackets, each rejected as constant
+        ({"kind": "poly", "coeffs": [0]}, 45.0, ["--resolution", "11"],
+         "brackets found but no validated cline"),
+    ], ids=["no-brackets", "all-rejected"])
+    def test_no_brackets_exit_code(self, tmp_path, prop1, out_dir, capsys, f, lam, flags,
+                                   message):
         cfg = tmp_path / "flat.json"
-        cfg.write_text(json.dumps({
-            "weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
-            "f": {"kind": "degree_of_dominance", "k": 0.0},
-            "lambda": 0.001,
-        }))
-        assert main(["find", str(cfg)]) == 4
+        cfg.write_text(json.dumps({"weight": prop1.problem.weight.to_dict(), "f": f,
+                                   "lambda": lam}))
+        assert main(["find", str(cfg)] + flags) == 4
+        assert capsys.readouterr().err.endswith(message + "\n")
 
     @pytest.mark.parametrize("coeffs, lam, f0", [([5, 1, -1], 400.0, "5"),
                                                 ([0.001, 1, -1], 45.0, "0.001")],

@@ -113,6 +113,8 @@ class TestDerivatives:
             eps = 1e-4
             fd2 = (f.deriv(s + eps) - f.deriv(s - eps)) / (2.0 * eps)
             assert abs(fd2 - f.deriv(s, order=2)) <= 1e-4 * max(1.0, abs(fd2))
+        with pytest.raises(ValueError, match="derivative order must be 1 or 2, got 3"):
+            f.deriv(0.5, order=3)
 
     def test_antiderivative_differentiates_back(self):
         for f in ALL_FAMILIES:

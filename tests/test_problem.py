@@ -177,7 +177,12 @@ class TestNecessaryIntegral:
 
     def test_span_mismatch_rejected(self, prop1, prop2, default_cfg):
         traj = integrate(prop2.problem, default_cfg, PhasePoint(0.3, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected"):
+            neumann_necessary_integral(prop1.problem, traj)
+        # the right span, but split_index misses x = 0
+        traj = integrate(prop1.problem, default_cfg, PhasePoint(0.3, 0.0))
+        traj.split_index += 1
+        with pytest.raises(ValueError, match="no sample at x = 0"):
             neumann_necessary_integral(prop1.problem, traj)
 
     def test_constant_height_gives_mean_times_f(self, prop1, default_cfg):

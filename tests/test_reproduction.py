@@ -84,6 +84,7 @@ class TestCompare:
         assert not report.passed
         assert report.misses == [0.683]
         assert report.count_found == 2
+        assert "  unmatched expectation: c = 0.683000\n" in report.render()
 
     def test_extra_root(self, prop1):
         found = fake_clines(0.125, 0.3, 0.479, 0.683,
@@ -91,6 +92,7 @@ class TestCompare:
         report = compare(prop1, found)
         assert not report.passed
         assert report.extras == [0.3]
+        assert "  extra root found: c = 0.300000\n" in report.render()
 
     def test_count_accounting(self, prop1):
         found = fake_clines(0.125, 0.3, us=[0.273, 0.5])

@@ -43,12 +43,11 @@ PROP2_BRACKET_WINDOWS = [(0.01, 0.1), (0.1, 0.45), (0.45, 0.9)]
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def synthetic_curve(vs, ok=None):
+def synthetic_curve(vs, rs=None):
+    """A curve of terminal slopes vs over [0, 1], or at heights rs; nan is a blow-up."""
     n = len(vs)
-    rs = np.linspace(0.0, 1.0, n)
-    vs = np.asarray(vs, dtype=float)
-    ok = np.ones(n, dtype=bool) if ok is None else np.asarray(ok, dtype=bool)
-    return GammaCurve(rs=rs, u_end=np.full(n, 0.5), v_end=vs, ok=ok)
+    rs = np.linspace(0.0, 1.0, n) if rs is None else np.asarray(rs, dtype=float)
+    return GammaCurve(rs=rs, u_end=np.full(n, 0.5), v_end=np.asarray(vs, dtype=float))
 
 
 class TestGammaCurve:
@@ -66,7 +65,7 @@ class TestGammaCurve:
 
     def test_sign_changes_second_instance(self, prop2_gamma):
         # prop-1's count is asserted through the gamma command in test_cli.py
-        assert prop2_gamma.sign_changes() >= 3
+        assert len(find_brackets(prop2_gamma)) >= 3
 
 
 class TestFindBrackets:
@@ -91,12 +90,20 @@ class TestFindBrackets:
         assert brackets[0].r_lo > 0.0 and brackets[0].r_hi < 1.0
 
     def test_blowup_entries_skipped(self):
-        g = synthetic_curve([0.0, 1.0, 5.0, -1.0, -2.0, 0.0], ok=[1, 1, 0, 1, 1, 1])
+        # a blown entry is the nan sweep_terminals writes; ok reads it
+        g = synthetic_curve([0.0, 1.0, np.nan, -1.0, -2.0, 0.0])
+        assert g.ok.tolist() == [True, True, False, True, True, True]
         brackets = find_brackets(g)
         assert len(brackets) == 1
         # the bracket spans the blown-up gap
         assert brackets[0].r_lo == pytest.approx(0.2)
         assert brackets[0].r_hi == pytest.approx(0.6)
+
+    def test_interior_heights_scan_their_ends(self):
+        # no padding at r = 0 and r = 1: the first and last entries bracket too
+        g = synthetic_curve([0.0, 1.0, -1.0, 0.0], rs=[0.2, 0.4, 0.6, 0.8])
+        assert [(b.r_lo, b.r_hi) for b in find_brackets(g)] == [
+            (0.2, 0.2), (0.4, 0.6), (0.8, 0.8)]
 
     def test_exact_zero_becomes_degenerate(self):
         g = synthetic_curve([0.0, 1.0, 0.0, -1.0, 0.5, 0.0])
@@ -389,7 +396,6 @@ def blow_up_nodes(nodes, steps):
     """A patch_coarse that blows up the given interior nodes in the sweeps at steps."""
     def patch(out, step):
         if step in steps:
-            out.ok[nodes] = False
             out.v_end[nodes] = np.nan
     return patch
 
