@@ -58,7 +58,7 @@ STEP_HELP = "integrator target step (default: chosen from the coarse sweeps' err
 # CSV rows are formatted this many at a time, from Python floats; joining
 # a whole file into one string would hold every row in memory at once.
 CSV_CHUNK_ROWS = 1024
-XUV_ROW = "%.17g,%.17g,%.17g\n"   # an x,u,v row: shoot, cline_<i> and trivial_<level>
+XUV_ROW = "%.17g,%.17g,%.17g\n"   # an x,u,v row of shoot
 
 
 class ConfigError(Exception):
@@ -110,7 +110,8 @@ def _write_csv(path: Path, manifest: dict, header: str, columns: tuple, row: str
     """Write the manifest as `# key: value` lines, floats at 17 significant
     digits, then the header, then `row % values` for each index of the columns.
 
-    `%.17g` writes a float as `f"{x:.17g}"` does, nan included.
+    `%.17g` writes a float as `f"{x:.17g}"` does, nan included; a `%s`
+    takes a column formatted beforehand, an object array of str.
     """
     with path.open("w") as fh:
         for k, v in manifest.items():
@@ -209,18 +210,20 @@ def cmd_find(args) -> int:
     payload["manifest"] = manifest
     payload["settings"] = {k: manifest[k] for k in
                            ("resolution", "tol_r", "tol_v", "target_step", "blowup_bound")}
+    # every profile is sampled on the x grid of the search's step: format it once
+    xs, _ = sample_grid(problem, IntegratorConfig(target_step=bracketing.step))
+    x_text = np.array(["%.17g" % x for x in xs.tolist()], dtype=object)
     csv_names = []
     for i, cline in enumerate(result.clines, start=1):
         name = f"cline_{i}.csv"
         traj = cline.trajectory
         _write_csv(out_dir / name, {**manifest, "c": cline.c}, "x,u,v",
-                   (traj.xs, traj.us, traj.vs), XUV_ROW)
+                   (x_text, traj.us, traj.vs), "%s,%.17g,%.17g\n")
         csv_names.append(name)
     payload["trajectory_files"] = csv_names
-    xs, _ = sample_grid(problem, IntegratorConfig(target_step=bracketing.step))
     for level in (0, 1):
-        _write_csv(out_dir / f"trivial_{level}.csv", manifest, "x,u,v",
-                   (xs, np.full_like(xs, level), np.zeros_like(xs)), XUV_ROW)
+        _write_csv(out_dir / f"trivial_{level}.csv", manifest, "x,u,v", (x_text,),
+                   f"%s,{level},0\n")
     _write_json(out_dir / "clines.json", payload)
 
     for cline in result.clines:

@@ -210,22 +210,23 @@ class ArctanDamped(Nonlinearity):
 
     def value(self, s: Scalar) -> Scalar:
         m = self.m
-        if isinstance(s, np.ndarray):
-            if s.ndim == 0:  # numpy returns scalars for 0-d operands, and out= needs arrays
-                return self.value(s.reshape(1))[0]
-            e = -25.0 * s
-            e *= s
-            g = 10.0 * s
-            g *= np.exp(e, out=e)
-            np.abs(s, out=e)
-            e += 1.0
-            g += np.divide(s, e, out=e)
-            q = 1.0 - s
-            q *= m
-            g *= np.arctan(q, out=q)
-            return g
-        g = 10.0 * s * math.exp(-25.0 * s * s) + s / (abs(s) + 1.0)
-        return g * math.atan(m * (1.0 - s))
+        # a float, the scalar marches' state, takes the cheapest test first
+        if type(s) is float or not isinstance(s, np.ndarray):
+            g = 10.0 * s * math.exp(-25.0 * s * s) + s / (abs(s) + 1.0)
+            return g * math.atan(m * (1.0 - s))
+        if s.ndim == 0:  # numpy returns scalars for 0-d operands, and out= needs arrays
+            return self.value(s.reshape(1))[0]
+        e = -25.0 * s
+        e *= s
+        g = 10.0 * s
+        g *= np.exp(e, out=e)
+        np.abs(s, out=e)
+        e += 1.0
+        g += np.divide(s, e, out=e)
+        q = 1.0 - s
+        q *= m
+        g *= np.arctan(q, out=q)
+        return g
 
     def deriv(self, s: Scalar, order: int = 1) -> Scalar:
         if order not in (1, 2):

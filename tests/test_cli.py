@@ -380,6 +380,14 @@ class TestFind:
         for c, ref in zip(cs, (0.125, 0.479, 0.683)):
             assert abs(c - ref) < 0.005
 
+    def test_profiles_share_the_search_grid(self, prop2, prop2_search):
+        # find formats this x grid once, for every cline_<i> and trivial_<level> file
+        result, _ = prop2_search
+        xs, _ = integrator.sample_grid(prop2.problem, IntegratorConfig(result.bracketing.step))
+        assert len(result.clines) == 3 and len(result.rejected) == 1
+        for cline in result.clines + result.rejected:
+            assert np.array_equal(cline.trajectory.xs, xs)
+
     def test_trivial_profiles_written(self, prop1_config, out_dir):
         # constant profiles on the sample grid of the clines' integrations
         assert main(["find", prop1_config, "--resolution", "201"]) == 0

@@ -16,7 +16,7 @@ from clineshoot.integrator import (
     step_plan,
     sweep_terminals,
 )
-from clineshoot.nonlinearity import HatFamily
+from clineshoot.nonlinearity import ArctanDamped, HatFamily
 from clineshoot.problem import Problem, StepWeight
 from clineshoot.reproduction import remark_instances
 
@@ -125,6 +125,28 @@ class TestBlowup:
         assert math.isnan(sweep.u_end[1]) and math.isnan(sweep.v_end[1])
         with pytest.raises(BlowupError):
             poincare_map(p, default_cfg, PhasePoint(r, 0.0))
+
+
+class TestScalarMarchesCallValue:
+    """A scalar march evaluates f only through its class's `value`, four
+    times per RK4 step: the count a wrapper of that method reads."""
+
+    def test_four_float_calls_per_step(self, prop2, default_cfg, monkeypatch):
+        calls = []
+        value = ArctanDamped.value
+
+        def counted(self, s):
+            calls.append(type(s))
+            return value(self, s)
+
+        monkeypatch.setattr(ArctanDamped, "value", counted)
+        p = prop2.problem
+        n1, _, n2, _ = step_plan(p, default_cfg)
+        poincare_map(p, default_cfg, PhasePoint(0.4, 0.0))
+        assert calls == [float] * (4 * (n1 + n2))
+        calls.clear()
+        integrate(p, default_cfg, PhasePoint(0.4, 0.0))
+        assert calls == [float] * (4 * (n1 + n2))
 
 
 class TestBatchAgreement:

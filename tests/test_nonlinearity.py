@@ -259,6 +259,24 @@ class TestInPlaceArithmetic:
                 _assert_same_bits(got, ref)
 
 
+class TestArctanScalarPath:
+    """value() tests for a float first; every other scalar takes the same
+    math.* expression, and a 0-d array the array path."""
+
+    def test_float_and_float64_keep_the_bits(self):
+        f = ArctanDamped(m=10.0)
+        xs = np.random.default_rng(24).uniform(-2.0, 2.0, 10_000).tolist()
+        got = [f.value(x) for x in xs]
+        assert all(type(g) is float for g in got)
+        ref = [f.value(np.float64(x)) for x in xs]
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_0d_array_takes_the_array_path(self):
+        f = ArctanDamped(m=10.0)
+        for x in (-1.5, -0.3, 0.0, 0.45, 0.9, 1.0, 1.7):
+            _assert_same_bits(f.value(np.array(x)), f.value(np.array([x]))[0])
+
+
 @given(k=st.floats(min_value=-1.0, max_value=1.0),
        s=st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
 @settings(max_examples=200, deadline=None)
