@@ -16,7 +16,7 @@ from clineshoot.integrator import (
     step_plan,
     sweep_terminals,
 )
-from clineshoot.nonlinearity import ArctanDamped, HatFamily
+from clineshoot.nonlinearity import ArctanDamped, CustomPolynomial, HatFamily
 from clineshoot.problem import Problem, StepWeight
 from clineshoot.reproduction import remark_instances
 
@@ -127,6 +127,74 @@ class TestBlowup:
             poincare_map(p, default_cfg, PhasePoint(r, 0.0))
 
 
+class TestBoundPaths:
+    """A float march tests the blow-up bound itself; a batch hands every step
+    to `sweep_terminals`' `leave`, which tests the whole batch with one
+    reduction before it looks for the columns that left. Either way each
+    column must be `poincare_map`'s value, or nan where it raises."""
+
+    CFG = IntegratorConfig(target_step=1e-3)
+
+    def assert_columns_match_poincare_map(self, p, rs):
+        sweep = sweep_terminals(p, self.CFG, rs)
+        for i, r in enumerate(rs):
+            try:
+                z = poincare_map(p, self.CFG, PhasePoint(float(r), 0.0))
+            except BlowupError:
+                assert math.isnan(sweep.u_end[i]) and math.isnan(sweep.v_end[i]), f"r={r}"
+            else:
+                assert (sweep.u_end[i], sweep.v_end[i]) == (z.u, z.v), f"r={r}"
+        return sweep
+
+    def test_many_columns_blow_up(self):
+        p = dataclasses.replace(remark_instances()[1].problem, lam=300.0)
+        sweep = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        assert 20 < np.count_nonzero(~sweep.ok) < 80
+
+    def test_inf_or_nan_within_one_step(self, prop1):
+        p = prop1.problem
+        sweep = self.assert_columns_match_poincare_map(p, np.array([0.1, 1e200, 0.4, -1e200, 0.75]))
+        assert sweep.ok.tolist() == [True, False, True, False, True]
+        _, h1, _, _ = step_plan(p, self.CFG)
+        with pytest.raises(BlowupError) as exc_info:
+            poincare_map(p, self.CFG, PhasePoint(1e200, 0.0))
+        assert exc_info.value.x == p.weight.omega1 + h1
+        assert not (abs(exc_info.value.u) <= BLOWUP_BOUND)
+
+    def test_frozen_columns_drift_where_f0_is_nonzero(self):
+        # f(u) = u^3 - 1: a column frozen at (0, 0) marches on as from the
+        # origin, which leaves the bound on the left piece at this lambda
+        geometry = StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2)
+        p = Problem(weight=geometry, f=CustomPolynomial((-1.0, 0.0, 0.0, 1.0)), lam=300.0)
+        with pytest.raises(BlowupError) as exc_info:
+            poincare_map(p, self.CFG, PhasePoint(0.0, 0.0))
+        assert exc_info.value.x < 0.0
+        grid = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        assert 0 < np.count_nonzero(grid.ok) < 101
+        # the 1e200 column alone freezes, at the first step, so its drift,
+        # the origin's march one step later, leaves the bound while every
+        # other column still lies in it
+        rs = np.append(grid.rs[grid.ok], 1e200)
+        sweep = self.assert_columns_match_poincare_map(p, rs)
+        assert sweep.ok.tolist() == [True] * (len(rs) - 1) + [False]
+
+
+class TestOperandTypes:
+    def test_float_start_gives_floats(self, prop1, prop2, default_cfg):
+        for inst in (prop1, prop2):
+            z = poincare_map(inst.problem, default_cfg, PhasePoint(0.4, 0.0))
+            assert type(z.u) is float and type(z.v) is float
+
+    @pytest.mark.parametrize("width", [0, 11])
+    def test_sweep_gives_float64_columns(self, prop1, prop2, width):
+        # an empty batch too: the bound's reduction has an initial value
+        cfg = IntegratorConfig(target_step=1e-3)
+        for inst in (prop1, prop2):
+            sweep = sweep_terminals(inst.problem, cfg, np.linspace(0.0, 1.0, width))
+            assert sweep.u_end.dtype == np.float64 and sweep.v_end.dtype == np.float64
+            assert sweep.u_end.shape == sweep.v_end.shape == (width,)
+
+
 class TestScalarMarchesCallValue:
     """A scalar march evaluates f only through its class's `value`, four
     times per RK4 step: the count a wrapper of that method reads."""
@@ -168,8 +236,9 @@ class TestBatchAgreement:
                 assert z.v == sweep.v_end[i]
 
     def test_float64_start_matches_float_start(self, prop1, prop2, default_cfg):
-        # a np.float64 state makes the bound check a np.bool_ rather than a
-        # bool, so every step of its march goes through the kernel's `leave`
+        # a np.float64 state is not an ndarray, so it takes the float path:
+        # Python-float step constants and the kernel's own bound test, whose
+        # np.bool_ results its `and` and `not` take as a bool's
         for inst in (prop1, prop2):
             for r in (0.1, 0.4, 0.75):
                 z = poincare_map(inst.problem, default_cfg, PhasePoint(r, 0.0))
