@@ -63,8 +63,7 @@ class _PolynomialNonlinearity(Nonlinearity):
     """Shared derivative/antiderivative machinery for polynomial families.
 
     Subclasses provide ascending coefficients; value() may override with a
-    factored form so endpoint zeros are exact in floating point. deriv()
-    and antiderivative() return numpy.float64 for a float s.
+    factored form so endpoint zeros are exact in floating point.
     """
 
     @property
@@ -72,26 +71,24 @@ class _PolynomialNonlinearity(Nonlinearity):
         raise NotImplementedError
 
     @cached_property
-    def _desc(self) -> tuple[float, ...]:
-        return tuple(reversed(self.coeffs))
-
-    @cached_property
-    def _polynomial(self):
-        # imported here, so importing clineshoot does not load numpy.polynomial
-        from numpy.polynomial import Polynomial
-
-        return Polynomial(self.coeffs)
+    def _tables(self) -> tuple[tuple[float, ...], ...]:
+        """Descending coefficients of f, f', f'' and F with F(0) = 0, for _horner."""
+        tables = [self.coeffs]
+        for _ in range(2):  # f'' differentiates f' (each coefficient rounded twice)
+            tables.append(tuple(j * c for j, c in enumerate(tables[-1]))[1:] or (0.0,))
+        tables.append((0.0, *(c / (j + 1) for j, c in enumerate(self.coeffs))))
+        return tuple(t[::-1] for t in tables)
 
     def value(self, s: Scalar) -> Scalar:
-        return _horner(self._desc, s)
+        return _horner(self._tables[0], s)
 
     def deriv(self, s: Scalar, order: int = 1) -> Scalar:
         if order not in (1, 2):
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
-        return self._polynomial.deriv(order)(s)
+        return _horner(self._tables[order], s)
 
     def antiderivative(self, s: Scalar) -> Scalar:
-        return self._polynomial.integ()(s)
+        return _horner(self._tables[3], s)
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,26 @@ class ConjectureReport:
     strictly decreasing on (0, 1).
     """
 
-    weight_positive_somewhere: bool
-    weight_mean: float
-    weight_mean_negative: bool
+    weight: StepWeight
     f_star: FStarReport
-    ratio_strictly_decreasing: bool
+
+    @property
+    def weight_positive_somewhere(self) -> bool:
+        """Positivity on a set of positive measure, omega2 > 0 for a step
+        weight; StepWeight already guarantees it, and it is still reported."""
+        return self.weight.omega2 > 0.0
+
+    @property
+    def weight_mean(self) -> float:
+        return self.weight.mean
+
+    @property
+    def weight_mean_negative(self) -> bool:
+        return self.weight_mean < 0.0
+
+    @property
+    def ratio_strictly_decreasing(self) -> bool:
+        return self.f_star.ratio_strictly_decreasing
 
     @property
     def in_scope(self) -> bool:
@@ -105,21 +120,8 @@ class ConjectureReport:
 def validate_conjecture_hypotheses(
     p: Problem, grid_size: int = DEFAULT_GRID_SIZE
 ) -> ConjectureReport:
-    """Check whether an instance sits in scope of the uniqueness question.
-
-    For this step-weight family, positivity on a set of positive measure is
-    exactly omega2 > 0, which the type already guarantees; it is still
-    reported for completeness.
-    """
-    report = check_f_star(p.f, grid_size)
-    mean = p.weight.mean
-    return ConjectureReport(
-        weight_positive_somewhere=p.weight.omega2 > 0.0,
-        weight_mean=mean,
-        weight_mean_negative=mean < 0.0,
-        f_star=report,
-        ratio_strictly_decreasing=report.ratio_strictly_decreasing,
-    )
+    """Check whether an instance sits in scope of the uniqueness question."""
+    return ConjectureReport(weight=p.weight, f_star=check_f_star(p.f, grid_size))
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray, dy: np.ndarray) -> float:

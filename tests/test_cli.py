@@ -98,6 +98,16 @@ class TestCheckF:
         out = capsys.readouterr().out
         assert "in conjecture scope: True" in out
 
+    # SHA-256 of the stdout, which prints f'(0) and f'(1) at 17 digits; these
+    # polynomial f call no libm, so the bytes do not depend on the CPU
+    @pytest.mark.parametrize("config, digest", [
+        ("prop1.json", "5dbeb4d4867a8993a09aa9a826e51ee2e9e4e2d39fef4b96a97e67549b0664d2"),
+        ("remark_concave.json", "d6ee0bb9e39c087731d1148a04e2898197f740d581778b24d6379001bcf1b4dd"),
+    ])
+    def test_stdout_is_pinned(self, config, digest, capsys):
+        assert main(["check-f", str(REPO_CONFIGS / config)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_positive_mean_fails_hypotheses(self, tmp_path, capsys):
         cfg = tmp_path / "posmean.json"
         cfg.write_text(json.dumps({

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +161,12 @@ class TestConjectureHypotheses:
         report = validate_conjecture_hypotheses(p)
         assert report.ratio_strictly_decreasing is False
         assert report.in_scope is False
+
+    def test_report_stores_only_what_it_measures(self, prop2):
+        report = validate_conjecture_hypotheses(prop2.problem)
+        assert [f.name for f in fields(report)] == ["weight", "f_star"]
+        assert report.weight is prop2.problem.weight
+        assert report.weight_mean == prop2.problem.weight.mean
 
 
 class TestNecessaryIntegral:
