@@ -90,8 +90,9 @@ def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, leave, record=None):
     """March n RK4 steps of u' = v, v' = c f(u) from x0; returns final (u, v).
 
     The state is a float or an array of columns, and `feval` picks its
-    arithmetic by type. `leave(x, u, v)` gets the state at x and returns the
-    one to go on from: a float state calls it only once the state has left
+    arithmetic by type. `leave(x, u, v)` gets the state at x, always the
+    step's own, and returns the one to go on from, which may be that state
+    written in place: a float state calls it only once the state has left
     [-BLOWUP_BOUND, BLOWUP_BOUND]^2, an array of columns after every step,
     so that `leave` tests the bound for the whole batch at once.
     `record(u, v)` is called after every step when given.
@@ -161,6 +162,17 @@ def _raise_blowup(x: float, u, v):
     raise BlowupError(x, u, v)
 
 
+def _mark_blown(x: float, u, v):
+    """`leave` of a batch: sets each column that left the bound to nan in u
+    and v, in place. One reduction tests all columns (initial=0.0 admits none);
+    fmax skips nan, so a marked column never fails it again and stays nan."""
+    if np.fmax.reduce(np.fmax(abs(u), abs(v)), initial=0.0) > BLOWUP_BOUND:
+        blown = ~((abs(u) <= BLOWUP_BOUND) & (abs(v) <= BLOWUP_BOUND))
+        u[blown] = np.nan
+        v[blown] = np.nan
+    return u, v
+
+
 def _march(p: Problem, cfg: IntegratorConfig, u, v, leave=_raise_blowup, record=None):
     """Run `_rk4_side` over the left piece, then the right one; the state
     (u, v) carries across x = 0 unchanged. Returns the state at omega2.
@@ -221,26 +233,12 @@ class GammaCurve:
 def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaCurve:
     """Poincare map applied to a whole batch of initial points (r, 0), r in rs."""
     rs = np.asarray(rs, dtype=float)
-    active = np.ones(rs.shape, dtype=bool)
-
-    def leave(x, u, v):
-        # one reduction tests the whole batch (initial=0.0 admits an empty
-        # one): a nan fails it, and a frozen column passes while it stays in
-        # bounds, where f(0) != 0 drifts it from zero
-        if np.maximum.reduce(np.maximum(abs(u), abs(v)), initial=0.0) <= BLOWUP_BOUND:
-            return u, v
-        # freeze newly blown columns at zero (their results are not used)
-        blown = active & ~((abs(u) <= BLOWUP_BOUND) & (abs(v) <= BLOWUP_BOUND))
-        if blown.any():
-            active[blown] = False
-            u = np.where(active, u, 0.0)
-            v = np.where(active, v, 0.0)
-        return u, v
-
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _march(p, cfg, rs, np.zeros_like(rs), leave)
-    u[~active] = np.nan
-    v[~active] = np.nan
+        u, v = _march(p, cfg, rs, np.zeros_like(rs), _mark_blown)
+    # a column can turn nan in one coordinate without leaving the bound
+    blown = np.isnan(u) | np.isnan(v)
+    u[blown] = np.nan
+    v[blown] = np.nan
     return GammaCurve(rs=rs, u_end=u, v_end=v)
 
 

@@ -22,7 +22,7 @@ from clineshoot.integrator import (
     step_plan,
     sweep_terminals,
 )
-from clineshoot.reproduction import remark_instances
+from clineshoot.reproduction import NamedInstance, remark_instances
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -600,6 +600,17 @@ class TestReproduce:
         steps = [r["target_step"] for r in payload["reports"]]
         assert steps == [chosen_step(inst.problem, 801)[0] for inst in (prop1, prop2)]
         assert steps[0] != steps[1]
+
+    def test_no_brackets_exits_4_and_still_writes_the_reports(self, out_dir, monkeypatch):
+        # remark-full-dominance at lambda = 1000 brackets nothing on 11 heights
+        skewed = remark_instances()[1]
+        monkeypatch.setattr(cli, "proposition_2", lambda: NamedInstance(
+            name="no-brackets", problem=replace(skewed.problem, lam=1000.0),
+            expected_c=(0.5,)))
+        assert main(["reproduce", "--resolution", "11"]) == 4
+        payload = json.loads((out_dir / "reproduce.json").read_text())
+        assert [r["instance"] for r in payload["reports"]] == ["proposition-1", "no-brackets"]
+        assert payload["reports"][1]["passed"] is False
 
 
 @pytest.mark.skipif(not REPO_CONFIGS.exists(), reason="repo configs not present")

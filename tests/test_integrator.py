@@ -10,6 +10,7 @@ from clineshoot.integrator import (
     BlowupError,
     IntegratorConfig,
     PhasePoint,
+    _mark_blown,
     energy_profile,
     integrate,
     poincare_map,
@@ -129,14 +130,18 @@ class TestBlowup:
 
 class TestBoundPaths:
     """A float march tests the blow-up bound itself; a batch hands every step
-    to `sweep_terminals`' `leave`, which tests the whole batch with one
-    reduction before it looks for the columns that left. Either way each
-    column must be `poincare_map`'s value, or nan where it raises."""
+    to `_mark_blown`, which tests the whole batch with one reduction before
+    it marks the columns that left as nan. Either way each column must be
+    `poincare_map`'s value, or nan in both u and v where it raises."""
 
     CFG = IntegratorConfig(target_step=1e-3)
 
     def assert_columns_match_poincare_map(self, p, rs):
+        heights = rs.copy()
         sweep = sweep_terminals(p, self.CFG, rs)
+        # the hook writes in place, on the march's own arrays only
+        assert rs.tobytes() == heights.tobytes()
+        assert (np.isnan(sweep.u_end) == np.isnan(sweep.v_end)).all()
         for i, r in enumerate(rs):
             try:
                 z = poincare_map(p, self.CFG, PhasePoint(float(r), 0.0))
@@ -161,9 +166,41 @@ class TestBoundPaths:
         assert exc_info.value.x == p.weight.omega1 + h1
         assert not (abs(exc_info.value.u) <= BLOWUP_BOUND)
 
-    def test_frozen_columns_drift_where_f0_is_nonzero(self):
-        # f(u) = u^3 - 1: a column frozen at (0, 0) marches on as from the
-        # origin, which leaves the bound on the left piece at this lambda
+    def test_huge_coefficients_overflow_f(self):
+        # f(u) = 1e300 u (1 - u) overflows within the first step, where every
+        # column but the fixed points r = 0 and 1 reaches infinity
+        p = dataclasses.replace(remark_instances()[0].problem,
+                                f=CustomPolynomial((0.0, 1e300, -1e300)), lam=45.0)
+        sweep = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        assert np.count_nonzero(~sweep.ok) == 99
+
+    def test_a_column_nan_in_v_alone_reads_nan_in_u(self, monkeypatch):
+        # f turns nan once, in column 0's k4 of the last step, which reaches
+        # v_end but not u_end; the bound test skips nan, so it is the closing
+        # pass of sweep_terminals that makes u_end nan as well
+        p = Problem(weight=StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2),
+                    f=CustomPolynomial((0.0, 1.0, -1.0)), lam=45.0)
+        n1, _, n2, _ = step_plan(p, self.CFG)
+        calls = []
+        value = CustomPolynomial.value
+
+        def nan_at_last_call(self, s):
+            out = value(self, s)
+            calls.append(None)
+            if len(calls) == 4 * (n1 + n2):
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(CustomPolynomial, "value", nan_at_last_call)
+        sweep = sweep_terminals(p, self.CFG, np.array([0.3, 0.6]))
+        assert len(calls) == 4 * (n1 + n2)
+        assert np.isnan(sweep.u_end[0]) and np.isnan(sweep.v_end[0])
+        assert sweep.ok.tolist() == [False, True]
+
+    def test_blown_columns_stay_blown_where_f0_is_nonzero(self):
+        # f(u) = u^3 - 1: a march from the origin leaves the bound on the
+        # left piece at this lambda, so a blown column cannot be parked at
+        # (0, 0); it is nan, which no step undoes
         geometry = StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2)
         p = Problem(weight=geometry, f=CustomPolynomial((-1.0, 0.0, 0.0, 1.0)), lam=300.0)
         with pytest.raises(BlowupError) as exc_info:
@@ -171,12 +208,34 @@ class TestBoundPaths:
         assert exc_info.value.x < 0.0
         grid = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
         assert 0 < np.count_nonzero(grid.ok) < 101
-        # the 1e200 column alone freezes, at the first step, so its drift,
-        # the origin's march one step later, leaves the bound while every
-        # other column still lies in it
+        # the 1e200 column alone blows up, at the first step, and stays nan
+        # while every other column still lies in the bound, where the
+        # origin's march would leave it
         rs = np.append(grid.rs[grid.ok], 1e200)
         sweep = self.assert_columns_match_poincare_map(p, rs)
         assert sweep.ok.tolist() == [True] * (len(rs) - 1) + [False]
+
+
+class TestMarkBlown:
+    """`sweep_terminals`' `leave` hook, called directly on one step's state."""
+
+    def test_columns_in_bound_or_nan_come_back_unchanged(self):
+        u = np.array([0.5, -BLOWUP_BOUND, np.nan, 0.0])
+        v = np.array([BLOWUP_BOUND, -3.0, np.nan, -0.0])
+        before = u.tobytes(), v.tobytes()
+        u_out, v_out = _mark_blown(0.1, u, v)
+        assert u_out is u and v_out is v
+        assert (u.tobytes(), v.tobytes()) == before
+
+    @pytest.mark.parametrize("out", [2e3, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    def test_a_column_out_of_bound_turns_nan_in_u_and_v(self, out, coordinate):
+        state = [np.array([0.5, 0.25, np.nan]), np.array([-0.5, 0.75, np.nan])]
+        state[coordinate][1] = out
+        u, v = _mark_blown(0.1, *state)
+        assert u is state[0] and v is state[1]
+        assert u[0] == 0.5 and v[0] == -0.5
+        assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
 
 
 class TestOperandTypes:
@@ -267,7 +326,7 @@ class TestKernelInputs:
 
     def test_sweep_leaves_the_heights_unchanged(self, prop1):
         # remark-full-dominance at lambda 300 blows up 80 of these 201 columns,
-        # so the blow-up freezing runs as well
+        # so the hook that marks them nan in place runs as well
         full_dominance = dataclasses.replace(remark_instances()[1].problem, lam=300.0)
         cfg = IntegratorConfig(target_step=1e-3)
         for p in (prop1.problem, full_dominance):
