@@ -86,16 +86,16 @@ def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float
     return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2
 
 
-def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, leave, record=None):
+def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, record=None):
     """March n RK4 steps of u' = v, v' = c f(u) from x0; returns final (u, v).
 
     The state is a float or an array of columns, and `feval` picks its
-    arithmetic by type. `leave(x, u, v)` gets the state at x, always the
-    step's own, and returns the one to go on from, which may be that state
-    written in place: a float state calls it only once the state has left
-    [-BLOWUP_BOUND, BLOWUP_BOUND]^2, an array of columns after every step,
-    so that `leave` tests the bound for the whole batch at once.
-    `record(u, v)` is called after every step when given.
+    arithmetic by type. The state's type also decides what a step that
+    leaves [-BLOWUP_BOUND, BLOWUP_BOUND]^2 does: a float march raises
+    BlowupError at that step's x, and an array of columns goes through
+    `_mark_blown` after every step, which tests the whole batch at once and
+    turns the columns that left it nan in place. `record(u, v)` is called
+    after every step when given.
 
     Each step computes the classic RK4 expressions with the same operands
     in the same order, but with augmented assignments on fresh temporaries:
@@ -107,7 +107,6 @@ def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, leave, record=None):
     float or array (see `Nonlinearity.value`); the caller's `u` and `v` are
     never written.
     """
-    step = h
     hh = 0.5 * h
     h6 = h / 6.0
     two = 2.0
@@ -150,37 +149,33 @@ def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, leave, record=None):
         k2v *= h6
         k2v += v
         u, v = v2, k2v
-        if batch or not (abs(u) <= BLOWUP_BOUND and abs(v) <= BLOWUP_BOUND):
-            u, v = leave(x0 + (i + 1) * step, u, v)
+        if batch:
+            _mark_blown(u, v)
+        elif not (abs(u) <= BLOWUP_BOUND and abs(v) <= BLOWUP_BOUND):
+            raise BlowupError(x0 + (i + 1) * h, u, v)
         if record is not None:
             record(u, v)
     return u, v
 
 
-def _raise_blowup(x: float, u, v):
-    """`leave` of a single trajectory, called once it is out of bounds."""
-    raise BlowupError(x, u, v)
-
-
-def _mark_blown(x: float, u, v):
-    """`leave` of a batch: sets each column that left the bound to nan in u
-    and v, in place. One reduction tests all columns (initial=0.0 admits none);
-    fmax skips nan, so a marked column never fails it again and stays nan."""
+def _mark_blown(u, v) -> None:
+    """Set each column of a batch that left the bound to nan in u and v, in
+    place. One reduction tests all columns (initial=0.0 admits none); fmax
+    skips nan, so a marked column never fails it again and stays nan."""
     if np.fmax.reduce(np.fmax(abs(u), abs(v)), initial=0.0) > BLOWUP_BOUND:
         blown = ~((abs(u) <= BLOWUP_BOUND) & (abs(v) <= BLOWUP_BOUND))
         u[blown] = np.nan
         v[blown] = np.nan
-    return u, v
 
 
-def _march(p: Problem, cfg: IntegratorConfig, u, v, leave=_raise_blowup, record=None):
+def _march(p: Problem, cfg: IntegratorConfig, u, v, record=None):
     """Run `_rk4_side` over the left piece, then the right one; the state
     (u, v) carries across x = 0 unchanged. Returns the state at omega2.
     """
     w = p.weight
     n1, h1, n2, h2 = step_plan(p, cfg)
-    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, w.omega1, leave, record)
-    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, 0.0, leave, record)
+    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, w.omega1, record)
+    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, 0.0, record)
 
 
 def sample_grid(p: Problem, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
@@ -231,10 +226,11 @@ class GammaCurve:
 
 
 def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaCurve:
-    """Poincare map applied to a whole batch of initial points (r, 0), r in rs."""
-    rs = np.asarray(rs, dtype=float)
+    """Poincare map applied to a 1-D batch of initial points (r, 0), r in rs;
+    a single r is a batch of one."""
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _march(p, cfg, rs, np.zeros_like(rs), _mark_blown)
+        u, v = _march(p, cfg, rs, np.zeros_like(rs))
     # a column can turn nan in one coordinate without leaving the bound
     blown = np.isnan(u) | np.isnan(v)
     u[blown] = np.nan

@@ -8,7 +8,7 @@ only matter on [0, 1]. Evaluation accepts floats or numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Union
 
@@ -56,19 +56,20 @@ class Nonlinearity:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """{"kind": KIND, <field>: value} from the family's one dataclass
+        field, whose name is its config key; a tuple is written as a list."""
+        (field,) = fields(self)
+        value = getattr(self, field.name)
+        return {"kind": self.KIND, field.name: list(value) if isinstance(value, tuple) else value}
 
 
 class _PolynomialNonlinearity(Nonlinearity):
     """Shared derivative/antiderivative machinery for polynomial families.
 
-    Subclasses provide ascending coefficients; value() may override with a
-    factored form so endpoint zeros are exact in floating point.
+    Subclasses provide ascending coefficients as `coeffs`; value() may
+    override with a factored form so endpoint zeros are exact in floating
+    point.
     """
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        raise NotImplementedError
 
     @cached_property
     def _tables(self) -> tuple[tuple[float, ...], ...]:
@@ -124,9 +125,6 @@ class DegreeOfDominance(_PolynomialNonlinearity):
         out *= b
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "k": self.k}
-
 
 @dataclass(frozen=True)
 class HatFamily(_PolynomialNonlinearity):
@@ -161,32 +159,22 @@ class HatFamily(_PolynomialNonlinearity):
         out *= b
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "h": self.h}
-
 
 @dataclass(frozen=True)
 class CustomPolynomial(_PolynomialNonlinearity):
     """Polynomial with user-supplied ascending coefficients."""
 
-    coefficients: tuple[float, ...]
+    coeffs: tuple[float, ...]
 
     KIND = "poly"
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("'f.coeffs' must hold at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("'f.coeffs' must be finite numbers")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        return self.coefficients
-
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "coeffs": list(self.coefficients)}
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -243,9 +231,6 @@ class ArctanDamped(Nonlinearity):
 
     def antiderivative(self, s: Scalar) -> Scalar:
         return _gauss_legendre_antiderivative(self.value, s)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.KIND, "m": self.m}
 
 
 @cache
@@ -376,18 +361,14 @@ def _check_keys(d: dict, keys: tuple[str, ...], prefix: str = "") -> None:
             raise ValueError(f"unknown key '{prefix}{key}'; expected only {', '.join(keys)}")
 
 
-def _coefficients(value) -> tuple[float, ...]:
+def _coefficients(value, key: str) -> tuple[float, ...]:
+    """A config list of numbers as a tuple of floats; ValueError naming `key`."""
     if not isinstance(value, list):
-        raise ValueError(f"'f.coeffs' must be a list of numbers, got {value!r}")
-    return tuple(_config_number(c, f"f.coeffs[{i}]") for i, c in enumerate(value))
+        raise ValueError(f"'{key}' must be a list of numbers, got {value!r}")
+    return tuple(_config_number(c, f"{key}[{i}]") for i, c in enumerate(value))
 
 
-_KINDS = {
-    DegreeOfDominance.KIND: ("k", lambda x: DegreeOfDominance(k=_config_number(x, "f.k"))),
-    HatFamily.KIND: ("h", lambda x: HatFamily(h=_config_number(x, "f.h"))),
-    ArctanDamped.KIND: ("m", lambda x: ArctanDamped(m=_config_number(x, "f.m"))),
-    CustomPolynomial.KIND: ("coeffs", lambda x: CustomPolynomial(coefficients=_coefficients(x))),
-}
+_KINDS = {cls.KIND: cls for cls in (DegreeOfDominance, HatFamily, ArctanDamped, CustomPolynomial)}
 
 
 def nonlinearity_from_dict(d: dict) -> Nonlinearity:
@@ -397,6 +378,8 @@ def nonlinearity_from_dict(d: dict) -> Nonlinearity:
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"'f.kind' must be one of {sorted(_KINDS)}, got {kind!r}")
-    param, build = _KINDS[kind]
-    _check_keys(d, ("kind", param), "f.")
-    return build(d[param])
+    cls = _KINDS[kind]
+    (field,) = fields(cls)   # the family's one parameter, named by its config key
+    _check_keys(d, ("kind", field.name), "f.")
+    parse = _coefficients if cls is CustomPolynomial else _config_number
+    return cls(parse(d[field.name], f"f.{field.name}"))

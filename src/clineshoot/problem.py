@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +55,7 @@ class StepWeight:
         return self.omega2 - self.omega1
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "omega1": self.omega1, "omega2": self.omega2}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,10 @@ def problem_from_dict(d: dict) -> Problem:
         raise ValueError("problem config must be a JSON object")
     _check_keys(d, ("weight", "f", "lambda"))
     wd = d["weight"]
+    keys = tuple(field.name for field in fields(StepWeight))
     if not isinstance(wd, dict):
-        raise ValueError("'weight' must be an object with alpha/omega1/omega2")
-    _check_keys(wd, ("alpha", "omega1", "omega2"), "weight.")
+        raise ValueError(f"'weight' must be an object with {'/'.join(keys)}")
+    _check_keys(wd, keys, "weight.")
     sides = {key: _config_number(value, f"weight.{key}") for key, value in wd.items()}
     lam = _config_number(d["lambda"], "lambda")
     return Problem(weight=StepWeight(**sides), f=nonlinearity_from_dict(d["f"]), lam=lam)

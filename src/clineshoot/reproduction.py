@@ -39,13 +39,9 @@ class NamedInstance:
             raise ValueError("expected_terminal_u must list one value per expected_c")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "problem": self.problem.to_dict(),
-            "expected_c": None if self.expected_c is None else list(self.expected_c),
-            "expected_terminal_u": (None if self.expected_terminal_u is None
-                                    else list(self.expected_terminal_u)),
-        }
+        d = dict(vars(self), problem=self.problem.to_dict())
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in d.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -110,7 +106,7 @@ class MatchRecord:
 
 @dataclass(eq=False)
 class ComparisonReport:
-    instance_name: str
+    instance: str
     matches: list[MatchRecord]
     misses: list[float]    # expected c values with no counterpart
     extras: list[float]    # found c values with no counterpart
@@ -119,19 +115,11 @@ class ComparisonReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance_name,
-            "tolerance": DEFAULT_TOLERANCE,
-            "matches": [m.to_dict() for m in self.matches],
-            "misses": list(self.misses),
-            "extras": list(self.extras),
-            "count_expected": self.count_expected,
-            "count_found": self.count_found,
-            "passed": self.passed,
-        }
+        return dict(vars(self), tolerance=DEFAULT_TOLERANCE,
+                    matches=[m.to_dict() for m in self.matches])
 
     def render(self) -> str:
-        lines = [f"instance {self.instance_name}: expected {self.count_expected}, "
+        lines = [f"instance {self.instance}: expected {self.count_expected}, "
                  f"found {self.count_found} (tolerance {DEFAULT_TOLERANCE:g})"]
         for m in self.matches:
             line = (f"  c {m.found_c:.6f} vs {m.expected_c:.6f} "
@@ -192,7 +180,7 @@ def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
     too_far = any(dev is not None and dev > DEFAULT_TOLERANCE
                   for m in matches for dev in (m.deviation_c, m.deviation_u))
     return ComparisonReport(
-        instance_name=instance.name,
+        instance=instance.name,
         matches=matches,
         misses=misses,
         extras=extras,

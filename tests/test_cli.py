@@ -592,6 +592,10 @@ class TestReproduce:
         assert payload["reports"][1]["passed"] is False
         assert payload["manifest"]["target_step"] == 5e-4
         assert all("target_step" not in r for r in payload["reports"])
+        # the SHA-256 of the two instances' NamedInstance.to_json, which no
+        # march enters, so it does not depend on the CPU
+        assert payload["manifest"]["config_digest"] == (
+            "sha256:b571892b6eda49804b04b23874f6fabc4271aba394b083d6a31c14f86770b0b4")
 
     def test_each_instance_records_its_chosen_step(self, prop1, prop2, out_dir):
         assert main(["reproduce", "--resolution", "801"]) == 1

@@ -139,7 +139,7 @@ class TestBoundPaths:
     def assert_columns_match_poincare_map(self, p, rs):
         heights = rs.copy()
         sweep = sweep_terminals(p, self.CFG, rs)
-        # the hook writes in place, on the march's own arrays only
+        # `_mark_blown` writes in place, on the march's own arrays only
         assert rs.tobytes() == heights.tobytes()
         assert (np.isnan(sweep.u_end) == np.isnan(sweep.v_end)).all()
         for i, r in enumerate(rs):
@@ -217,14 +217,13 @@ class TestBoundPaths:
 
 
 class TestMarkBlown:
-    """`sweep_terminals`' `leave` hook, called directly on one step's state."""
+    """The batched kernel's bound test, called directly on one step's state."""
 
     def test_columns_in_bound_or_nan_come_back_unchanged(self):
         u = np.array([0.5, -BLOWUP_BOUND, np.nan, 0.0])
         v = np.array([BLOWUP_BOUND, -3.0, np.nan, -0.0])
         before = u.tobytes(), v.tobytes()
-        u_out, v_out = _mark_blown(0.1, u, v)
-        assert u_out is u and v_out is v
+        assert _mark_blown(u, v) is None
         assert (u.tobytes(), v.tobytes()) == before
 
     @pytest.mark.parametrize("out", [2e3, math.inf, -math.inf])
@@ -232,8 +231,8 @@ class TestMarkBlown:
     def test_a_column_out_of_bound_turns_nan_in_u_and_v(self, out, coordinate):
         state = [np.array([0.5, 0.25, np.nan]), np.array([-0.5, 0.75, np.nan])]
         state[coordinate][1] = out
-        u, v = _mark_blown(0.1, *state)
-        assert u is state[0] and v is state[1]
+        u, v = state
+        assert _mark_blown(u, v) is None
         assert u[0] == 0.5 and v[0] == -0.5
         assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
 
@@ -252,6 +251,17 @@ class TestOperandTypes:
             sweep = sweep_terminals(inst.problem, cfg, np.linspace(0.0, 1.0, width))
             assert sweep.u_end.dtype == np.float64 and sweep.v_end.dtype == np.float64
             assert sweep.u_end.shape == sweep.v_end.shape == (width,)
+
+    def test_a_single_height_is_a_batch_of_one(self, prop1):
+        # a 0-d height is taken as 1-D, so `_mark_blown` can write into it;
+        # the one column keeps poincare_map's bits
+        cfg = IntegratorConfig(target_step=1e-3)
+        z = poincare_map(prop1.problem, cfg, PhasePoint(0.5, 0.0))
+        assert (z.u, z.v) == (0.6210374743613163, -0.012869384938248234)
+        for r in (0.5, np.float64(0.5), np.array(0.5)):
+            sweep = sweep_terminals(prop1.problem, cfg, r)
+            assert sweep.rs.shape == sweep.u_end.shape == sweep.v_end.shape == (1,)
+            assert (sweep.u_end[0], sweep.v_end[0]) == (z.u, z.v)
 
 
 class TestScalarMarchesCallValue:
@@ -326,7 +336,7 @@ class TestKernelInputs:
 
     def test_sweep_leaves_the_heights_unchanged(self, prop1):
         # remark-full-dominance at lambda 300 blows up 80 of these 201 columns,
-        # so the hook that marks them nan in place runs as well
+        # so `_mark_blown`, which marks them nan in place, writes as well
         full_dominance = dataclasses.replace(remark_instances()[1].problem, lam=300.0)
         cfg = IntegratorConfig(target_step=1e-3)
         for p in (prop1.problem, full_dominance):

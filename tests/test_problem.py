@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clineshoot.integrator import IntegratorConfig, PhasePoint, integrate
-from clineshoot.nonlinearity import DegreeOfDominance, HatFamily
+from clineshoot.nonlinearity import ArctanDamped, CustomPolynomial, DegreeOfDominance, HatFamily
 from clineshoot.problem import (
     Problem,
     StepWeight,
@@ -75,10 +75,14 @@ class TestProblem:
         assert p.weight.omega1 == -0.21
         assert p.weight.omega2 == 0.2
 
-    def test_json_round_trip(self):
-        p = Problem(weight=StepWeight(2.4, -0.255, 0.6),
-                    f=DegreeOfDominance(k=-0.5), lam=3.0)
+    @pytest.mark.parametrize("f", [DegreeOfDominance(k=-0.5), HatFamily(h=3.0),
+                                   ArctanDamped(m=10.0), CustomPolynomial((0.0, 1.0, -1.0))],
+                             ids=lambda f: f.KIND)
+    def test_json_round_trip(self, f):
+        p = Problem(weight=StepWeight(2.4, -0.255, 0.6), f=f, lam=3.0)
         assert problem_from_json(p.to_json()) == p
+        # JSON has no tuple: poly's coeffs must already be a list in to_dict
+        assert p.to_dict() == json.loads(p.to_json())
 
     def test_dict_uses_lambda_key(self):
         p = Problem(weight=StepWeight(1.0, -0.21, 0.2), f=HatFamily(h=3.0), lam=45.0)
