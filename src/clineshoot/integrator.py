@@ -4,10 +4,13 @@ The weight is constant on each side of x = 0, so the interval is integrated
 as two smooth pieces with the state carried across the interface unchanged;
 each side's step is the largest value not exceeding the target that divides
 the side length exactly, making 0 and both endpoints exact grid nodes.
-`_march` runs the two pieces with one RK4 kernel over a float state, for
-`integrate` and `poincare_map`, or over a batch of columns, for
+Two marches run the two pieces. `_march` marches a float state with the
+RK4 kernel `_rk4_side`, for `integrate` and `poincare_map`. `_march_batch`
+marches a batch of columns over stacked (3, N) stage buffers, for
 `sweep_terminals`, which returns the terminal states of many initial
-heights as one `GammaCurve`.
+heights as one `GammaCurve`. Both compute the same RK4 expressions with
+the same operands in the same order, so a column keeps the bits of its
+float march wherever f.value gives an array the bits it gives a float.
 """
 
 from __future__ import annotations
@@ -86,96 +89,114 @@ def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float
     return n1, -p.weight.omega1 / n1, n2, p.weight.omega2 / n2
 
 
-def _rk4_side(feval, c, h: float, n: int, u, v, x0: float, record=None):
-    """March n RK4 steps of u' = v, v' = c f(u) from x0; returns final (u, v).
+def _sides(p: Problem, cfg: IntegratorConfig):
+    """(c, h, n, x0) of the left piece, then the right one: each piece is n
+    RK4 steps of size h from x0 of u' = v, v' = c f(u)."""
+    w = p.weight
+    n1, h1, n2, h2 = step_plan(p, cfg)
+    return (p.lam * w.alpha, h1, n1, w.omega1), (-p.lam, h2, n2, 0.0)
 
-    The state is a float or an array of columns, and `feval` picks its
-    arithmetic by type. The state's type also decides what a step that
-    leaves [-BLOWUP_BOUND, BLOWUP_BOUND]^2 does: a float march raises
-    BlowupError at that step's x, and an array of columns goes through
-    `_mark_blown` after every step, which tests the whole batch at once and
-    turns the columns that left it nan in place. `record(u, v)` is called
+
+def _rk4_side(feval, c: float, h: float, n: int, u, v, x0: float, record=None):
+    """March n RK4 steps of u' = v, v' = c f(u) from the float state (u, v)
+    at x0; returns the final (u, v).
+
+    A step that leaves [-BLOWUP_BOUND, BLOWUP_BOUND]^2, or turns u or v
+    nan, raises BlowupError at that step's x. `record(u, v)` is called
     after every step when given.
-
-    Each step computes the classic RK4 expressions with the same operands
-    in the same order, but with augmented assignments on fresh temporaries:
-    a float rebinds and an array updates in place, and IEEE + and * commute
-    exactly, so every value keeps its bits. An array state takes its
-    constants as 0-d arrays, the same doubles, which numpy combines with an
-    array faster than a Python float. The arrays written in place are
-    the step's own temporaries and what `feval` returns, which must be a new
-    float or array (see `Nonlinearity.value`); the caller's `u` and `v` are
-    never written.
     """
     hh = 0.5 * h
     h6 = h / 6.0
-    two = 2.0
-    batch = isinstance(u, np.ndarray)
-    if batch:
-        c, hh, h, h6, two = (np.array(a, dtype=float) for a in (c, hh, h, h6, two))
     for i in range(n):
         # k1 = (v, c f(u)); k2 = (v2, c f(u2)); k3 = (v3, c f(u3)); k4 = (v4, c f(u4))
-        k1v = feval(u)
-        k1v *= c
-        u2 = hh * v
-        u2 += u
-        v2 = hh * k1v
-        v2 += v
-        k2v = feval(u2)
-        k2v *= c
-        u3 = hh * v2
-        u3 += u
-        v3 = hh * k2v
-        v3 += v
-        k3v = feval(u3)
-        k3v *= c
-        u4 = h * v3
-        u4 += u
-        v4 = h * k3v
-        v4 += v
-        k4v = feval(u4)
-        k4v *= c
-        # u + h6 (k1u + 2 (k2u + k3u) + k4u), built up in v2; likewise v in k2v
-        v2 += v3
-        v2 *= two
-        v2 += v
-        v2 += v4
-        v2 *= h6
-        v2 += u
-        k2v += k3v
-        k2v *= two
-        k2v += k1v
-        k2v += k4v
-        k2v *= h6
-        k2v += v
-        u, v = v2, k2v
-        if batch:
-            _mark_blown(u, v)
-        elif not (abs(u) <= BLOWUP_BOUND and abs(v) <= BLOWUP_BOUND):
+        k1v = c * feval(u)
+        u2 = hh * v + u
+        v2 = hh * k1v + v
+        k2v = c * feval(u2)
+        u3 = hh * v2 + u
+        v3 = hh * k2v + v
+        k3v = c * feval(u3)
+        u4 = h * v3 + u
+        v4 = h * k3v + v
+        k4v = c * feval(u4)
+        u, v = ((2.0 * (v2 + v3) + v + v4) * h6 + u,
+                (2.0 * (k2v + k3v) + k1v + k4v) * h6 + v)
+        if not (-BLOWUP_BOUND <= u <= BLOWUP_BOUND and -BLOWUP_BOUND <= v <= BLOWUP_BOUND):
             raise BlowupError(x0 + (i + 1) * h, u, v)
         if record is not None:
             record(u, v)
     return u, v
 
 
-def _mark_blown(u, v) -> None:
-    """Set each column of a batch that left the bound to nan in u and v, in
-    place. One reduction tests all columns (initial=0.0 admits none); fmax
-    skips nan, so a marked column never fails it again and stays nan."""
-    if np.fmax.reduce(np.fmax(abs(u), abs(v)), initial=0.0) > BLOWUP_BOUND:
-        blown = ~((abs(u) <= BLOWUP_BOUND) & (abs(v) <= BLOWUP_BOUND))
-        u[blown] = np.nan
-        v[blown] = np.nan
-
-
 def _march(p: Problem, cfg: IntegratorConfig, u, v, record=None):
     """Run `_rk4_side` over the left piece, then the right one; the state
     (u, v) carries across x = 0 unchanged. Returns the state at omega2.
     """
-    w = p.weight
-    n1, h1, n2, h2 = step_plan(p, cfg)
-    u, v = _rk4_side(p.f.value, p.lam * w.alpha, h1, n1, u, v, w.omega1, record)
-    return _rk4_side(p.f.value, -p.lam, h2, n2, u, v, 0.0, record)
+    for c, h, n, x0 in _sides(p, cfg):
+        u, v = _rk4_side(p.f.value, c, h, n, u, v, x0, record)
+    return u, v
+
+
+def _march_batch(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> np.ndarray:
+    """March the columns started at (rs, 0) over both pieces, as `_march`
+    marches one; returns the (2, N) state (u, v) at omega2, a view of a
+    stage buffer.
+
+    Stage i of a step has a (3, N) buffer B_i of rows (u_i, v_i, c f(u_i)),
+    so B_i[0:2] is the stage's state and B_i[1:3] its slope pair
+    (k_iu, k_iv), and one numpy call updates both coordinates. B_1 is the
+    step's state z. The next state goes into B_2, whose rows are dead by
+    then, and B_1 and B_2 swap. The buffers and their views are made once,
+    here, so a step allocates nothing but what f.value returns. Each step
+    computes `_rk4_side`'s expressions with the same operands in the same
+    order (IEEE + and * commute exactly, so every value keeps its bits),
+    with 0-d constants, which numpy combines with an array faster than a
+    Python float. After every step `_mark_blown` marks the columns that left
+    the bound nan.
+    """
+    feval = p.f.value
+    buffers = [np.empty((3, rs.size)) for _ in range(4)]
+    buffers[0][0] = rs
+    buffers[0][1] = 0.0
+    two = np.array(2.0)
+    # (u_i, c f(u_i), rows 0:2, rows 1:3) of each buffer
+    state, stage2, (u3, f3, z3, k3), (u4, f4, z4, k4) = (
+        (b[0], b[2], b[0:2], b[1:3]) for b in buffers)
+    for c, h, n, _ in _sides(p, cfg):
+        c, hh, h, h6 = (np.array(a) for a in (c, 0.5 * h, h, h / 6.0))
+        for _ in range(n):
+            u, f1, z, k1 = state
+            u2, f2, z2, k2 = stage2
+            np.multiply(feval(u), c, out=f1)
+            np.multiply(k1, hh, out=z2)
+            z2 += z
+            np.multiply(feval(u2), c, out=f2)
+            np.multiply(k2, hh, out=z3)
+            z3 += z
+            np.multiply(feval(u3), c, out=f3)
+            np.multiply(k3, h, out=z4)
+            z4 += z
+            np.multiply(feval(u4), c, out=f4)
+            # z + h6 (k1 + 2 (k2 + k3) + k4): k2 + k3 goes into k3, the
+            # rest into z2, whose (u2, v2) no later operand reads
+            np.add(k2, k3, out=k3)
+            np.multiply(k3, two, out=z2)
+            z2 += k1
+            z2 += k4
+            z2 *= h6
+            z2 += z
+            state, stage2 = stage2, state
+            _mark_blown(z2, z4)  # |z| goes into z4, dead by now
+    return state[2]
+
+
+def _mark_blown(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Set each column of the (2, N) state z that left the bound to nan in
+    both rows, in place; |z| goes into the (2, N) buffer `scratch`. One
+    reduction tests all columns (initial=0.0 admits none); fmax skips nan,
+    so a marked column never fails it again and stays nan."""
+    if np.fmax.reduce(np.abs(z, out=scratch), axis=None, initial=0.0) > BLOWUP_BOUND:
+        z[:, ~(scratch <= BLOWUP_BOUND).all(axis=0)] = np.nan
 
 
 def sample_grid(p: Problem, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
@@ -230,12 +251,10 @@ def sweep_terminals(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> GammaC
     a single r is a batch of one."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _march(p, cfg, rs, np.zeros_like(rs))
+        z = _march_batch(p, cfg, rs)
     # a column can turn nan in one coordinate without leaving the bound
-    blown = np.isnan(u) | np.isnan(v)
-    u[blown] = np.nan
-    v[blown] = np.nan
-    return GammaCurve(rs=rs, u_end=u, v_end=v)
+    z[:, np.isnan(z).any(axis=0)] = np.nan
+    return GammaCurve(rs=rs, u_end=z[0].copy(), v_end=z[1].copy())
 
 
 def energy_profile(p: Problem, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -41,10 +41,9 @@ class Nonlinearity:
     def value(self, s: Scalar) -> Scalar:
         """f(s) for a float or an array s.
 
-        Returns a new float or array and never writes into `s`. The RK4
-        kernel, `integrator._rk4_side`, scales the returned array in place,
-        so an override must not return `s`, a view of it, or an array it
-        keeps.
+        Returns a new float or array and never writes into `s`, which in
+        a batched march is a row of the march's stage buffers
+        (`integrator._march_batch`).
         """
         raise NotImplementedError
 

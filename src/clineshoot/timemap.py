@@ -64,7 +64,9 @@ def _newton(fn, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root of the increasing fn on [0, hi], elementwise, by safeguarded Newton.
 
     fn(x) returns the value and the slope; fn(0) < 0 < fn(hi). A step that
-    leaves the bracket of the signs seen so far is replaced by its midpoint.
+    leaves the bracket of the signs seen so far is replaced by its midpoint;
+    one onto the bracket's end is kept, as a step that rounds back onto x
+    is an element that has converged.
     An element is frozen after the step that moves it by at most NEWTON_RTOL,
     so its root does not depend on the other elements. NaN entries stay NaN.
     """
@@ -75,7 +77,7 @@ def _newton(fn, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo = np.where(y < 0.0, x, lo)
         hi = np.where(y > 0.0, x, hi)
         step = x - y / slope
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         moved = np.abs(step - x) > NEWTON_RTOL * np.abs(x)
         x = np.where(active, step, x)
         active &= moved

@@ -243,6 +243,7 @@ def test_unusable_output_dir_exits_2_before_any_march(tmp_path, monkeypatch, cap
         raise AssertionError("a march ran before the output directory was checked")
 
     monkeypatch.setattr(integrator, "_march", no_march)
+    monkeypatch.setattr(integrator, "_march_batch", no_march)
     argv = command[:1] + ([] if command[0] == "reproduce" else [prop1_config]) + command[1:]
     assert main(argv) == 2
     assert f"CLINE_SEED_DIR={target} is no usable output directory" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from clineshoot.integrator import (
     IntegratorConfig,
     PhasePoint,
     _mark_blown,
+    coarsest_step,
     energy_profile,
     integrate,
     poincare_map,
@@ -128,6 +129,24 @@ class TestBlowup:
             poincare_map(p, default_cfg, PhasePoint(r, 0.0))
 
 
+def assert_columns_match_poincare_map(p, cfg, rs):
+    """Each column of the sweep of rs is `poincare_map`'s value bit for bit,
+    or nan in both u and v where that raises; returns the sweep."""
+    heights = rs.copy()
+    sweep = sweep_terminals(p, cfg, rs)
+    # `_mark_blown` writes in place, on the march's own arrays only
+    assert rs.tobytes() == heights.tobytes()
+    assert (np.isnan(sweep.u_end) == np.isnan(sweep.v_end)).all()
+    for i, r in enumerate(rs):
+        try:
+            z = poincare_map(p, cfg, PhasePoint(float(r), 0.0))
+        except BlowupError:
+            assert math.isnan(sweep.u_end[i]) and math.isnan(sweep.v_end[i]), f"r={r}"
+        else:
+            assert (sweep.u_end[i], sweep.v_end[i]) == (z.u, z.v), f"r={r}"
+    return sweep
+
+
 class TestBoundPaths:
     """A float march tests the blow-up bound itself; a batch hands every step
     to `_mark_blown`, which tests the whole batch with one reduction before
@@ -136,29 +155,15 @@ class TestBoundPaths:
 
     CFG = IntegratorConfig(target_step=1e-3)
 
-    def assert_columns_match_poincare_map(self, p, rs):
-        heights = rs.copy()
-        sweep = sweep_terminals(p, self.CFG, rs)
-        # `_mark_blown` writes in place, on the march's own arrays only
-        assert rs.tobytes() == heights.tobytes()
-        assert (np.isnan(sweep.u_end) == np.isnan(sweep.v_end)).all()
-        for i, r in enumerate(rs):
-            try:
-                z = poincare_map(p, self.CFG, PhasePoint(float(r), 0.0))
-            except BlowupError:
-                assert math.isnan(sweep.u_end[i]) and math.isnan(sweep.v_end[i]), f"r={r}"
-            else:
-                assert (sweep.u_end[i], sweep.v_end[i]) == (z.u, z.v), f"r={r}"
-        return sweep
-
     def test_many_columns_blow_up(self):
         p = dataclasses.replace(remark_instances()[1].problem, lam=300.0)
-        sweep = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        sweep = assert_columns_match_poincare_map(p, self.CFG, np.linspace(0.0, 1.0, 101))
         assert 20 < np.count_nonzero(~sweep.ok) < 80
 
     def test_inf_or_nan_within_one_step(self, prop1):
         p = prop1.problem
-        sweep = self.assert_columns_match_poincare_map(p, np.array([0.1, 1e200, 0.4, -1e200, 0.75]))
+        rs = np.array([0.1, 1e200, 0.4, -1e200, 0.75])
+        sweep = assert_columns_match_poincare_map(p, self.CFG, rs)
         assert sweep.ok.tolist() == [True, False, True, False, True]
         _, h1, _, _ = step_plan(p, self.CFG)
         with pytest.raises(BlowupError) as exc_info:
@@ -171,29 +176,45 @@ class TestBoundPaths:
         # column but the fixed points r = 0 and 1 reaches infinity
         p = dataclasses.replace(remark_instances()[0].problem,
                                 f=CustomPolynomial((0.0, 1e300, -1e300)), lam=45.0)
-        sweep = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        sweep = assert_columns_match_poincare_map(p, self.CFG, np.linspace(0.0, 1.0, 101))
         assert np.count_nonzero(~sweep.ok) == 99
 
-    def test_a_column_nan_in_v_alone_reads_nan_in_u(self, monkeypatch):
-        # f turns nan once, in column 0's k4 of the last step, which reaches
-        # v_end but not u_end; the bound test skips nan, so it is the closing
-        # pass of sweep_terminals that makes u_end nan as well
+    def sweep_with_nan_in_v(self, monkeypatch, last_step_of):
+        """Sweep [0.3, 0.6] with f turned nan once, in column 0's k4 of the
+        last step of the left side or of the march, which reaches that
+        step's v but not its u; column 1 must keep its bits."""
         p = Problem(weight=StepWeight(alpha=1.0, omega1=-0.21, omega2=0.2),
                     f=CustomPolynomial((0.0, 1.0, -1.0)), lam=45.0)
         n1, _, n2, _ = step_plan(p, self.CFG)
+        nan_call = 4 * (n1 if last_step_of == "left" else n1 + n2)
         calls = []
         value = CustomPolynomial.value
 
-        def nan_at_last_call(self, s):
+        def nan_at_one_call(self, s):
             out = value(self, s)
             calls.append(None)
-            if len(calls) == 4 * (n1 + n2):
+            if len(calls) == nan_call:
                 out[0] = np.nan
             return out
 
-        monkeypatch.setattr(CustomPolynomial, "value", nan_at_last_call)
+        expected = sweep_terminals(p, self.CFG, np.array([0.6]))
+        monkeypatch.setattr(CustomPolynomial, "value", nan_at_one_call)
         sweep = sweep_terminals(p, self.CFG, np.array([0.3, 0.6]))
         assert len(calls) == 4 * (n1 + n2)
+        assert (sweep.u_end[1], sweep.v_end[1]) == (expected.u_end[0], expected.v_end[0])
+        return sweep
+
+    def test_a_column_nan_in_v_alone_reads_nan_in_u(self, monkeypatch):
+        # nan in v_end alone: the bound test skips nan, so it is the closing
+        # pass of sweep_terminals that makes u_end nan as well
+        sweep = self.sweep_with_nan_in_v(monkeypatch, "march")
+        assert np.isnan(sweep.u_end[0]) and np.isnan(sweep.v_end[0])
+        assert sweep.ok.tolist() == [False, True]
+
+    def test_a_column_nan_in_v_at_x0_reads_nan_in_u(self, monkeypatch):
+        # nan in v alone at x = 0, where the state changes sides: the right
+        # side's first step carries it into u
+        sweep = self.sweep_with_nan_in_v(monkeypatch, "left")
         assert np.isnan(sweep.u_end[0]) and np.isnan(sweep.v_end[0])
         assert sweep.ok.tolist() == [False, True]
 
@@ -206,35 +227,96 @@ class TestBoundPaths:
         with pytest.raises(BlowupError) as exc_info:
             poincare_map(p, self.CFG, PhasePoint(0.0, 0.0))
         assert exc_info.value.x < 0.0
-        grid = self.assert_columns_match_poincare_map(p, np.linspace(0.0, 1.0, 101))
+        grid = assert_columns_match_poincare_map(p, self.CFG, np.linspace(0.0, 1.0, 101))
         assert 0 < np.count_nonzero(grid.ok) < 101
         # the 1e200 column alone blows up, at the first step, and stays nan
         # while every other column still lies in the bound, where the
         # origin's march would leave it
         rs = np.append(grid.rs[grid.ok], 1e200)
-        sweep = self.assert_columns_match_poincare_map(p, rs)
+        sweep = assert_columns_match_poincare_map(p, self.CFG, rs)
         assert sweep.ok.tolist() == [True] * (len(rs) - 1) + [False]
 
 
 class TestMarkBlown:
-    """The batched kernel's bound test, called directly on one step's state."""
+    """The batched march's bound test, called directly on one step's (2, N)
+    state, rows u and v, with a (2, N) scratch buffer."""
 
     def test_columns_in_bound_or_nan_come_back_unchanged(self):
-        u = np.array([0.5, -BLOWUP_BOUND, np.nan, 0.0])
-        v = np.array([BLOWUP_BOUND, -3.0, np.nan, -0.0])
-        before = u.tobytes(), v.tobytes()
-        assert _mark_blown(u, v) is None
-        assert (u.tobytes(), v.tobytes()) == before
+        z = np.array([[0.5, -BLOWUP_BOUND, np.nan, 0.0],
+                      [BLOWUP_BOUND, -3.0, np.nan, -0.0]])
+        before = z.tobytes()
+        assert _mark_blown(z, np.empty_like(z)) is None
+        assert z.tobytes() == before
 
     @pytest.mark.parametrize("out", [2e3, math.inf, -math.inf])
     @pytest.mark.parametrize("coordinate", [0, 1])
     def test_a_column_out_of_bound_turns_nan_in_u_and_v(self, out, coordinate):
-        state = [np.array([0.5, 0.25, np.nan]), np.array([-0.5, 0.75, np.nan])]
-        state[coordinate][1] = out
-        u, v = state
-        assert _mark_blown(u, v) is None
-        assert u[0] == 0.5 and v[0] == -0.5
-        assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
+        z = np.array([[0.5, 0.25, np.nan], [-0.5, 0.75, np.nan]])
+        z[coordinate, 1] = out
+        assert _mark_blown(z, np.empty_like(z)) is None
+        assert z[:, 0].tolist() == [0.5, -0.5]
+        assert np.isnan(z[:, 1:]).all()
+
+    def test_a_stage_buffer_keeps_its_slope_row(self):
+        # the state is rows 0:2 of a (3, N) stage buffer; row 2, c f(u),
+        # is not the bound's to test or mark
+        buffer = np.array([[0.5, 2e3], [0.25, 0.75], [5e3, 6e3]])
+        _mark_blown(buffer[0:2], np.empty((2, 2)))
+        assert buffer[0:2, 0].tolist() == [0.5, 0.25] and np.isnan(buffer[0:2, 1]).all()
+        assert buffer[2].tolist() == [5e3, 6e3]
+
+
+class TestStackedMarch:
+    """The batched march swaps its state's buffer with stage 2's every step
+    and carries the state across x = 0 in whichever buffer holds it: every
+    column must keep `poincare_map`'s bits whatever the parity of either
+    side's steps, the batch's width or the step where a column blows up."""
+
+    @staticmethod
+    def configs(p):
+        # prop-1 takes 52/49 steps at H, 103/98 at H/2, 54/52 at 0.0039
+        # and 57/55 at 0.0037: each pair of parities once
+        H = coarsest_step(p)
+        cfgs = [IntegratorConfig(t) for t in (H, H / 2, 0.0039, 0.0037)]
+        parities = {(n1 % 2, n2 % 2) for n1, _, n2, _ in (step_plan(p, c) for c in cfgs)}
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        return cfgs
+
+    def test_every_step_parity_keeps_the_bits(self, prop1):
+        # 5.0 and -0.5 blow up on the left piece, 2.0 on the right one
+        p = prop1.problem
+        rs = np.concatenate([np.linspace(0.0, 1.0, 41), [5.0, -0.5, 2.0]])
+        for cfg in self.configs(p):
+            sweep = assert_columns_match_poincare_map(p, cfg, rs)
+            assert np.count_nonzero(~sweep.ok) == 3
+
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_narrow_batches_keep_the_bits(self, prop1, prop2, width):
+        cfgs = self.configs(prop1.problem)
+        for p in (prop1.problem, prop2.problem):
+            for cfg in cfgs:
+                sweep = assert_columns_match_poincare_map(p, cfg, np.array([0.4, 0.75][:width]))
+                assert sweep.u_end.shape == sweep.v_end.shape == (width,)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    def test_blow_ups_at_the_last_step_of_either_side(self, prop1, k):
+        # 2.03125 leaves the bound at the left side's last step, x = 0, and
+        # 1.85546875 at the march's last, x = omega2, at H and at H/2
+        p = prop1.problem
+        cfg = IntegratorConfig(coarsest_step(p) / k)
+        for r, x in ((2.03125, 0.0), (1.85546875, p.weight.omega2)):
+            with pytest.raises(BlowupError) as exc_info:
+                poincare_map(p, cfg, PhasePoint(r, 0.0))
+            assert exc_info.value.x == x
+        rs = np.array([0.4, 2.03125, 1.85546875, 0.75])
+        sweep = assert_columns_match_poincare_map(p, cfg, rs)
+        assert sweep.ok.tolist() == [True, False, False, True]
+
+    def test_terminals_own_their_data(self, prop1):
+        sweep = sweep_terminals(prop1.problem, IntegratorConfig(1e-3), np.linspace(0.0, 1.0, 11))
+        for end in (sweep.u_end, sweep.v_end):
+            assert end.flags.owndata and end.flags.c_contiguous and end.base is None
+        assert not np.shares_memory(sweep.u_end, sweep.v_end)
 
 
 class TestOperandTypes:

@@ -235,8 +235,9 @@ def _assert_same_bits(got, ref):
 
 
 class TestInPlaceArithmetic:
-    """value() builds its result in place from fresh temporaries; the RK4
-    kernel then scales that result in place. Both rely on it being new."""
+    """value() builds its result in place from fresh temporaries, which
+    relies on it being new, and leaves its argument, in a batched march a
+    row of the stage buffers, as it was."""
 
     @pytest.mark.parametrize("f", ALL_FAMILIES + [CustomPolynomial((2.5,))],
                              ids=lambda f: f.KIND + repr(f))

@@ -333,6 +333,26 @@ def test_residual_does_not_depend_on_the_batch(name):
     np.testing.assert_array_equal(timemap.residual(p, rs[1::3]), grid[1::3])
 
 
+def test_newton_keeps_a_step_onto_its_own_bracket_end(prop2, monkeypatch):
+    # prop-2's first time-map call, on the rejected bracket: the Newton step
+    # of 0.0025's first solve rounds onto the bracket end its own iterate
+    # set, which must end that solve, not send it to the bracket's midpoint
+    iterations = []
+    newton = timemap._newton
+
+    def counted(fn, x, hi):
+        calls = []
+        root = newton(lambda x: calls.append(None) or fn(x), x, hi)
+        iterations.append(len(calls))
+        return root
+
+    monkeypatch.setattr(timemap, "_newton", counted)
+    both = timemap.residual(prop2.problem, np.array([0.002, 0.0025]))
+    assert len(iterations) == 2 and max(iterations) <= 8
+    alone = [timemap.residual(prop2.problem, np.array([r]))[0] for r in (0.002, 0.0025)]
+    assert both.tobytes() == np.array(alone).tobytes()
+
+
 def test_residual_is_nan_outside_the_domain(prop2):
     g = timemap.residual(prop2.problem, np.array([0.0, 0.9, 1.0, 1.5, -0.2]))
     assert np.isnan(g).all()
