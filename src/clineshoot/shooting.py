@@ -17,9 +17,10 @@ scanned by `find_brackets`.
 
 Every bracket is refined by Brent's method on the terminal slope of the
 scalar Poincare map (`bisect_cline`). When the pre-pass stands at the step
-it chose, its first point is the RK4-free time-map root (`timemap.find_root`):
-a root that meets tol_v there costs one `integrate` and no map, one that
-misses it is Brent's first iterate. Otherwise it is the secant point.
+it chose, its first point is the RK4-free time-map root, found for all the
+brackets at once by one `timemap.find_roots` call: a root that meets tol_v
+there costs one `integrate` and no map, one that misses it is Brent's first
+iterate. Otherwise it is the secant point.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -437,8 +438,9 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
     by that sweep itself otherwise. Every non-exact bracket is refined by
     `bisect_cline`. When the pre-pass stood at a chosen step (cfg None and
-    `direct_reason` None), its first point is the time-map root
-    (`timemap.find_root`), an exact root of the ODE: it meets tol_v at a step
+    `direct_reason` None), its first point is the time-map root, an exact
+    root of the ODE, from one `timemap.find_roots` call on every non-exact
+    bracket before any is refined: it meets tol_v at a step
     whose RK4 error of v is tol_v / 10, but a caller's step promises no such
     error. Otherwise it is the secant point. Validation always runs at the
     fine step. A bracket lost to a blow-up is kept as its
@@ -451,10 +453,12 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     seed = cfg is None and bracketing.direct_reason is None
     if cfg is None:
         cfg = IntegratorConfig(target_step=bracketing.step)
+    spans = [(b.r_lo, b.r_hi) for b in brackets if not b.is_exact] if seed else []
+    firsts = dict(zip(spans, timemap.find_roots(p, spans, tol_r)))
     found: list[Cline] = []
     failures: list[BracketLostError] = []
     for b in brackets:
-        first = timemap.find_root(p, b.r_lo, b.r_hi, tol_r) if seed and not b.is_exact else None
+        first = firsts.get((b.r_lo, b.r_hi))
         try:
             found.append(bisect_cline(p, cfg, b, tol_r, tol_v, first))
         except BracketLostError as exc:

@@ -16,17 +16,21 @@ remove the square-root singularities at the turning points, and each energy
 difference is t^2 times a mean of f, so nothing cancels. Every integral is a
 nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
-`bracketed_root` solves G = 0 here (`find_root`) and, in
-`shooting.bisect_cline`, the terminal slope of the fine-step Poincare map
-= 0, by Brent's method. When `shooting.sweep_brackets` chose the step, the
-root of G is the first point of the second search, so a cline is always
-a root of the RK4 slope and the time-map only saves its maps.
+Brent's method is one generator, `_brent`, that yields each point and is
+sent the value there. `bracketed_root` drives it with a scalar function:
+in `shooting.bisect_cline`, the terminal slope of the fine-step Poincare
+map. `find_roots` drives one search per span in lockstep on G, each later
+round one `residual` call on every live span's point; `residual` computes
+each element on its own, so every root has the bits of a lone solve. When
+`shooting.sweep_brackets` chose the step, the root of G is the first point
+of the second search, so a cline is always a root of the RK4 slope and the
+time-map only saves its maps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -108,11 +112,32 @@ def residual(p: Problem, rs) -> np.ndarray:
         return _time(f, lam, u + y, np.sqrt(y), -1.0) - right
 
 
+# a root search: yields each point, is sent the value there, returns the root
+_Search = Generator[float, float, Optional[float]]
+
+
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
                    y_lo: float, y_hi: float, tol_x: float, tol_y: float,
                    first: Optional[float] = None) -> float:
     """A root of fn in [lo, hi], where fn(lo) = y_lo and fn(hi) = y_hi differ in sign.
 
+    Brent's method, `_brent`, with fn evaluated at each of its points.
+    """
+    search = _brent(lo, hi, y_lo, y_hi, tol_x, tol_y, first)
+    try:
+        r = next(search)
+        while True:
+            r = search.send(fn(r))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _brent(lo: float, hi: float, y_lo: float, y_hi: float, tol_x: float, tol_y: float,
+           first: Optional[float]) -> _Search:
+    """Brent's search for a root of fn in [lo, hi], given fn(lo) = y_lo and fn(hi) = y_hi.
+
+    A generator: it yields each point and is sent fn's value there; the
+    signs of y_lo and y_hi differ.
     Brent's method (R. P. Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4). The first point is `first`, or the secant
     point of the bracket when it is None; one outside (lo, hi) gives way
@@ -140,7 +165,7 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
             r = 0.5 * (lo + hi)
             if r <= lo or r >= hi:
                 break  # interval no longer splittable in floating point
-        y = fn(r)
+        y = yield r
         if y == 0.0 or abs(y) < tol_y:
             return r
         if sign_lo * y < 0.0:
@@ -174,28 +199,55 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def find_root(p: Problem, lo: float, hi: float, tol: float) -> Optional[float]:
-    """A root of G in [lo, hi] to within tol, or None when none shows.
+def _inward(lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> _Search:
+    """The search for a root of G in [lo, hi], given G at both ends.
 
     Where G is undefined at one end, that end moves inward by bisection:
     a midpoint replaces the undefined end unless G there is defined with
-    the sign of the other end, which it then replaces. None comes back when
-    G is undefined at both ends, has one sign at both, or no defined point
-    of the opposite sign turns up before the bracket is tol wide.
+    the sign of the other end, which it then replaces. Then Brent's method
+    from the secant point. The root is None when G is undefined at both
+    ends, has one sign at both, or no defined point of the opposite sign
+    turns up before the bracket is tol wide.
     """
-    def g(r: float) -> float:
-        return float(residual(p, np.array([r]))[0])
-
-    g_lo, g_hi = residual(p, np.array([lo, hi])).tolist()
     while not g_lo * g_hi < 0.0:
         if hi - lo <= tol or math.isnan(g_lo) == math.isnan(g_hi):
             return None
         m = 0.5 * (lo + hi)
-        g_m = g(m)
+        g_m = yield m
         defined = g_hi if math.isnan(g_lo) else g_lo
         inward = math.isnan(g_m) or g_m * defined < 0.0   # m replaces the undefined end
         if inward == math.isnan(g_hi):
             hi, g_hi = m, g_m
         else:
             lo, g_lo = m, g_m
-    return bracketed_root(g, lo, hi, g_lo, g_hi, tol, 0.0)
+    return (yield from _brent(lo, hi, g_lo, g_hi, tol, 0.0, None))
+
+
+def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
+               ) -> list[Optional[float]]:
+    """A root of G in each span (lo, hi) to within tol, or None where none shows.
+
+    Each span is searched by `_inward`. The searches run in lockstep: the
+    first round is one `residual` call on both ends of every span, and each
+    later round one call on the pending point of every search still
+    running. `residual` computes each height on its own, so each root is
+    the one the span's search finds alone. No spans make no call.
+    """
+    if not spans:
+        return []
+    ends = residual(p, np.array(spans, dtype=float).ravel()).tolist()
+    searches = [_inward(lo, hi, g_lo, g_hi, tol)
+                for (lo, hi), g_lo, g_hi in zip(spans, ends[::2], ends[1::2])]
+    roots: list[Optional[float]] = [None] * len(spans)
+    live, values = range(len(spans)), [None] * len(spans)   # None starts a search
+    while True:
+        points = {}
+        for i, y in zip(live, values):
+            try:
+                points[i] = searches[i].send(y)
+            except StopIteration as stop:
+                roots[i] = stop.value
+        if not points:
+            return roots
+        live = list(points)
+        values = residual(p, np.array(list(points.values()))).tolist()

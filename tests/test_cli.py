@@ -479,7 +479,7 @@ class TestFind:
                 raise BlowupError(0.05, 2.0 * BLOWUP_BOUND, 0.0)
             return real_map(p, cfg, z0)
 
-        monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: None)
+        monkeypatch.setattr(timemap, "find_roots", lambda p, spans, tol: [None] * len(spans))
         monkeypatch.setattr(shooting, "poincare_map", blow_up_inside)
         assert main(["find", prop1_config, "--resolution", "201"]) == 0
         out = capsys.readouterr().out

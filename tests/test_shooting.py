@@ -235,7 +235,7 @@ class TestFindAllClines:
 
         monkeypatch.setattr(shooting, "sweep_brackets",
                             lambda *args: (result.brackets, result.bracketing))
-        monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: None)
+        monkeypatch.setattr(timemap, "find_roots", lambda p, spans, tol: [None] * len(spans))
         monkeypatch.setattr(shooting, "poincare_map", blow_up_inside)
         again = find_all_clines(prop1.problem, default_cfg)
         (lost,) = again.failures

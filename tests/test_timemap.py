@@ -24,21 +24,22 @@ SCAN_NODES = 401
 
 
 def timemap_roots(p):
-    """Roots of G found from a uniform scan over [0, 1], without RK4.
+    """Roots of G in the candidate cells of a uniform scan, without RK4."""
+    roots = timemap.find_roots(p, candidate_cells(p), DEFAULT_TOL_R)
+    return [root for root in roots if root is not None]
 
-    A cell is refined when G changes sign over it or is defined at one
-    end only, since a root can sit next to the edge of G's domain; G is
+
+def candidate_cells(p):
+    """The cells (lo, hi) of a uniform scan over [0, 1] that may hold a root of G.
+
+    A cell counts when G changes sign over it or is defined at one end
+    only, since a root can sit next to the edge of G's domain; G is
     undefined at 0 and 1, so the end cells count too.
     """
-    rs = np.linspace(0.0, 1.0, SCAN_NODES)
-    g = timemap.residual(p, rs)
-    roots = []
-    for lo, hi, g_lo, g_hi in zip(rs[:-1], rs[1:], g[:-1], g[1:]):
-        if g_lo * g_hi < 0.0 or math.isnan(g_lo) != math.isnan(g_hi):
-            root = timemap.find_root(p, float(lo), float(hi), DEFAULT_TOL_R)
-            if root is not None:
-                roots.append(root)
-    return roots
+    rs = np.linspace(0.0, 1.0, SCAN_NODES).tolist()
+    g = timemap.residual(p, np.array(rs))
+    return [(lo, hi) for lo, hi, g_lo, g_hi in zip(rs[:-1], rs[1:], g[:-1], g[1:])
+            if g_lo * g_hi < 0.0 or math.isnan(g_lo) != math.isnan(g_hi)]
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +57,11 @@ def no_timemap(monkeypatch):
     """Make every time-map root search fail and record the attempts."""
     calls = []
 
-    def failing(p, lo, hi, tol):
-        calls.append((lo, hi))
-        return None
+    def failing(p, spans, tol):
+        calls.extend(spans)
+        return [None] * len(spans)
 
-    monkeypatch.setattr(timemap, "find_root", failing)
+    monkeypatch.setattr(timemap, "find_roots", failing)
     return calls
 
 
@@ -109,7 +110,7 @@ def test_no_root_in_a_rejected_bracket(prop2, prop2_search, remark_searches):
     rejected += [(p, c) for p, res in remark_searches.values() for c in res.rejected]
     assert len(rejected) >= 2
     for p, c in rejected:
-        assert timemap.find_root(p, c.bracket.r_lo, c.bracket.r_hi, DEFAULT_TOL_R) is None
+        assert timemap.find_roots(p, [(c.bracket.r_lo, c.bracket.r_hi)], DEFAULT_TOL_R) == [None]
 
 
 def trace_refinement(monkeypatch):
@@ -175,7 +176,8 @@ def test_failed_seed_is_brents_first_iterate(prop1, chosen_search, monkeypatch):
     # once, then Brent goes on from it with maps, and the root it reaches is
     # integrated once more
     result = chosen_search(prop1.problem)
-    monkeypatch.setattr(timemap, "find_root", lambda p, lo, hi, tol: lo + 0.25 * (hi - lo))
+    monkeypatch.setattr(timemap, "find_roots",
+                        lambda p, spans, tol: [lo + 0.25 * (hi - lo) for lo, hi in spans])
     calls, _ = trace_refinement(monkeypatch)
     again = find_all_clines(prop1.problem)
     assert len(calls) == len(again.clines) == len(result.clines) == 3
@@ -224,8 +226,10 @@ def test_prop2_seeds_hold_at_its_chosen_step_and_are_skipped_at_1e_3(prop2, monk
     result = find_all_clines(prop2.problem)
     assert result.bracketing.direct_reason is None and outside == []
     (reject,) = result.rejected
-    for b, first, marches in calls:
-        assert first == timemap.find_root(prop2.problem, b.r_lo, b.r_hi, DEFAULT_TOL_R)
+    roots = timemap.find_roots(prop2.problem, [(b.r_lo, b.r_hi) for b, _, _ in calls],
+                               DEFAULT_TOL_R)
+    for (b, first, marches), root in zip(calls, roots, strict=True):
+        assert first == root
         if b is reject.bracket:
             assert first is None and len(marches) == 6
         else:
@@ -312,6 +316,84 @@ def test_seed_settles_prop1_at_its_chosen_step(prop1, monkeypatch):
     assert outside == [] and result.bracketing.reshot == 0
 
 
+def bundled_problem(name):
+    return problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
+
+
+def count_residual_calls(monkeypatch):
+    """Wrap timemap.residual; returns the list of the heights of each call."""
+    calls = []
+    real = timemap.residual
+
+    def counted(p, rs):
+        calls.append(np.asarray(rs).tolist())
+        return real(p, rs)
+
+    monkeypatch.setattr(timemap, "residual", counted)
+    return calls
+
+
+# (problem, lambda or None, candidate cells, roots among them); on
+# remark-no-dominance at lambda = 1000 the scan sees no cell, as the cline
+# there lies between the first node and the end of G's domain
+LOCKSTEP_CASES = [
+    ("prop1", None, 5, 3), ("prop2", None, 7, 3), ("remark_concave", None, 3, 1),
+    (0, 5.0, 3, 1), (0, 45.0, 3, 1), (0, 300.0, 2, 1), (0, 1000.0, 0, 0),
+    (1, 5.0, 4, 2), (1, 45.0, 4, 2), (1, 300.0, 2, 2), (1, 1000.0, 2, 2),
+]
+
+
+@pytest.mark.parametrize("name, lam, n_cells, n_roots", LOCKSTEP_CASES)
+def test_lockstep_roots_are_the_lone_roots(name, lam, n_cells, n_roots):
+    # every candidate cell of the scan, a sign change or one undefined end,
+    # solved in one lockstep call and each on its own: the same bits
+    if lam is None:
+        p = bundled_problem(name)
+    else:
+        p = replace(remark_instances()[name].problem, lam=lam)
+    cells = candidate_cells(p)
+    together = timemap.find_roots(p, cells, DEFAULT_TOL_R)
+    alone = [timemap.find_roots(p, [cell], DEFAULT_TOL_R)[0] for cell in cells]
+    assert [None if r is None else r.hex() for r in together] == [
+        None if r is None else r.hex() for r in alone]
+    assert len(cells) == n_cells and sum(r is not None for r in together) == n_roots
+
+
+def test_find_roots_without_a_sign_change_stops_after_the_first_round(prop1, monkeypatch):
+    # G is undefined at 0 and 1, so (0, 1) has no defined end; two adjacent
+    # scan nodes with one sign have no root between them. Neither search
+    # asks for a point, so the ends' call is the only one
+    rs = np.linspace(0.0, 1.0, SCAN_NODES)
+    g = timemap.residual(prop1.problem, rs)
+    j = next(j for j in range(1, SCAN_NODES - 1) if g[j] * g[j + 1] > 0.0)
+    same_sign = (float(rs[j]), float(rs[j + 1]))
+    calls = count_residual_calls(monkeypatch)
+    assert timemap.find_roots(prop1.problem, [(0.0, 1.0), same_sign], DEFAULT_TOL_R) == [None, None]
+    assert calls == [[0.0, 1.0, *same_sign]]
+
+
+def test_find_roots_of_no_spans_makes_no_call(prop1, monkeypatch):
+    calls = count_residual_calls(monkeypatch)
+    assert timemap.find_roots(prop1.problem, [], DEFAULT_TOL_R) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("prop1", [6, 3, 3, 3, 1]),
+    ("prop2", [8, 3, 3, 3, 2, 1]),
+    ("remark_concave", [2, 1, 1, 1, 1]),
+])
+def test_seeding_takes_one_residual_call_per_round(name, sizes, monkeypatch):
+    # at the chosen step every non-exact bracket is seeded by one lockstep
+    # search: its first call holds both ends of each bracket, and each later
+    # call the pending point of every bracket still searching
+    calls = count_residual_calls(monkeypatch)
+    result = find_all_clines(bundled_problem(name))
+    assert result.bracketing.direct_reason is None
+    assert [len(rs) for rs in calls] == sizes
+    assert calls[0] == [r for b in result.brackets if not b.is_exact for r in (b.r_lo, b.r_hi)]
+
+
 def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
     # the ends of each validated bracket: G and v(omega2) agree in sign
     result, _ = prop1_search
@@ -323,9 +405,9 @@ def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
 
 @pytest.mark.parametrize("name", ["prop1", "prop2", "remark_concave"])
 def test_residual_does_not_depend_on_the_batch(name):
-    # find_root takes its first two values from one call on both ends, the
-    # others from one-height calls; every value must be the same bits
-    p = problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
+    # find_roots takes each value from a call on many heights, which must
+    # give the bits of a call on that height alone
+    p = bundled_problem(name)
     rs = np.linspace(0.0, 1.0, SCAN_NODES)[1:-1]
     grid = timemap.residual(p, rs)
     alone = [timemap.residual(p, np.array([r]))[0] for r in rs[::3]]
