@@ -136,49 +136,39 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _greedy_match(expected: Sequence[float], found: Sequence[float]) -> list[tuple[int, int]]:
-    """One-to-one nearest-neighbour pairing by smallest absolute deviation."""
-    pairs = sorted((abs(e - f), i, j) for i, e in enumerate(expected)
-                   for j, f in enumerate(found))
-    used_e: set[int] = set()
-    used_f: set[int] = set()
-    out = []
-    for _, i, j in pairs:
-        if i in used_e or j in used_f:
-            continue
-        used_e.add(i)
-        used_f.add(j)
-        out.append((i, j))
-    return sorted(out)
-
-
 def compare(instance: NamedInstance, found: Sequence) -> ComparisonReport:
     """Match found clines against the instance's reference values.
 
-    Every expectation must be met within DEFAULT_TOLERANCE, with no extra
-    roots, for the report to pass. An instance without expected_c has
-    nothing to compare against and raises ValueError.
+    Each expected c in turn is matched with the nearest found c not yet
+    taken, if that lies within DEFAULT_TOLERANCE; an expected c with none
+    is a miss, and a found c left over is an extra. The report passes when
+    there is no miss and no extra, and every matched terminal u, where the
+    instance gives them, also lies within DEFAULT_TOLERANCE. An instance
+    without expected_c has nothing to compare against and raises ValueError.
     """
     if instance.expected_c is None:
         raise ValueError(f"instance {instance.name!r} has no reference values to compare")
     expected = list(instance.expected_c)
     found_c = [c.c for c in found]
-    pairing = _greedy_match(expected, found_c)
+    free = list(range(len(found_c)))
     matches: list[MatchRecord] = []
-    for i, j in pairing:
+    misses: list[float] = []
+    for i, e in enumerate(expected):
+        j = min(free, key=lambda j: abs(e - found_c[j]), default=None)
+        if j is None or abs(e - found_c[j]) > DEFAULT_TOLERANCE:
+            misses.append(e)
+            continue
+        free.remove(j)
         eu = fu = dev_u = None
         if instance.expected_terminal_u is not None:
             eu, fu = instance.expected_terminal_u[i], found[j].terminal_u
             dev_u = abs(eu - fu)
-        matches.append(MatchRecord(expected_c=expected[i], found_c=found_c[j],
-                                   deviation_c=abs(expected[i] - found_c[j]),
+        matches.append(MatchRecord(expected_c=e, found_c=found_c[j],
+                                   deviation_c=abs(e - found_c[j]),
                                    expected_u=eu, found_u=fu, deviation_u=dev_u))
-    matched_e = {i for i, _ in pairing}
-    matched_f = {j for _, j in pairing}
-    misses = [e for i, e in enumerate(expected) if i not in matched_e]
-    extras = [f for j, f in enumerate(found_c) if j not in matched_f]
-    too_far = any(dev is not None and dev > DEFAULT_TOLERANCE
-                  for m in matches for dev in (m.deviation_c, m.deviation_u))
+    extras = [found_c[j] for j in free]
+    too_far = any(m.deviation_u is not None and m.deviation_u > DEFAULT_TOLERANCE
+                  for m in matches)
     return ComparisonReport(
         instance=instance.name,
         matches=matches,

@@ -378,8 +378,8 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
     outside the bracket gives way to the midpoint. `first` is shot with
     integrate, every other point with poincare_map: the same march, so the
     same terminal slope. A root at `first` keeps that trajectory, and any
-    other root is integrated once more. A blow-up inside the bracket
-    raises BracketLostError, at `first` as at any other point, and a root
+    other root is integrated once more. A blow-up in any of these marches,
+    an exact bracket's included, raises BracketLostError, and a root
     whose profile nears 0 or 1 or is constant comes back rejected, `first`
     included.
 
@@ -390,19 +390,22 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
     _check_tolerances(tol_r, tol_v)
     seed: Optional[Trajectory] = None
 
-    def terminal_v(r: float) -> float:
-        nonlocal seed
+    def shoot(march, r: float):
         try:
-            if r == first:
-                seed = integrate(p, cfg, PhasePoint(r, 0.0))
-                return float(seed.vs[-1])
-            return poincare_map(p, cfg, PhasePoint(r, 0.0)).v
+            return march(p, cfg, PhasePoint(r, 0.0))
         except BlowupError as exc:
             raise BracketLostError(b, r, exc) from exc
 
+    def terminal_v(r: float) -> float:
+        nonlocal seed
+        if r == first:
+            seed = shoot(integrate, r)
+            return float(seed.vs[-1])
+        return shoot(poincare_map, r).v
+
     root = b.r_lo if b.is_exact else timemap.bracketed_root(
         terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v, first)
-    traj = seed if seed is not None and root == first else integrate(p, cfg, PhasePoint(root, 0.0))
+    traj = seed if seed is not None and root == first else shoot(integrate, root)
     return _build_cline(p, traj, b)
 
 

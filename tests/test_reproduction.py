@@ -1,11 +1,15 @@
+import itertools
 import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clineshoot.integrator import IntegratorConfig
 from clineshoot.problem import problem_from_dict
 from clineshoot.reproduction import (
+    DEFAULT_TOLERANCE,
     NamedInstance,
     compare,
     proposition_1,
@@ -112,12 +116,84 @@ class TestCompare:
         assert "PASS" in text and "proposition-1" in text
 
 
+def greedy_match(expected, found):
+    """The pairing `compare` made before: one-to-one, by smallest absolute deviation."""
+    pairs = sorted((abs(e - f), i, j) for i, e in enumerate(expected)
+                   for j, f in enumerate(found))
+    used_e: set[int] = set()
+    used_f: set[int] = set()
+    out = []
+    for _, i, j in pairs:
+        if i in used_e or j in used_f:
+            continue
+        used_e.add(i)
+        used_f.add(j)
+        out.append((i, j))
+    return sorted(out)
+
+
+def greedy_passed(instance, found):
+    """The verdict `compare` gave on that pairing: no miss, no extra, no deviation too far."""
+    expected, found_c = list(instance.expected_c), [f.c for f in found]
+    us = instance.expected_terminal_u
+    pairing = greedy_match(expected, found_c)
+    devs = [abs(expected[i] - found_c[j]) for i, j in pairing]
+    if us is not None:
+        devs += [abs(us[i] - found[j].terminal_u) for i, j in pairing]
+    return (len(pairing) == len(expected) == len(found_c)
+            and not any(dev > DEFAULT_TOLERANCE for dev in devs))
+
+
+INSIDE = st.floats(-DEFAULT_TOLERANCE, DEFAULT_TOLERANCE)
+OUTSIDE = st.builds(lambda d, sign: sign * d,
+                    st.floats(DEFAULT_TOLERANCE, 0.3, exclude_min=True), st.sampled_from([-1, 1]))
+
+
+@st.composite
+def references_and_found(draw):
+    """References more than 2 tolerances apart, and found clines near them:
+    each inside or outside the tolerance or dropped, in any order, with
+    extras anywhere."""
+    gaps = draw(st.lists(st.floats(2 * DEFAULT_TOLERANCE + 1e-4, 0.3), max_size=4))
+    cs = list(itertools.accumulate(gaps, initial=draw(st.floats(0.0, 0.3))))
+    us = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=len(cs), max_size=len(cs)))
+    found = []
+    for k, c in enumerate(cs):
+        if draw(st.booleans()):
+            continue
+        u = 0.5 if us is None else us[k] + draw(INSIDE | OUTSIDE)
+        found.append(SimpleNamespace(c=c + draw(INSIDE | OUTSIDE), terminal_u=u))
+    found += [SimpleNamespace(c=c, terminal_u=0.5)
+              for c in draw(st.lists(st.floats(0.0, 1.0), max_size=3))]
+    instance = NamedInstance(name="drawn", problem=proposition_1().problem, expected_c=tuple(cs),
+                             expected_terminal_u=None if us is None else tuple(us))
+    return instance, draw(st.permutations(found))
+
+
+@settings(max_examples=300, deadline=None)
+@given(references_and_found())
+def test_verdict_is_the_greedy_verdict_for_separated_references(case):
+    instance, found = case
+    report = compare(instance, found)
+    assert report.passed == greedy_passed(instance, found)
+    assert len(report.matches) + len(report.misses) == report.count_expected
+    assert len(report.matches) + len(report.extras) == report.count_found
+
+
 class TestEndToEnd:
     def test_first_instance_passes(self, prop1, prop1_search):
         result, _ = prop1_search
         report = compare(prop1, result.clines)
-        assert report.passed
+        assert report.passed and len(report.matches) == 3
         assert all(m.deviation_c < 0.005 for m in report.matches)
+
+    def test_second_instance_matches_no_reference(self, prop2, prop2_search):
+        # the computed initial heights lie far from every reference value
+        result, _ = prop2_search
+        report = compare(prop2, result.clines)
+        assert report.matches == []
+        assert report.misses == [0.436, 0.776, 0.854]
+        assert report.extras == [c.c for c in result.clines]
 
     def test_second_instance_reference_values_are_terminal_abscissae(
             self, prop2, prop2_search):

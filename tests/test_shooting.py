@@ -172,6 +172,17 @@ class TestBisection:
             bisect_cline(prop1.problem, default_cfg, b)
         assert exc_info.value.r == 5.0
 
+    def test_blowup_at_exact_node_is_lost(self):
+        # an exact bracket's one integrate blows up at x = 0.161
+        concave, _ = remark_instances()
+        p = replace(concave.problem, lam=300.0)
+        b = Bracket(0.08, 0.08, 0.0, 0.0)
+        with pytest.raises(BracketLostError) as exc_info:
+            bisect_cline(p, IntegratorConfig(1e-3), b)
+        lost = exc_info.value
+        assert lost.bracket == b and lost.r == 0.08
+        assert lost.cause.x == pytest.approx(0.161, abs=1e-3)
+
     def test_rejects_trajectory_leaving_unit_band(self, prop2_search):
         result, _ = prop2_search
         assert len(result.rejected) == 1
@@ -242,6 +253,27 @@ class TestFindAllClines:
         assert isinstance(lost, BracketLostError) and lost.bracket == b
         assert b.r_lo < lost.r < b.r_hi and lost.cause.x == 0.05
         assert len(again.clines) == 2 and not again.rejected
+
+    def test_lost_exact_node_keeps_the_other_clines(self, prop1, monkeypatch):
+        # f = s (1 - s) (s - 1/2) makes the grid node 1/2 an exact root; its
+        # one integrate blows up, and the search goes on past it
+        p = Problem(weight=prop1.problem.weight, f=CustomPolynomial((0, -0.5, 1.5, -1)),
+                    lam=45.0)
+        real_integrate = shooting.integrate
+
+        def blow_up_at_half(p, cfg, z0):
+            if z0.u == 0.5:
+                raise BlowupError(0.05, 2.0 * BLOWUP_BOUND, 0.0)
+            return real_integrate(p, cfg, z0)
+
+        monkeypatch.setattr(shooting, "integrate", blow_up_at_half)
+        result = find_all_clines(p, resolution=101)
+        (lost,) = result.failures
+        assert lost.bracket.is_exact and lost.r == lost.bracket.r_lo == 0.5
+        assert lost.cause.x == 0.05
+        assert len(result.clines) == 2 and not result.rejected
+        for cline in result.clines:
+            assert abs(cline.terminal_v_residual) < 1e-10 and cline.c != 0.5
 
 
 def count_maps(monkeypatch, terminal_v=None):

@@ -485,6 +485,17 @@ def test_bracketed_root_returns_an_exact_zero():
     assert timemap.bracketed_root(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
 
 
+@pytest.mark.parametrize("y_lo, y_hi", [(-1.0, 1.0), (-1e-3, 1.0), (1.0, -1e-3)])
+def test_bracketed_root_stops_on_a_bracket_that_no_longer_splits(y_lo, y_hi):
+    # with tol_x = 0 only floating point ends the search: neither the
+    # secant point nor the midpoint lies strictly inside [lo, nextafter(lo)]
+    def fn(r):
+        raise AssertionError(f"fn called at {r!r}")
+
+    lo, hi = 0.3, math.nextafter(0.3, 1.0)
+    assert timemap.bracketed_root(fn, lo, hi, y_lo, y_hi, 0.0, 0.0) in (lo, hi)
+
+
 # heights in (0, 1), with dyadic ones, which midpoint and secant steps hit exactly
 UNIT_HEIGHTS = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
