@@ -61,28 +61,24 @@ CSV_CHUNK_ROWS = 1024
 XUV_ROW = "%.17g,%.17g,%.17g\n"   # an x,u,v row of shoot
 
 
-class ConfigError(Exception):
-    """Unreadable or malformed configuration; maps to exit code 2."""
-
-
 def _load_problem(path: str) -> tuple[Problem, str]:
     """Parse a problem config; returns the problem and the file's digest."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+        raise ValueError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: parse error at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from exc
+        raise ValueError(f"config {path}: parse error at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from exc
     try:
         return problem_from_dict(data), digest
     except ValueError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+        raise ValueError(f"config {path}: {exc}") from exc
 
 
 def _out_dir() -> Path:
@@ -92,8 +88,8 @@ def _out_dir() -> Path:
     try:
         d.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{OUTPUT_DIR_ENV}={override} is no usable output directory: "
-                          f"{exc}") from exc
+        raise ValueError(f"{OUTPUT_DIR_ENV}={override} is no usable output directory: "
+                         f"{exc}") from exc
     return d
 
 
@@ -325,11 +321,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
+        print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -73,8 +73,8 @@ class Problem:
     def to_dict(self) -> dict:
         return {"weight": self.weight.to_dict(), "f": self.f.to_dict(), "lambda": self.lam}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)

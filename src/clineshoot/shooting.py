@@ -370,10 +370,11 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
                  first: Optional[float] = None) -> Cline:
     """Refine the terminal-v sign change down to a root of r -> v(omega2).
 
-    The refinement of find_all_clines: `timemap.bracketed_root`, Brent's
-    method, on the terminal slope at cfg's step, from the endpoint slopes
-    stored in the bracket, which have the signs at cfg's step (those of the
-    H / 2 sweep at a trusted node, see sweep_brackets). The first
+    The refinement of find_all_clines: Brent's method, one `timemap.brent`
+    search that `timemap.solve` runs alone, on the terminal slope at cfg's
+    step, from the endpoint slopes stored in the bracket, which have the
+    signs at cfg's step (those of the H / 2 sweep at a trusted node, see
+    sweep_brackets). The first
     point is `first`, or the secant point when it is None; a `first`
     outside the bracket gives way to the midpoint. `first` is shot with
     integrate, every other point with poincare_map: the same march, so the
@@ -403,8 +404,9 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
             return float(seed.vs[-1])
         return shoot(poincare_map, r).v
 
-    root = b.r_lo if b.is_exact else timemap.bracketed_root(
-        terminal_v, b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v, first)
+    root = b.r_lo if b.is_exact else timemap.solve(
+        [timemap.brent(b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v, first)],
+        lambda rs: [terminal_v(r) for r in rs])[0]
     traj = seed if seed is not None and root == first else shoot(integrate, root)
     return _build_cline(p, traj, b)
 
@@ -440,10 +442,11 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     it. The brackets are those of the gamma sweep at the fine step, found
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
     by that sweep itself otherwise. Every non-exact bracket is refined by
-    `bisect_cline`. When the pre-pass stood at a chosen step (cfg None and
-    `direct_reason` None), its first point is the time-map root, an exact
-    root of the ODE, from one `timemap.find_roots` call on every non-exact
-    bracket before any is refined: it meets tol_v at a step
+    `bisect_cline`, whose Brent search runs in `timemap.solve`, the driver
+    of the time-map searches too. When the pre-pass stood at a chosen step
+    (cfg None and `direct_reason` None), its first point is the time-map
+    root, an exact root of the ODE, from one `timemap.find_roots` call on
+    every non-exact bracket before any is refined: it meets tol_v at a step
     whose RK4 error of v is tol_v / 10, but a caller's step promises no such
     error. Otherwise it is the secant point. Validation always runs at the
     fine step. A bracket lost to a blow-up is kept as its

@@ -1,4 +1,4 @@
-"""RK4-free time-map of the clines, and the bracketed root finder refinement uses.
+"""RK4-free time-map of the clines, and the Brent searches refinement runs.
 
 With a = lam alpha, a profile started at (r, 0) rises on the left piece
 (u'' = a f(u) > 0 while 0 < u < 1). By energy conservation it takes the time
@@ -16,12 +16,13 @@ remove the square-root singularities at the turning points, and each energy
 difference is t^2 times a mean of f, so nothing cancels. Every integral is a
 nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
-Brent's method is one generator, `_brent`, that yields each point and is
-sent the value there. `bracketed_root` drives it with a scalar function:
-in `shooting.bisect_cline`, the terminal slope of the fine-step Poincare
-map. `find_roots` drives one search per span in lockstep on G, each later
-round one `residual` call on every live span's point; `residual` computes
-each element on its own, so every root has the bits of a lone solve. When
+Brent's method is one generator, `brent`, that yields each point and is
+sent the value there, and `solve` is the one driver of such searches: it
+runs them in lockstep, each round one call on the pending point of every
+live search. `shooting.bisect_cline` runs one search on the terminal slope
+of the fine-step Poincare map. `find_roots` runs one search per span on G,
+each round one `residual` call; `residual` computes each element on its
+own, so every root has the bits of a lone solve. When
 `shooting.sweep_brackets` chose the step, the root of G is the first point
 of the second search, so a cline is always a root of the RK4 slope and the
 time-map only saves its maps.
@@ -116,24 +117,8 @@ def residual(p: Problem, rs) -> np.ndarray:
 _Search = Generator[float, float, Optional[float]]
 
 
-def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
-                   y_lo: float, y_hi: float, tol_x: float, tol_y: float,
-                   first: Optional[float] = None) -> float:
-    """A root of fn in [lo, hi], where fn(lo) = y_lo and fn(hi) = y_hi differ in sign.
-
-    Brent's method, `_brent`, with fn evaluated at each of its points.
-    """
-    search = _brent(lo, hi, y_lo, y_hi, tol_x, tol_y, first)
-    try:
-        r = next(search)
-        while True:
-            r = search.send(fn(r))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _brent(lo: float, hi: float, y_lo: float, y_hi: float, tol_x: float, tol_y: float,
-           first: Optional[float]) -> _Search:
+def brent(lo: float, hi: float, y_lo: float, y_hi: float, tol_x: float, tol_y: float,
+          first: Optional[float]) -> _Search:
     """Brent's search for a root of fn in [lo, hi], given fn(lo) = y_lo and fn(hi) = y_hi.
 
     A generator: it yields each point and is sent fn's value there; the
@@ -220,14 +205,38 @@ def _inward(lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> _Sear
             hi, g_hi = m, g_m
         else:
             lo, g_lo = m, g_m
-    return (yield from _brent(lo, hi, g_lo, g_hi, tol, 0.0, None))
+    return (yield from brent(lo, hi, g_lo, g_hi, tol, 0.0, None))
+
+
+def solve(searches: list[_Search], values: Callable[[list[float]], list[float]]
+          ) -> list[Optional[float]]:
+    """Run the searches in lockstep; returns each one's root, in search order.
+
+    Each round makes one `values` call on the pending point of every search
+    still running, in search order, and sends each search its value there.
+    A search that returns before its first point is never evaluated, and no
+    searches make no call.
+    """
+    roots: list[Optional[float]] = [None] * len(searches)
+    live, ys = range(len(searches)), [None] * len(searches)   # None starts a search
+    while True:
+        points = {}
+        for i, y in zip(live, ys):
+            try:
+                points[i] = searches[i].send(y)
+            except StopIteration as stop:
+                roots[i] = stop.value
+        if not points:
+            return roots
+        live = list(points)
+        ys = values(list(points.values()))
 
 
 def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
                ) -> list[Optional[float]]:
     """A root of G in each span (lo, hi) to within tol, or None where none shows.
 
-    Each span is searched by `_inward`. The searches run in lockstep: the
+    Each span is searched by `_inward`, and `solve` runs the searches: the
     first round is one `residual` call on both ends of every span, and each
     later round one call on the pending point of every search still
     running. `residual` computes each height on its own, so each root is
@@ -236,18 +245,6 @@ def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
     if not spans:
         return []
     ends = residual(p, np.array(spans, dtype=float).ravel()).tolist()
-    searches = [_inward(lo, hi, g_lo, g_hi, tol)
-                for (lo, hi), g_lo, g_hi in zip(spans, ends[::2], ends[1::2])]
-    roots: list[Optional[float]] = [None] * len(spans)
-    live, values = range(len(spans)), [None] * len(spans)   # None starts a search
-    while True:
-        points = {}
-        for i, y in zip(live, values):
-            try:
-                points[i] = searches[i].send(y)
-            except StopIteration as stop:
-                roots[i] = stop.value
-        if not points:
-            return roots
-        live = list(points)
-        values = residual(p, np.array(list(points.values()))).tolist()
+    return solve([_inward(lo, hi, g_lo, g_hi, tol)
+                  for (lo, hi), g_lo, g_hi in zip(spans, ends[::2], ends[1::2])],
+                 lambda rs: residual(p, np.array(rs)).tolist())

@@ -440,6 +440,53 @@ def test_residual_is_nan_outside_the_domain(prop2):
     assert np.isnan(g).all()
 
 
+def toy_search(points, name):
+    """A search that yields its points in turn and returns its name and the values sent."""
+    sent = []
+    for x in points:
+        sent.append((yield x))
+    return name, sent
+
+
+def recorded(calls):
+    def values(rs):
+        calls.append(list(rs))
+        return [10.0 * r for r in rs]
+    return values
+
+
+def test_solve_makes_one_call_per_round_on_the_live_points_in_search_order():
+    # the searches end in rounds 3, 1 and 2, and come back in search order
+    calls = []
+    searches = [toy_search([1.0, 2.0, 3.0], "a"), toy_search([4.0], "b"),
+                toy_search([5.0, 6.0], "c")]
+    assert timemap.solve(searches, recorded(calls)) == [
+        ("a", [10.0, 20.0, 30.0]), ("b", [40.0]), ("c", [50.0, 60.0])]
+    assert calls == [[1.0, 4.0, 5.0], [2.0, 6.0], [3.0]]
+
+
+def test_solve_never_evaluates_a_search_that_returns_before_its_first_point():
+    calls = []
+    searches = [toy_search([], "early"), toy_search([0.5], "late"), toy_search([], "none")]
+    assert timemap.solve(searches, recorded(calls)) == [
+        ("early", []), ("late", [5.0]), ("none", [])]
+    assert calls == [[0.5]]
+    assert timemap.solve([toy_search([], "early")], recorded(calls)) == [("early", [])]
+    assert calls == [[0.5]]
+
+
+def test_solve_of_no_searches_makes_no_call():
+    calls = []
+    assert timemap.solve([], recorded(calls)) == []
+    assert calls == []
+
+
+def bracketed_root(fn, lo, hi, y_lo, y_hi, tol_x, tol_y, first=None):
+    """One Brent search on the scalar fn, run alone, as bisect_cline runs it."""
+    return timemap.solve([timemap.brent(lo, hi, y_lo, y_hi, tol_x, tol_y, first)],
+                         lambda rs: [fn(r) for r in rs])[0]
+
+
 def test_bracketed_root_without_first_starts_at_the_secant_point():
     # the secant point of (0, -0.25) and (1, 0.75) is 0.25, the midpoint 0.5;
     # the later points are pinned, so the secant start keeps its iterates
@@ -452,7 +499,7 @@ def test_bracketed_root_without_first_starts_at_the_secant_point():
             calls.append(r)
             return r * r * r - 0.25
 
-        r = timemap.bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, **kwargs)
+        r = bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, **kwargs)
         assert r == 0.6299605249472225 and calls == expected
 
 
@@ -463,7 +510,7 @@ def test_bracketed_root_returns_at_a_first_point_that_is_the_root():
         calls.append(r)
         return r - 0.375
 
-    assert timemap.bracketed_root(fn, 0.0, 1.0, -0.375, 0.625, 1e-12, 0.0, first=0.375) == 0.375
+    assert bracketed_root(fn, 0.0, 1.0, -0.375, 0.625, 1e-12, 0.0, first=0.375) == 0.375
     assert calls == [0.375]
 
 
@@ -475,14 +522,14 @@ def test_bracketed_root_takes_the_midpoint_for_a_first_point_outside(first):
         calls.append(r)
         return r * r * r - 0.25
 
-    r = timemap.bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, first=first)
+    r = bracketed_root(fn, 0.0, 1.0, -0.25, 0.75, 1e-12, 0.0, first=first)
     assert calls[0] == 0.5 and abs(r - 0.25 ** (1.0 / 3.0)) <= 1e-12
 
 
 def test_bracketed_root_returns_an_exact_zero():
     # with tol_y = 0 an exact zero must end the search: taken as an end of
     # the bracket, it would break the sign invariant the steps rely on
-    assert timemap.bracketed_root(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
+    assert bracketed_root(lambda r: r - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 0.0) == 0.5
 
 
 @pytest.mark.parametrize("y_lo, y_hi", [(-1.0, 1.0), (-1e-3, 1.0), (1.0, -1e-3)])
@@ -493,7 +540,7 @@ def test_bracketed_root_stops_on_a_bracket_that_no_longer_splits(y_lo, y_hi):
         raise AssertionError(f"fn called at {r!r}")
 
     lo, hi = 0.3, math.nextafter(0.3, 1.0)
-    assert timemap.bracketed_root(fn, lo, hi, y_lo, y_hi, 0.0, 0.0) in (lo, hi)
+    assert bracketed_root(fn, lo, hi, y_lo, y_hi, 0.0, 0.0) in (lo, hi)
 
 
 # heights in (0, 1), with dyadic ones, which midpoint and secant steps hit exactly
@@ -508,7 +555,7 @@ UNIT_HEIGHTS = st.one_of(
 @example(q=5e-324, tol_y=0.0)  # y_lo * y underflows to -0.0
 def test_bracketed_root_finds_the_root_of_a_line(q, tol_y):
     tol_x = 1e-12
-    r = timemap.bracketed_root(lambda r: r - q, 0.0, 1.0, -q, 1.0 - q, tol_x, tol_y)
+    r = bracketed_root(lambda r: r - q, 0.0, 1.0, -q, 1.0 - q, tol_x, tol_y)
     assert abs(r - q) < tol_y or r - q == 0.0 or abs(r - q) <= tol_x
 
 
@@ -534,7 +581,7 @@ def test_bracketed_root_is_scale_free(q, k):
         return s * ((r - q) ** 3 + 0.1 * (r - q))
 
     tol_x = 1e-12
-    r = timemap.bracketed_root(fn, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
+    r = bracketed_root(fn, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
     assert abs(r - q) <= tol_x
 
 
@@ -559,6 +606,6 @@ def test_bracketed_root_work_is_bounded(name):
         return fn(r)
 
     tol_x = 1e-12
-    r = timemap.bracketed_root(counted, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
+    r = bracketed_root(counted, 0.0, 1.0, fn(0.0), fn(1.0), tol_x, 0.0)
     assert abs(r - ROOT) <= tol_x
     assert len(calls) <= 3 * math.ceil(math.log2(1.0 / tol_x)) + 3
