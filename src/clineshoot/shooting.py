@@ -16,11 +16,11 @@ and the pre-pass puts its mixed coarse and fine values into one; each is
 scanned by `find_brackets`.
 
 Every bracket is refined by Brent's method on the terminal slope of the
-scalar Poincare map (`bisect_cline`). When the pre-pass stands at the step
-it chose, its first point is the RK4-free time-map root, found for all the
-brackets at once by one `timemap.find_roots` call: a root that meets tol_v
-there costs one `integrate` and no map, one that misses it is Brent's first
-iterate. Otherwise it is the secant point.
+scalar Poincare map (`bisect_cline`). When the step is the one
+`choose_step` took, its first point is the RK4-free time-map root, found for
+all the brackets at once by one `timemap.find_roots` call: a root that meets
+tol_v there costs one `integrate` and no map, one that misses it is Brent's
+first iterate. At a caller's step it is the secant point.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the
@@ -443,21 +443,21 @@ def find_all_clines(p: Problem, cfg: Optional[IntegratorConfig] = None,
     by the certified coarse pre-pass of `sweep_brackets` when it stands and
     by that sweep itself otherwise. Every non-exact bracket is refined by
     `bisect_cline`, whose Brent search runs in `timemap.solve`, the driver
-    of the time-map searches too. When the pre-pass stood at a chosen step
-    (cfg None and `direct_reason` None), its first point is the time-map
-    root, an exact root of the ODE, from one `timemap.find_roots` call on
-    every non-exact bracket before any is refined: it meets tol_v at a step
-    whose RK4 error of v is tol_v / 10, but a caller's step promises no such
-    error. Otherwise it is the secant point. Validation always runs at the
-    fine step. A bracket lost to a blow-up is kept as its
-    BracketLostError in `failures` without aborting the other brackets.
+    of the time-map searches too. At a chosen step (cfg None), whether
+    the pre-pass stood or the direct sweep ran, its first point is the
+    time-map root, an exact root of the ODE, from one `timemap.find_roots`
+    call on every non-exact bracket before any is refined: it usually
+    meets tol_v at a step chosen for an RK4 error of v of tol_v / 10, which
+    a caller's step does not promise, so there it is the secant point.
+    Validation always runs at the fine step. A bracket lost to a blow-up is
+    kept as its BracketLostError in `failures` without aborting the others.
     The brackets are disjoint and ascending and each root lies inside its
     own, so the roots come out strictly increasing.
     """
     _check_tolerances(tol_r, tol_v)
     brackets, bracketing = sweep_brackets(p, cfg, resolution, tol_v)
-    seed = cfg is None and bracketing.direct_reason is None
-    if cfg is None:
+    seed = cfg is None
+    if seed:
         cfg = IntegratorConfig(target_step=bracketing.step)
     spans = [(b.r_lo, b.r_hi) for b in brackets if not b.is_exact] if seed else []
     firsts = dict(zip(spans, timemap.find_roots(p, spans, tol_r)))

@@ -17,15 +17,15 @@ difference is t^2 times a mean of f, so nothing cancels. Every integral is a
 nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
 Brent's method is one generator, `brent`, that yields each point and is
-sent the value there, and `solve` is the one driver of such searches: it
-runs them in lockstep, each round one call on the pending point of every
-live search. `shooting.bisect_cline` runs one search on the terminal slope
-of the fine-step Poincare map. `find_roots` runs one search per span on G,
-each round one `residual` call; `residual` computes each element on its
-own, so every root has the bits of a lone solve. When
-`shooting.sweep_brackets` chose the step, the root of G is the first point
-of the second search, so a cline is always a root of the RK4 slope and the
-time-map only saves its maps.
+sent the value there, and `solve`, the one driver of every root search
+here, runs such searches in lockstep, each round one call on the pending
+point of every live search. `residual` finds U and u* by one search per
+height each, `shooting.bisect_cline` one on the terminal slope of the
+fine-step Poincare map, and `find_roots` one per span on G, each round one
+`residual` call; `residual` computes each element on its own, so every
+root has the bits of a lone solve. When `shooting.sweep_brackets` chose
+the step, the root of G is the first point of `bisect_cline`'s search, so
+a cline is always a root of the RK4 slope and the time-map saves its maps.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from .problem import Problem
 
 OUTER_NODES = 40
 INNER_NODES = 24
-
-# Newton stops once a step moves its iterate by at most this relative amount
-NEWTON_RTOL = 1e-14
-NEWTON_MAX_STEPS = 60
 
 
 def _mean_f(f, base: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -65,51 +61,26 @@ def _time(f, c: float, base: np.ndarray, z: np.ndarray, sign: float) -> np.ndarr
     return z * (w / np.sqrt(2.0 * c * m)).sum(axis=-1)
 
 
-def _newton(fn, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root of the increasing fn on [0, hi], elementwise, by safeguarded Newton.
-
-    fn(x) returns the value and the slope; fn(0) < 0 < fn(hi). A step that
-    leaves the bracket of the signs seen so far is replaced by its midpoint;
-    one onto the bracket's end is kept, as a step that rounds back onto x
-    is an element that has converged.
-    An element is frozen after the step that moves it by at most NEWTON_RTOL,
-    so its root does not depend on the other elements. NaN entries stay NaN.
-    """
-    lo = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(NEWTON_MAX_STEPS):
-        y, slope = fn(x)
-        lo = np.where(y < 0.0, x, lo)
-        hi = np.where(y > 0.0, x, hi)
-        step = x - y / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        moved = np.abs(step - x) > NEWTON_RTOL * np.abs(x)
-        x = np.where(active, step, x)
-        active &= moved
-        if not active.any():
-            break
-    return x
-
-
 def residual(p: Problem, rs) -> np.ndarray:
-    """G(r) = T(U(r)) - omega2 for each height r; NaN where U >= 1 or u* >= 1."""
+    """G(r) = T(U(r)) - omega2 for each height r; NaN where U >= 1 or u* >= 1.
+
+    U and u* are found by `brent` searches run by `solve`, from their roots for constant f.
+    """
     f, lam = p.f, p.lam
     a, left, right = lam * p.weight.alpha, -p.weight.omega1, p.weight.omega2
     r = np.asarray(rs, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.where((0.0 < r) & (r < 1.0), r, np.nan)
         z_hi = np.sqrt(1.0 - r)
-        r = np.where(_time(f, a, r, z_hi, 1.0) > left, r, np.nan)   # else U >= 1
-        # d tau / dz is the integrand at t = z; the start is the exact z for constant f
-        z = _newton(lambda z: (_time(f, a, r, z, 1.0) - left,
-                               2.0 / np.sqrt(2.0 * a * _mean_f(f, r, z * z))),
-                    np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi), z_hi)
+        z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0) - left, z_hi, np.full_like(r, -left),
+                   _time(f, a, r, z_hi, 1.0) - left,   # <= 0 where U >= 1
+                   np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi))
         u = r + z * z
         energy = a * z * z * _mean_f(f, r, z * z) / lam   # int_U^u* f
         y_hi = 1.0 - u
-        u = np.where(y_hi * _mean_f(f, u, y_hi) > energy, u, np.nan)   # else u* >= 1
-        y = _newton(lambda y: (y * _mean_f(f, u, y) - energy, f.value(u + y)),
-                    np.minimum(energy / f.value(u), 0.5 * y_hi), y_hi)
+        y = _roots(lambda i, y: y * _mean_f(f, u[i], y) - energy[i], y_hi, -energy,
+                   y_hi * _mean_f(f, u, y_hi) - energy,   # <= 0 where u* >= 1
+                   np.minimum(energy / f.value(u), 0.5 * y_hi))
         return _time(f, lam, u + y, np.sqrt(y), -1.0) - right
 
 
@@ -230,6 +201,26 @@ def solve(searches: list[_Search], values: Callable[[list[float]], list[float]]
             return roots
         live = list(points)
         ys = values(list(points.values()))
+
+
+def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
+    """A root of fn(i, x) in [0, hi[i]] for each i with y_hi[i] > 0, NaN elsewhere.
+
+    fn(i, 0) = y_lo[i] < 0 and fn(i, hi[i]) = y_hi[i]. Each root is one `brent` search from
+    first[i] to float resolution; `solve` runs them all, each round one fn call on the live i.
+    """
+    def search(i):
+        points, y = brent(0.0, hi[i], y_lo[i], y_hi[i], 0.0, 0.0, first[i]), None
+        while True:
+            try:
+                y = yield i, points.send(y)
+            except StopIteration as stop:
+                return stop.value
+
+    x, live = np.full(hi.shape, np.nan), np.flatnonzero(y_hi > 0.0)
+    x[live] = solve([search(i) for i in live],
+                    lambda tagged: fn(*map(np.array, zip(*tagged))).tolist())
+    return x
 
 
 def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float

@@ -284,23 +284,23 @@ def test_lambda_scan_setting_takes_the_prepass_without_the_timemap(monkeypatch):
     assert attempts == []
 
 
-def test_reshot_cap_never_calls_the_timemap(monkeypatch):
+@pytest.mark.parametrize("instance, reshots", [(0, 4), (1, 8)])
+def test_direct_sweep_at_a_chosen_step_seeds_from_the_timemap(instance, reshots, monkeypatch):
     # at lambda = 300 the chosen step is the floor, and the edges of the
-    # coarse blow-ups need 4 re-shots; with a cap of 3 the direct sweep runs
-    # and no bracket is seeded
+    # coarse blow-ups need more re-shots than a cap of 3: the direct sweep
+    # runs, and as the step is still the chosen one, every bracket is seeded
+    # by one lockstep time-map search, which gives the uncapped clines
+    p = replace(remark_instances()[instance].problem, lam=300.0)
+    uncapped = find_all_clines(p)
     monkeypatch.setattr(shooting, "PREPASS_MAX_RESHOTS", 3)
-    calls = []
-    real = timemap.residual
-
-    def counted(p, rs):
-        calls.append(len(rs))
-        return real(p, rs)
-
-    monkeypatch.setattr(timemap, "residual", counted)
-    result = find_all_clines(replace(remark_instances()[0].problem, lam=300.0))
+    calls = count_residual_calls(monkeypatch)
+    result = find_all_clines(p)
     assert result.bracketing.direct_reason.startswith(
-        "4 nodes need the fine step, more than 3 scalar re-shots")
-    assert result.clines and calls == []
+        f"{reshots} nodes need the fine step, more than 3 scalar re-shots")
+    assert calls[0] == [r for b in result.brackets if not b.is_exact for r in (b.r_lo, b.r_hi)]
+    assert len(result.clines) == len(uncapped.clines) > 0
+    for a, b in zip(result.clines, uncapped.clines):
+        assert abs(a.c - b.c) < 1e-8
 
 
 def test_seed_settles_prop1_at_its_chosen_step(prop1, monkeypatch):
@@ -415,24 +415,74 @@ def test_residual_does_not_depend_on_the_batch(name):
     np.testing.assert_array_equal(timemap.residual(p, rs[1::3]), grid[1::3])
 
 
-def test_newton_keeps_a_step_onto_its_own_bracket_end(prop2, monkeypatch):
-    # prop-2's first time-map call, on the rejected bracket: the Newton step
-    # of 0.0025's first solve rounds onto the bracket end its own iterate
-    # set, which must end that solve, not send it to the bracket's midpoint
-    iterations = []
-    newton = timemap._newton
+def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
+    # prop-2's first time-map call, on the rejected bracket: the searches
+    # for z and then for y each end, the latter with 0.0025 alone in its
+    # last rounds, and each value keeps the bits of a call on its height alone
+    rounds = []
+    real = timemap.solve
 
-    def counted(fn, x, hi):
-        calls = []
-        root = newton(lambda x: calls.append(None) or fn(x), x, hi)
-        iterations.append(len(calls))
-        return root
+    def counted(searches, values):
+        sizes = []
+        roots = real(searches, lambda points: sizes.append(len(points)) or values(points))
+        rounds.append(sizes)
+        return roots
 
-    monkeypatch.setattr(timemap, "_newton", counted)
+    monkeypatch.setattr(timemap, "solve", counted)
     both = timemap.residual(prop2.problem, np.array([0.002, 0.0025]))
-    assert len(iterations) == 2 and max(iterations) <= 8
+    assert rounds == [[2] * 7, [2] * 8 + [1] * 9]
     alone = [timemap.residual(prop2.problem, np.array([r]))[0] for r in (0.002, 0.0025)]
     assert both.tobytes() == np.array(alone).tobytes()
+
+
+# toy increasing functions, one per element: the root q, the steepness s
+# and the end hi of each; element 3 has no bracket, and element 6 no root
+# in its bracket
+TOY_Q = np.array([0.3, 1e-3, 0.7, 0.5, 1.5, 0.2, 1.2])
+TOY_S = np.array([1.0, 1e8, 3.0, 1.0, 0.5, 1e3, 1.0])
+TOY_HI = np.array([1.0, 1.0, 1.0, math.nan, 2.0, 0.5, 1.0])
+LIVE = [0, 1, 2, 4, 5]
+
+
+def toy_roots(first, hi=TOY_HI, calls=None):
+    """_roots on the toy elements; calls, if given, records each fn call's (i, x)."""
+    def fn(i, x):
+        if calls is not None:
+            calls.append((i.tolist(), x.tolist()))
+        return np.arctan(TOY_S[i] * (x - TOY_Q[i]))
+
+    ends = np.arctan(-TOY_S * TOY_Q), np.arctan(TOY_S * (hi - TOY_Q))
+    return timemap._roots(fn, hi, *ends, first)
+
+
+def test_roots_are_each_elements_root_to_float_resolution():
+    # an element with a nan hi, or without a sign change, is never
+    # evaluated and comes back nan
+    calls = []
+    x = toy_roots(0.5 * TOY_HI, calls=calls)
+    assert (np.abs(x - TOY_Q)[LIVE] <= np.spacing(TOY_Q[LIVE])).all()
+    assert np.isnan(x[[3, 6]]).all()
+    assert {k for i, _ in calls for k in i} == set(LIVE)
+
+
+def test_roots_take_the_midpoint_for_a_first_point_outside():
+    # element 0 starts inside at 0.2; the other live ones start at an end,
+    # outside, or at nan, and give way to the midpoint of (0, hi)
+    first = np.array([0.2, 1.0, -0.5, 0.1, math.nan, 0.0, 0.5])
+    calls = []
+    x = toy_roots(first, calls=calls)
+    assert calls[0] == (LIVE, [0.2, 0.5, 0.5, 1.0, 0.25])
+    assert (np.abs(x - TOY_Q)[LIVE] <= np.spacing(TOY_Q[LIVE])).all()
+
+
+def test_roots_of_each_element_are_its_lone_roots():
+    # each element searched with the others' hi nan: the same bits
+    first = np.array([0.6, 0.9, 0.1, 0.5, 1.9, 0.4, 0.5])
+    together = toy_roots(first)
+    for k in LIVE:
+        alone = toy_roots(first, np.where(np.arange(TOY_HI.size) == k, TOY_HI, math.nan))
+        assert alone[k].hex() == together[k].hex()
+        assert np.isnan(np.delete(alone, k)).all()
 
 
 def test_residual_is_nan_outside_the_domain(prop2):
