@@ -406,7 +406,7 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
 
     root = b.r_lo if b.is_exact else timemap.solve(
         [timemap.brent(b.r_lo, b.r_hi, b.v_lo, b.v_hi, tol_r, tol_v, first)],
-        lambda rs: [terminal_v(r) for r in rs])[0]
+        lambda _, rs: [terminal_v(r) for r in rs])[0]
     traj = seed if seed is not None and root == first else shoot(integrate, root)
     return _build_cline(p, traj, b)
 

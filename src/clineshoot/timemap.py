@@ -18,8 +18,8 @@ nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
 Brent's method is one generator, `brent`, that yields each point and is
 sent the value there, and `solve`, the one driver of every root search
-here, runs such searches in lockstep, each round one call on the pending
-point of every live search. `residual` finds U and u* by one search per
+here, runs such searches in lockstep, each round one call on the live
+searches' indices and points. `residual` finds U and u* by one search per
 height each, `shooting.bisect_cline` one on the terminal slope of the
 fine-step Poincare map, and `find_roots` one per span on G, each round one
 `residual` call; `residual` computes each element on its own, so every
@@ -179,14 +179,14 @@ def _inward(lo: float, hi: float, g_lo: float, g_hi: float, tol: float) -> _Sear
     return (yield from brent(lo, hi, g_lo, g_hi, tol, 0.0, None))
 
 
-def solve(searches: list[_Search], values: Callable[[list[float]], list[float]]
+def solve(searches: list[_Search], values: Callable[[list[int], list[float]], list[float]]
           ) -> list[Optional[float]]:
     """Run the searches in lockstep; returns each one's root, in search order.
 
-    Each round makes one `values` call on the pending point of every search
-    still running, in search order, and sends each search its value there.
-    A search that returns before its first point is never evaluated, and no
-    searches make no call.
+    Each round makes one call values(live, points): live the indices of the
+    searches still running, in search order, and points their pending
+    points; each search is sent its value there. A search that returns
+    before its first point is never evaluated, and no searches make no call.
     """
     roots: list[Optional[float]] = [None] * len(searches)
     live, ys = range(len(searches)), [None] * len(searches)   # None starts a search
@@ -200,7 +200,7 @@ def solve(searches: list[_Search], values: Callable[[list[float]], list[float]]
         if not points:
             return roots
         live = list(points)
-        ys = values(list(points.values()))
+        ys = values(live, list(points.values()))
 
 
 def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
@@ -209,17 +209,9 @@ def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
     fn(i, 0) = y_lo[i] < 0 and fn(i, hi[i]) = y_hi[i]. Each root is one `brent` search from
     first[i] to float resolution; `solve` runs them all, each round one fn call on the live i.
     """
-    def search(i):
-        points, y = brent(0.0, hi[i], y_lo[i], y_hi[i], 0.0, 0.0, first[i]), None
-        while True:
-            try:
-                y = yield i, points.send(y)
-            except StopIteration as stop:
-                return stop.value
-
     x, live = np.full(hi.shape, np.nan), np.flatnonzero(y_hi > 0.0)
-    x[live] = solve([search(i) for i in live],
-                    lambda tagged: fn(*map(np.array, zip(*tagged))).tolist())
+    x[live] = solve([brent(0.0, hi[i], y_lo[i], y_hi[i], 0.0, 0.0, first[i]) for i in live],
+                    lambda k, xs: fn(live[k], np.array(xs)).tolist())
     return x
 
 
@@ -238,4 +230,4 @@ def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
     ends = residual(p, np.array(spans, dtype=float).ravel()).tolist()
     return solve([_inward(lo, hi, g_lo, g_hi, tol)
                   for (lo, hi), g_lo, g_hi in zip(spans, ends[::2], ends[1::2])],
-                 lambda rs: residual(p, np.array(rs)).tolist())
+                 lambda _, rs: residual(p, np.array(rs)).tolist())

@@ -424,7 +424,7 @@ def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
 
     def counted(searches, values):
         sizes = []
-        roots = real(searches, lambda points: sizes.append(len(points)) or values(points))
+        roots = real(searches, lambda live, xs: sizes.append(len(xs)) or values(live, xs))
         rounds.append(sizes)
         return roots
 
@@ -499,8 +499,9 @@ def toy_search(points, name):
 
 
 def recorded(calls):
-    def values(rs):
-        calls.append(list(rs))
+    """values that records each call's live indices and points, and returns 10 times each point."""
+    def values(live, rs):
+        calls.append((list(live), list(rs)))
         return [10.0 * r for r in rs]
     return values
 
@@ -512,7 +513,7 @@ def test_solve_makes_one_call_per_round_on_the_live_points_in_search_order():
                 toy_search([5.0, 6.0], "c")]
     assert timemap.solve(searches, recorded(calls)) == [
         ("a", [10.0, 20.0, 30.0]), ("b", [40.0]), ("c", [50.0, 60.0])]
-    assert calls == [[1.0, 4.0, 5.0], [2.0, 6.0], [3.0]]
+    assert calls == [([0, 1, 2], [1.0, 4.0, 5.0]), ([0, 2], [2.0, 6.0]), ([0], [3.0])]
 
 
 def test_solve_never_evaluates_a_search_that_returns_before_its_first_point():
@@ -520,9 +521,9 @@ def test_solve_never_evaluates_a_search_that_returns_before_its_first_point():
     searches = [toy_search([], "early"), toy_search([0.5], "late"), toy_search([], "none")]
     assert timemap.solve(searches, recorded(calls)) == [
         ("early", []), ("late", [5.0]), ("none", [])]
-    assert calls == [[0.5]]
+    assert calls == [([1], [0.5])]
     assert timemap.solve([toy_search([], "early")], recorded(calls)) == [("early", [])]
-    assert calls == [[0.5]]
+    assert calls == [([1], [0.5])]
 
 
 def test_solve_of_no_searches_makes_no_call():
@@ -534,7 +535,7 @@ def test_solve_of_no_searches_makes_no_call():
 def bracketed_root(fn, lo, hi, y_lo, y_hi, tol_x, tol_y, first=None):
     """One Brent search on the scalar fn, run alone, as bisect_cline runs it."""
     return timemap.solve([timemap.brent(lo, hi, y_lo, y_hi, tol_x, tol_y, first)],
-                         lambda rs: [fn(r) for r in rs])[0]
+                         lambda _, rs: [fn(r) for r in rs])[0]
 
 
 def test_bracketed_root_without_first_starts_at_the_secant_point():
