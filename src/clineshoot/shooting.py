@@ -18,9 +18,12 @@ scanned by `find_brackets`.
 Every bracket is refined by Brent's method on the terminal slope of the
 scalar Poincare map (`bisect_cline`). When the step is the one
 `choose_step` took, its first point is the RK4-free time-map root, found for
-all the brackets at once by one `timemap.find_roots` call: a root that meets
-tol_v there costs one `integrate` and no map, one that misses it is Brent's
-first iterate. At a caller's step it is the secant point.
+all the brackets at once by one `timemap.find_roots` call: a root of G_j,
+which models every root whose profile stays below 1 up to its turning
+height u*, whether it ends there (j = 0) or swings on below 0 (j >= 1). A
+root that meets tol_v there costs one `integrate` and no map, one that
+misses it is Brent's first iterate. Where the time-map has no root, and
+at a caller's step, the first point is the secant point.
 
 A cline is a nonconstant solution with zero slope at both ends; in phase-plane
 terms it is an initial point (c, 0), 0 < c < 1, whose image under the

@@ -6,26 +6,34 @@ tau(z) = int_0^z 2 dt / sqrt(2 a M_L(t)) to reach r + z^2, M_L(t) being the
 mean of f over [r, r + t^2], and it meets x = 0 at U = r + z^2 where
 tau(z) = -omega1. On the right piece (u'' = -lam f(u) < 0) it rises on to the
 turning height u*, where lam int_U^u* f = a int_r^U f, in the time
-T = int_0^sqrt(u* - U) 2 dt / sqrt(2 lam M_R(t)), M_R(t) the mean of f over
-[u* - t^2, u*], and falls after it. So r gives a cline inside (0, 1) exactly
-where U < 1, u* < 1 and G(r) = T - omega2 = 0; near such a root G has the
-sign of the terminal slope. This is the time-map of the phase-plane method
-(R. Schaaf, Global Solution Branches of Two Point Boundary Value Problems,
-LNM 1458, Springer 1990). The substitutions s = r + t^2 and s = u* - t^2
-remove the square-root singularities at the turning points, and each energy
-difference is t^2 times a mean of f, so nothing cancels. Every integral is a
-nested Gauss-Legendre rule over f.value; no RK4 step runs.
+T_up = int_0^sqrt(u* - U) 2 dt / sqrt(2 lam M_R(t)), M_R(t) the mean of f
+over [u* - t^2, u*]. Then it falls to the lower turning height u_min, where
+F(u_min) = F(u*) (F(u) = int_0^u f), and swings between the two, each
+half-swing taking T_down: the time from u* down to 0, by the same
+substitution, plus the time from u_min up to 0, by s = u_min + t^2 with the
+mean of f over [u_min, u_min + t^2], which is negative. F rises on (0, 1),
+so u_min < 0. So r gives a root of the terminal slope with U < 1 and
+u* < 1 exactly where G_j(r) = T_up + j T_down - omega2 = 0 for some
+j = 0, 1, 2, ...: a cline inside (0, 1) for j = 0, and for j >= 1 a profile
+that dips below 0. Near a root G_j has the sign of the terminal slope. This
+is the time-map of the phase-plane method (R. Schaaf, Global Solution
+Branches of Two Point Boundary Value Problems, LNM 1458, Springer 1990).
+The substitutions s = r + t^2, s = u* - t^2 and s = u_min + t^2 remove the
+square-root singularities at the turning points, and each energy
+difference is t^2 times a mean of f, so nothing cancels. Every integral is
+a nested Gauss-Legendre rule over f.value; no RK4 step runs.
 
 Brent's method is one generator, `brent`, that yields each point and is
 sent the value there, and `solve`, the one driver of every root search
 here, runs such searches in lockstep, each round one call on the live
-searches' indices and points. `residual` finds U and u* by one search per
-height each, `shooting.bisect_cline` one on the terminal slope of the
-fine-step Poincare map, and `find_roots` one per span on G, each round one
-`residual` call; `residual` computes each element on its own, so every
-root has the bits of a lone solve. When `shooting.sweep_brackets` chose
-the step, the root of G is the first point of `bisect_cline`'s search, so
-a cline is always a root of the RK4 slope and the time-map saves its maps.
+searches' indices and points. `residual` finds U, u* and u_min by one
+search per height each, `shooting.bisect_cline` one on the terminal slope
+of the fine-step Poincare map, and `find_roots` one per span on G_j, each
+round one `residual` call with each live span's j; `residual` computes
+each element on its own, so every root has the bits of a lone solve. When
+`shooting.sweep_brackets` chose the step, the root of G_j is the first
+point of `bisect_cline`'s search, so a cline is always a root of the RK4
+slope and the time-map saves its maps.
 """
 
 from __future__ import annotations
@@ -61,27 +69,59 @@ def _time(f, c: float, base: np.ndarray, z: np.ndarray, sign: float) -> np.ndarr
     return z * (w / np.sqrt(2.0 * c * m)).sum(axis=-1)
 
 
-def residual(p: Problem, rs) -> np.ndarray:
-    """G(r) = T(U(r)) - omega2 for each height r; NaN where U >= 1 or u* >= 1.
+def residual(p: Problem, rs, laps=0) -> np.ndarray:
+    """G_j(r) = T_up + j T_down - omega2 for each height r and its laps j, an int
+    or an array like rs; NaN where U >= 1 or u* >= 1, and where j > 0 and
+    u* has no lower turning height in [-1, 0). T_down is computed only for
+    the heights with j > 0.
+    """
+    r = np.asarray(rs, dtype=float)
+    laps = np.broadcast_to(laps, r.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t, top = _rise(p, np.where((0.0 < r) & (r < 1.0), r, np.nan))
+        k = np.flatnonzero(laps > 0)
+        if k.size:
+            t[k] += laps[k] * _fall(p.f, p.lam, top[k])
+        return t - p.weight.omega2
+
+
+def _rise(p: Problem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_up and u* of each height r in (0, 1), NaN where U >= 1 or u* >= 1.
 
     U and u* are found by `brent` searches run by `solve`, from their roots for constant f.
     """
     f, lam = p.f, p.lam
-    a, left, right = lam * p.weight.alpha, -p.weight.omega1, p.weight.omega2
-    r = np.asarray(rs, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where((0.0 < r) & (r < 1.0), r, np.nan)
-        z_hi = np.sqrt(1.0 - r)
-        z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0) - left, z_hi, np.full_like(r, -left),
-                   _time(f, a, r, z_hi, 1.0) - left,   # <= 0 where U >= 1
-                   np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi))
-        u = r + z * z
-        energy = a * z * z * _mean_f(f, r, z * z) / lam   # int_U^u* f
-        y_hi = 1.0 - u
-        y = _roots(lambda i, y: y * _mean_f(f, u[i], y) - energy[i], y_hi, -energy,
-                   y_hi * _mean_f(f, u, y_hi) - energy,   # <= 0 where u* >= 1
-                   np.minimum(energy / f.value(u), 0.5 * y_hi))
-        return _time(f, lam, u + y, np.sqrt(y), -1.0) - right
+    a, left = lam * p.weight.alpha, -p.weight.omega1
+    z_hi = np.sqrt(1.0 - r)
+    z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0) - left, z_hi, np.full_like(r, -left),
+               _time(f, a, r, z_hi, 1.0) - left,   # <= 0 where U >= 1
+               np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi))
+    u = r + z * z
+    energy = a * z * z * _mean_f(f, r, z * z) / lam   # int_U^u* f
+    y_hi = 1.0 - u
+    y = _roots(lambda i, y: y * _mean_f(f, u[i], y) - energy[i], y_hi, -energy,
+               y_hi * _mean_f(f, u, y_hi) - energy,   # <= 0 where u* >= 1
+               np.minimum(energy / f.value(u), 0.5 * y_hi))
+    return _time(f, lam, u + y, np.sqrt(y), -1.0), u + y
+
+
+def _bottom(f, top: np.ndarray) -> np.ndarray:
+    """u_min = -q of each u* = top: F(-q) = F(u*) for q in [0, 1], NaN where none.
+
+    Each q is one `brent` search run by `solve`, from u*, its root for odd f.
+    """
+    zero = np.zeros_like(top)
+    energy = top * _mean_f(f, zero, top)   # F(u*) = int_0^u* f
+    q = _roots(lambda i, q: -q * _mean_f(f, zero[i], -q) - energy[i], np.ones_like(top),
+               -energy, -_mean_f(f, zero, -np.ones_like(top)) - energy,   # <= 0 where none
+               top)
+    return -q
+
+
+def _fall(f, lam: float, top: np.ndarray) -> np.ndarray:
+    """T_down of each u* = top: the time from u* down to 0, then from 0 down to u_min."""
+    bottom = _bottom(f, top)
+    return _time(f, lam, top, np.sqrt(top), -1.0) + _time(f, -lam, bottom, np.sqrt(-bottom), 1.0)
 
 
 # a root search: yields each point, is sent the value there, returns the root
@@ -217,17 +257,30 @@ def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
 
 def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
                ) -> list[Optional[float]]:
-    """A root of G in each span (lo, hi) to within tol, or None where none shows.
+    """A root of G_j in each span (lo, hi) to within tol, or None where none shows.
 
-    Each span is searched by `_inward`, and `solve` runs the searches: the
-    first round is one `residual` call on both ends of every span, and each
-    later round one call on the pending point of every search still
-    running. `residual` computes each height on its own, so each root is
+    The first round is one `residual` call on both ends of every span, for
+    G_0, and for the spans where G_0 < 0 at both ends, whose profiles turn
+    at u* before omega2, one call on their ends for each j = 1, 2, ... while
+    G_j stays < 0 at both (T_down > 0, so G_j rises with j). Such a span
+    takes the smallest j at which G_j has opposite signs at its ends; every
+    other span keeps j = 0. Each span is then searched by `_inward` on its
+    G_j, and `solve` runs the searches: each later round is one `residual`
+    call on the pending point of every search still running, with its
+    span's j. `residual` computes each height on its own, so each root is
     the one the span's search finds alone. No spans make no call.
     """
     if not spans:
         return []
-    ends = residual(p, np.array(spans, dtype=float).ravel()).tolist()
+    ends = np.array(spans, dtype=float)
+    g = residual(p, ends.ravel()).reshape(-1, 2)
+    laps = np.zeros(len(spans), dtype=int)
+    turned, j = np.flatnonzero((g < 0.0).all(axis=1)), 1
+    while turned.size:
+        g_j = residual(p, ends[turned].ravel(), j).reshape(-1, 2)
+        split = g_j[:, 0] * g_j[:, 1] < 0.0
+        g[turned[split]], laps[turned[split]] = g_j[split], j
+        turned, j = turned[(g_j < 0.0).all(axis=1)], j + 1
     return solve([_inward(lo, hi, g_lo, g_hi, tol)
-                  for (lo, hi), g_lo, g_hi in zip(spans, ends[::2], ends[1::2])],
-                 lambda _, rs: residual(p, np.array(rs)).tolist())
+                  for (lo, hi), (g_lo, g_hi) in zip(spans, g.tolist())],
+                 lambda live, rs: residual(p, np.array(rs), laps[live]).tolist())

@@ -96,21 +96,54 @@ def test_roots_match_validated_clines_on_propositions(name, request):
     assert_roots_match(request.getfixturevalue(name).problem, result)
 
 
+def passes_1_before_the_jump(cline):
+    """Whether the cline's profile reaches 1 on the left piece: the time-map's U >= 1."""
+    traj = cline.trajectory
+    return traj.us[:traj.split_index + 1].max() >= 1.0
+
+
 def test_no_root_in_a_rejected_bracket(prop2, prop2_search, remark_searches):
-    # prop-2's profiles near r = 0.0022 turn about 0.455 before omega2 and
-    # then leave (0, 1) through u = 0, which no root of G models
+    # a profile that passes 1 before x = 0 has U >= 1, which no G_j models;
+    # prop-2's rejected root is the one here with U < 1, a root of G_1
     result, _ = prop2_search
+    rejected = [(prop2.problem, c) for c in result.rejected]
+    rejected += [(p, c) for p, res in remark_searches.values() for c in res.rejected]
+    beyond = [(p, c) for p, c in rejected if passes_1_before_the_jump(c)]
+    assert len(beyond) >= 1 and len(rejected) == len(beyond) + 1
+    for p, c in beyond:
+        assert timemap.find_roots(p, [(c.bracket.r_lo, c.bracket.r_hi)], DEFAULT_TOL_R) == [None]
+
+
+def test_prop2s_rejected_root_is_a_root_of_g1(prop2, chosen_search):
+    # near r = 0.0022 prop-2's profiles turn at u* about 0.455 before
+    # omega2, fall through 0 and turn again at u_min: G_0 < 0 at both ends
+    # of the bracket and G_1 splits them. Its root is the root Brent finds
+    # on RK4 from the secant point, to tol_r, and its u_min the RK4 terminal u
+    p = prop2.problem
+    result = chosen_search(p)
     (reject,) = result.rejected
     b = reject.bracket
     assert (b.r_lo, b.r_hi) == pytest.approx((0.002, 0.0025))
-    g = timemap.residual(prop2.problem, np.array([b.r_lo, b.r_hi]))
-    assert g[0] == pytest.approx(-0.455, abs=1e-3)
-    assert not g[1] >= 0.0
-    rejected = [(prop2.problem, reject)]
-    rejected += [(p, c) for p, res in remark_searches.values() for c in res.rejected]
-    assert len(rejected) >= 2
-    for p, c in rejected:
-        assert timemap.find_roots(p, [(c.bracket.r_lo, c.bracket.r_hi)], DEFAULT_TOL_R) == [None]
+    assert not passes_1_before_the_jump(reject)
+    ends = np.array([b.r_lo, b.r_hi])
+    np.testing.assert_allclose(timemap.residual(p, ends), [-0.4555, -0.4545], atol=1e-4)
+    np.testing.assert_allclose(timemap.residual(p, ends, 1), [-8.75e-4, 2.04e-3], atol=1e-5)
+    (root,) = timemap.find_roots(p, [(b.r_lo, b.r_hi)], DEFAULT_TOL_R)
+    rk4 = bisect_cline(p, IntegratorConfig(target_step=result.bracketing.step), b)
+    assert abs(root - rk4.c) < DEFAULT_TOL_R
+    assert rk4.terminal_u == pytest.approx(-0.031245019, abs=1e-9)
+    _, top = timemap._rise(p, np.array([root]))
+    assert abs(timemap._bottom(p.f, top)[0] - rk4.terminal_u) < 1e-8
+
+
+def test_residual_with_laps_is_nan_without_a_lower_turning_height():
+    # remark-full-dominance's f, 2 s^2 (1 - s), is >= 0 below 0, so F never
+    # climbs back to F(u*) there: G_0 is defined, G_1 and G_2 are not
+    p = replace(remark_instances()[1].problem, lam=45.0)
+    rs = np.array([0.05, 0.1, 0.15])
+    assert np.isfinite(timemap.residual(p, rs)).all()
+    assert np.isnan(timemap.residual(p, rs, np.array([1, 2, 1]))).all()
+    assert np.isnan(timemap._bottom(p.f, np.linspace(0.1, 0.9, 9))).all()
 
 
 def trace_refinement(monkeypatch):
@@ -166,8 +199,10 @@ def test_no_timemap_root_starts_brent_at_the_secant_point(name, request, chosen_
     monkeypatch.undo()
     alone = [bisect_cline(p, cfg, c.bracket) for c in found]
     assert [c.c for c in found] == [c.c for c in alone]
-    assert [c.to_dict() for c in unseeded.rejected] == [c.to_dict() for c in seeded.rejected]
-    for a, b in zip(unseeded.clines, seeded.clines):
+    assert [c.rejection_reason for c in unseeded.rejected] == [
+        c.rejection_reason for c in seeded.rejected]
+    assert len(unseeded.clines) == len(seeded.clines)
+    for a, b in zip(unseeded.clines + unseeded.rejected, seeded.clines + seeded.rejected):
         assert abs(a.c - b.c) < 1e-9
 
 
@@ -218,23 +253,21 @@ def test_seed_near_a_trivial_level_is_rejected_at_the_seed(prop2, default_cfg, p
 
 
 def test_prop2_seeds_hold_at_its_chosen_step_and_are_skipped_at_1e_3(prop2, monkeypatch):
-    # at the chosen step each cline's seed meets tol_v with one integrate
-    # and no map; the rejected root near 0.0022 has no time-map root, so
-    # Brent refines it from its secant point. At the caller's step 1e-3 the
-    # pre-pass stands too, but no bracket is seeded
+    # at the chosen step every seed meets tol_v with one integrate and no
+    # map, the rejected root near 0.0022 too, whose seed is a root of G_1.
+    # At the caller's step 1e-3 the pre-pass stands too, but no bracket is
+    # seeded
     calls, outside = trace_refinement(monkeypatch)
     result = find_all_clines(prop2.problem)
     assert result.bracketing.direct_reason is None and outside == []
     (reject,) = result.rejected
+    assert calls[0][0] is reject.bracket
     roots = timemap.find_roots(prop2.problem, [(b.r_lo, b.r_hi) for b, _, _ in calls],
                                DEFAULT_TOL_R)
     for (b, first, marches), root in zip(calls, roots, strict=True):
-        assert first == root
-        if b is reject.bracket:
-            assert first is None and len(marches) == 6
-        else:
-            assert marches == [("integrate", first)]
-    assert [c.c for c in result.clines] == [first for b, first, _ in calls[1:]]
+        assert first == root and marches == [("integrate", first)]
+    assert [c.c for c in result.rejected + result.clines] == [first for _, first, _ in calls]
+    assert reject.rejection_reason == "trajectory touches u=0 (min u = -3.125e-02)"
 
     monkeypatch.undo()
     attempts = no_timemap(monkeypatch)
@@ -320,14 +353,19 @@ def bundled_problem(name):
     return problem_from_json((REPO_CONFIGS / f"{name}.json").read_text())
 
 
-def count_residual_calls(monkeypatch):
-    """Wrap timemap.residual; returns the list of the heights of each call."""
+def count_residual_calls(monkeypatch, laps=None):
+    """Wrap timemap.residual; returns the list of the heights of each call.
+
+    laps, if given, gets each call's laps, one per height.
+    """
     calls = []
     real = timemap.residual
 
-    def counted(p, rs):
+    def counted(p, rs, j=0):
         calls.append(np.asarray(rs).tolist())
-        return real(p, rs)
+        if laps is not None:
+            laps.append(np.broadcast_to(j, np.shape(rs)).tolist())
+        return real(p, rs, j)
 
     monkeypatch.setattr(timemap, "residual", counted)
     return calls
@@ -361,15 +399,22 @@ def test_lockstep_roots_are_the_lone_roots(name, lam, n_cells, n_roots):
 
 def test_find_roots_without_a_sign_change_stops_after_the_first_round(prop1, monkeypatch):
     # G is undefined at 0 and 1, so (0, 1) has no defined end; two adjacent
-    # scan nodes with one sign have no root between them. Neither search
-    # asks for a point, so the ends' call is the only one
+    # scan nodes with one sign of G_0 have no root of G_0 between them.
+    # Where G_0 > 0 at both, no lap can split them. Where G_0 < 0 at both,
+    # the first round also takes G_1 on their ends, > 0 at both here. No
+    # search asks for a point, so these are the only calls
     rs = np.linspace(0.0, 1.0, SCAN_NODES)
     g = timemap.residual(prop1.problem, rs)
-    j = next(j for j in range(1, SCAN_NODES - 1) if g[j] * g[j + 1] > 0.0)
-    same_sign = (float(rs[j]), float(rs[j + 1]))
+
+    def cell(sign):
+        j = next(j for j in range(1, SCAN_NODES - 1) if sign * g[j] > 0.0 and sign * g[j + 1] > 0.0)
+        return float(rs[j]), float(rs[j + 1])
+
+    above, below = cell(1.0), cell(-1.0)
     calls = count_residual_calls(monkeypatch)
-    assert timemap.find_roots(prop1.problem, [(0.0, 1.0), same_sign], DEFAULT_TOL_R) == [None, None]
-    assert calls == [[0.0, 1.0, *same_sign]]
+    assert timemap.find_roots(prop1.problem, [(0.0, 1.0), above, below],
+                              DEFAULT_TOL_R) == [None, None, None]
+    assert calls == [[0.0, 1.0, *above, *below], [*below]]
 
 
 def test_find_roots_of_no_spans_makes_no_call(prop1, monkeypatch):
@@ -380,18 +425,37 @@ def test_find_roots_of_no_spans_makes_no_call(prop1, monkeypatch):
 
 @pytest.mark.parametrize("name, sizes", [
     ("prop1", [6, 3, 3, 3, 1]),
-    ("prop2", [8, 3, 3, 3, 2, 1]),
+    ("prop2", [8, 2, 4, 4, 4, 3, 2]),
     ("remark_concave", [2, 1, 1, 1, 1]),
 ])
 def test_seeding_takes_one_residual_call_per_round(name, sizes, monkeypatch):
     # at the chosen step every non-exact bracket is seeded by one lockstep
     # search: its first call holds both ends of each bracket, and each later
-    # call the pending point of every bracket still searching
-    calls = count_residual_calls(monkeypatch)
+    # call the pending point of every bracket still searching. On prop-2,
+    # G_0 < 0 at both ends of the first bracket, so the first round also
+    # takes G_1 there, which splits them, and its points take 1 lap
+    laps = []
+    calls = count_residual_calls(monkeypatch, laps)
     result = find_all_clines(bundled_problem(name))
     assert result.bracketing.direct_reason is None
     assert [len(rs) for rs in calls] == sizes
-    assert calls[0] == [r for b in result.brackets if not b.is_exact for r in (b.r_lo, b.r_hi)]
+    ends = [r for b in result.brackets if not b.is_exact for r in (b.r_lo, b.r_hi)]
+    assert calls[0] == ends and laps[0] == [0] * len(ends)
+    if name == "prop2":
+        assert calls[1] == ends[:2] and laps[1] == [1, 1]
+        assert all(j == [1] + [0] * (len(j) - 1) for j in laps[2:])
+    else:
+        assert all(j == [0] * len(j) for j in laps)
+
+
+def test_find_all_clines_on_prop2_runs_no_poincare_map(prop2, monkeypatch):
+    # at the chosen step every bracket is settled by its time-map seed: one
+    # integrate each, the 3 clines' and the rejected root's, and no map
+    calls, outside = trace_refinement(monkeypatch)
+    find_all_clines(prop2.problem)
+    marches = outside + [m for _, _, ms in calls for m in ms]
+    assert sum(kind == "map" for kind, _ in marches) == 0
+    assert sum(kind == "integrate" for kind, _ in marches) == 4
 
 
 def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
@@ -405,14 +469,21 @@ def test_residual_sign_matches_terminal_slope(prop1, default_cfg, prop1_search):
 
 @pytest.mark.parametrize("name", ["prop1", "prop2", "remark_concave"])
 def test_residual_does_not_depend_on_the_batch(name):
-    # find_roots takes each value from a call on many heights, which must
-    # give the bits of a call on that height alone
+    # find_roots takes each value from a call on many heights, each with its
+    # span's laps, which must give the bits of a call on that height alone;
+    # without laps, and with 0 to 3 laps
     p = bundled_problem(name)
     rs = np.linspace(0.0, 1.0, SCAN_NODES)[1:-1]
     grid = timemap.residual(p, rs)
     alone = [timemap.residual(p, np.array([r]))[0] for r in rs[::3]]
     np.testing.assert_array_equal(grid[::3], alone)
     np.testing.assert_array_equal(timemap.residual(p, rs[1::3]), grid[1::3])
+    laps = np.arange(rs.size) % 4
+    grid = timemap.residual(p, rs, laps)
+    assert np.isfinite(grid[laps > 0]).any()
+    alone = [timemap.residual(p, np.array([r]), j)[0] for r, j in zip(rs[::3], laps[::3])]
+    np.testing.assert_array_equal(grid[::3], alone)
+    np.testing.assert_array_equal(timemap.residual(p, rs[1::3], laps[1::3]), grid[1::3])
 
 
 def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
