@@ -232,16 +232,40 @@ class ArctanDamped(Nonlinearity):
         return _gauss_legendre_antiderivative(self.value, s)
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p, p_1 = x, 1.0
+    for k in range(2, n + 1):
+        p, p_1 = ((2 * k - 1) * x * p - (k - 1) * p_1) / k, p
+    return p, n * (x * p - p_1) / (x * x - 1.0)
+
+
 @cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Read-only nodes, ascending, and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    numpy.polynomial is imported on the first call, so importing clineshoot
-    does not load it.
+    Each positive node is Newton's method on P_n from the Chebyshev-type
+    start cos(pi (k - 1/4) / (n + 1/2)), run until it comes back to a point
+    it has been at: at float resolution Newton can cycle between neighbours.
+    Its weight is 2 / ((1 - x^2) P_n'(x)^2). The negative nodes mirror the
+    positive ones exactly, an odd n adds the node 0, and the weights are
+    scaled so that their exact sum is 2. All of it is float arithmetic on
+    Python floats; libm (cos) gives only the starts, and a start moved by
+    up to 4 ulps gives the same nodes at n = 10, 24 and 40.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(n)
+    half = []   # the positive nodes, descending
+    for k in range(1, n // 2 + 1):
+        x, seen = math.cos(math.pi * (k - 0.25) / (n + 0.5)), set()
+        while x not in seen:
+            seen.add(x)
+            p, dp = _legendre(n, x)
+            x -= p / dp
+        half.append(x)
+    middle = [0.0] * (n % 2)
+    w = [2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2) for x in half + middle]
+    w += w[:len(half)][::-1]
+    nodes = np.array([-x for x in half] + middle + half[::-1])
+    weights = np.array(w) * (2.0 / math.fsum(w))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -21,7 +21,9 @@ Branches of Two Point Boundary Value Problems, LNM 1458, Springer 1990).
 The substitutions s = r + t^2, s = u* - t^2 and s = u_min + t^2 remove the
 square-root singularities at the turning points, and each energy
 difference is t^2 times a mean of f, so nothing cancels. Every integral is
-a nested Gauss-Legendre rule over f.value; no RK4 step runs.
+a nested Gauss-Legendre rule over f.value, whose nodes and weights
+`nonlinearity._gauss_legendre` builds in float arithmetic, with no LAPACK;
+no RK4 step runs, and on a polynomial f no libm function either.
 
 Brent's method is one generator, `brent`, that yields each point and is
 sent the value there, and `solve`, the one driver of every root search
@@ -48,6 +50,7 @@ from .problem import Problem
 
 OUTER_NODES = 40
 INNER_NODES = 24
+TAIL_ULPS = 8   # the least tolerance of a `brent` search, in ulps of its best point b
 
 
 def _mean_f(f, base: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -142,25 +145,28 @@ def brent(lo: float, hi: float, y_lo: float, y_hi: float, tol_x: float, tol_y: f
     the inverse quadratic through a, b and c, or the secant through b and
     c when a is c. It is taken only if it lies in the three quarters of
     the bracket next to b and moves b by less than half the step before
-    last; otherwise the next point is the midpoint of b and c. A step
-    shorter than tol_x / 2 is lengthened to tol_x / 2 toward c, so a root
-    that close to b ends the search at the next point. The interpolation
-    takes ratios of values of fn, never products, so it cannot underflow.
+    last; otherwise the next point is the midpoint of b and c. The
+    tolerance is tol_x, or TAIL_ULPS ulps of b where that is wider, like
+    the 2 eps |b| term of Brent's; a search with tol_x = 0 so ends a few
+    ulps from its root at any scale, not after bisecting down to adjacent
+    floats. A step shorter than half the tolerance is lengthened to half of
+    it toward c, so a root that close to b ends the search at the next
+    point. The interpolation takes ratios of values of fn, never products,
+    so it cannot underflow.
 
     Returns the first point where fn is exactly 0 or |fn| < tol_y; otherwise
-    the midpoint of the bracket once it is no wider than tol_x or no longer
-    splits in floating point.
+    the midpoint of the bracket once it is no wider than the tolerance.
     """
     sign_lo = math.copysign(1.0, y_lo)  # fn's sign at lo, tested against each new value
-    tol = 0.5 * tol_x
     b, y_b, c, y_c = (lo, y_lo, hi, y_hi) if abs(y_lo) < abs(y_hi) else (hi, y_hi, lo, y_lo)
     step = step_1 = hi - lo  # the last step and the one before it
     r = hi - y_hi * (hi - lo) / (y_hi - y_lo) if first is None else first
-    while hi - lo > tol_x:
+    while True:
+        tol = 0.5 * max(tol_x, TAIL_ULPS * math.ulp(b))   # half the tolerance
+        if hi - lo <= 2.0 * tol:
+            break
         if not lo < r < hi:
             r = 0.5 * (lo + hi)
-            if r <= lo or r >= hi:
-                break  # interval no longer splittable in floating point
         y = yield r
         if y == 0.0 or abs(y) < tol_y:
             return r
@@ -247,7 +253,7 @@ def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
     """A root of fn(i, x) in [0, hi[i]] for each i with y_hi[i] > 0, NaN elsewhere.
 
     fn(i, 0) = y_lo[i] < 0 and fn(i, hi[i]) = y_hi[i]. Each root is one `brent` search from
-    first[i] to float resolution; `solve` runs them all, each round one fn call on the live i.
+    first[i] to TAIL_ULPS ulps; `solve` runs them all, each round one fn call on the live i.
     """
     x, live = np.full(hi.shape, np.nan), np.flatnonzero(y_hi > 0.0)
     x[live] = solve([brent(0.0, hi[i], y_lo[i], y_hi[i], 0.0, 0.0, first[i]) for i in live],

@@ -566,6 +566,33 @@ class TestFind:
             "trivial_1.csv": "c06102abac778bfc9ce7109a5578a3a1fb7e62b544a2babe2380a19917f6e897",
         }
 
+    @pytest.mark.parametrize("config, digests", [
+        ("prop1.json", {
+            "clines.json": "fb023c428a90bd09fffbeb06020920de15417310d2d028a859addbae6a82a48e",
+            "cline_1.csv": "40dc6b0c58156dfaed2bb5b7f9e7158f92db94e535f3b8be3994b0bf5a251b51",
+            "cline_2.csv": "255df17abdc0e1e68115370a584c8b8e50c02023ba5e591c264cfe230c050da8",
+            "cline_3.csv": "85c5841b19f7e383cc24f010199188281590fa1c0a41e5ddce3ba16d63f1465b",
+            "trivial_0.csv": "e0696b9d49388267f5efd27bf84260abfcdefb322e79fb141f033656fa16539f",
+            "trivial_1.csv": "66305afc0aa35b0b52ba0e2ce1ff6d484bd5a00f3089c7c9dcc469d87dc27196",
+        }),
+        ("remark_concave.json", {
+            "clines.json": "d8dc64c29b4401b4dbe0a234c40f019f13631fd056b43fb51c61af9a4097e6cc",
+            "cline_1.csv": "e427bc6e1073347446f4c77532112247535c04778bbe50cc345998ac056964d6",
+            "trivial_0.csv": "91b4d10d94dae39d1f2a27dd79a5d4d3a883999ea9d660f1b364edb3b4bc44f7",
+            "trivial_1.csv": "0a43ac36936a33f99277ef14c931dcbcd330184e7ee43c7b4bc3b709de87b37e",
+        }),
+    ])
+    def test_chosen_step_output_bytes_are_pinned(self, config, digests, out_dir):
+        # every file of a run without --step, the path a user takes: the
+        # chosen step, brackets seeded by the time-map. f is a polynomial,
+        # so neither the march nor the time-map calls libm but for the cos
+        # that starts the Gauss-Legendre rule's Newton iterations; the bits
+        # also rest on choose_step's ** 0.25 (a C pow), which sets target_step,
+        # and on numpy's sum over the last axis, which adds up each
+        # Gauss-Legendre rule. Checked on one machine (x86-64, numpy 2.4.6)
+        assert main(["find", str(REPO_CONFIGS / config)]) == 0
+        assert {p.name: sha256(p) for p in out_dir.iterdir()} == digests
+
     def test_determinism(self, prop1_config, tmp_path, monkeypatch):
         outputs = []
         for sub in ("a", "b"):

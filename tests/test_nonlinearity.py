@@ -147,27 +147,65 @@ class TestDerivatives:
         x, w = _gauss_legendre(10)
         assert _gauss_legendre(10)[0] is x
         assert not x.flags.writeable and not w.flags.writeable
-        assert w.sum() == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10, 24, 40])
+    def test_gauss_legendre_rule_is_symmetric_with_positive_weights_summing_to_2(self, n):
+        x, w = _gauss_legendre(n)
+        assert x.shape == w.shape == (n,) and (np.diff(x) > 0.0).all()
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert (w > 0.0).all() and abs(math.fsum(w.tolist()) - 2.0) <= math.ulp(2.0)
+
+    @pytest.mark.parametrize("n", [10, 24, 40])
+    def test_gauss_legendre_rule_integrates_monomials_to_degree_2n_minus_1(self, n):
+        # summed as the time-map sums a rule, over the last axis; the bound
+        # is in ulps of 2, the integral of 1 (the weights, off by up to 107
+        # ulps each at n = 40 against a 60-digit reference, leave up to 39
+        # ulps of 2 / (k + 1) itself at high k, and 0.69 ulps of 2)
+        x, w = _gauss_legendre(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs((x ** k * w).sum() - exact) <= 2.0 * math.ulp(2.0), f"k={k}"
+
+    @pytest.mark.parametrize("n", [10, 24, 40])
+    def test_gauss_legendre_rule_matches_leggauss(self, n):
+        # the nodes to 1 ulp; numpy's weights are off by up to 3,641 ulps at
+        # n = 40 against a 60-digit reference, so theirs and these differ
+        # by up to 7.2e-13 relative there
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = _gauss_legendre(n)
+        nodes, weights = leggauss(n)
+        assert (np.abs(x - nodes) <= np.spacing(np.abs(nodes))).all()
+        np.testing.assert_allclose(w, weights, rtol=1e-12, atol=0.0)
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # a fresh interpreter, since this one may have loaded it already;
         # the polynomial families' f'' (check_f_star) and f' (the validation
-        # integral) go through _horner, and a caller's step seeds no bracket
-        # with the time-map, the one user of leggauss
+        # integral) go through _horner, a caller's step seeds no bracket with
+        # the time-map, a chosen step does (prop-2's Gauss-Legendre rules at
+        # 24 and 40 nodes), and ArctanDamped's antiderivative takes the rule
+        # at 10 nodes
         src = str(Path(clineshoot.__file__).resolve().parents[1])
         code = """if True:
             import sys, clineshoot
-            print('numpy.polynomial' in sys.modules)
+            loaded = lambda: print('numpy.polynomial' in sys.modules)
+            loaded()
             clineshoot.check_f_star(clineshoot.HatFamily(h=3.0))
             inst = {i.name: i for i in clineshoot.remark_instances()}['remark-full-dominance']
             result = clineshoot.find_all_clines(inst.problem, clineshoot.IntegratorConfig(1e-3),
                                                 resolution=101)
-            print(len(result.clines), 'numpy.polynomial' in sys.modules)
+            print(len(result.clines))
+            loaded()
+            result = clineshoot.find_all_clines(clineshoot.proposition_2().problem)
+            print(len(result.clines), len(result.rejected))
+            loaded()
+            clineshoot.ArctanDamped(10.0).antiderivative(0.5)
+            loaded()
         """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.split() == ["False", "1", "False"]
+        assert out.stdout.split() == ["False", "1", "False", "3", "1", "False", "False"]
 
     def test_arctan_antiderivative_matches_simpson(self):
         # independent reference: composite Simpson from 0 on 2^16 intervals

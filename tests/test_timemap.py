@@ -425,7 +425,7 @@ def test_find_roots_of_no_spans_makes_no_call(prop1, monkeypatch):
 
 @pytest.mark.parametrize("name, sizes", [
     ("prop1", [6, 3, 3, 3, 1]),
-    ("prop2", [8, 2, 4, 4, 4, 3, 2]),
+    ("prop2", [8, 2, 4, 4, 4, 2, 2]),
     ("remark_concave", [2, 1, 1, 1, 1]),
 ])
 def test_seeding_takes_one_residual_call_per_round(name, sizes, monkeypatch):
@@ -488,8 +488,9 @@ def test_residual_does_not_depend_on_the_batch(name):
 
 def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
     # prop-2's first time-map call, on the rejected bracket: the searches
-    # for z and then for y each end, the latter with 0.0025 alone in its
-    # last rounds, and each value keeps the bits of a call on its height alone
+    # for z and then for y each end within 8 rounds, the latter with 0.0025
+    # alone in its last round, as each stops once its bracket is TAIL_ULPS
+    # ulps wide; each value keeps the bits of a call on its height alone
     rounds = []
     real = timemap.solve
 
@@ -501,7 +502,7 @@ def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
 
     monkeypatch.setattr(timemap, "solve", counted)
     both = timemap.residual(prop2.problem, np.array([0.002, 0.0025]))
-    assert rounds == [[2] * 7, [2] * 8 + [1] * 9]
+    assert rounds == [[2] * 8, [2] * 7 + [1]]
     alone = [timemap.residual(prop2.problem, np.array([r]))[0] for r in (0.002, 0.0025)]
     assert both.tobytes() == np.array(alone).tobytes()
 
@@ -656,13 +657,23 @@ def test_bracketed_root_returns_an_exact_zero():
 
 @pytest.mark.parametrize("y_lo, y_hi", [(-1.0, 1.0), (-1e-3, 1.0), (1.0, -1e-3)])
 def test_bracketed_root_stops_on_a_bracket_that_no_longer_splits(y_lo, y_hi):
-    # with tol_x = 0 only floating point ends the search: neither the
-    # secant point nor the midpoint lies strictly inside [lo, nextafter(lo)]
+    # with tol_x = 0 a bracket TAIL_ULPS ulps of b wide ends the search, so
+    # [lo, nextafter(lo)], which no point lies strictly inside, takes no call
     def fn(r):
         raise AssertionError(f"fn called at {r!r}")
 
     lo, hi = 0.3, math.nextafter(0.3, 1.0)
     assert bracketed_root(fn, lo, hi, y_lo, y_hi, 0.0, 0.0) in (lo, hi)
+
+
+@pytest.mark.parametrize("q", [0.3, 2.2e-15, 1e-300])
+def test_bracketed_root_without_tol_x_ends_within_a_few_ulps_of_the_root(q):
+    # a step in sign has no zero, so only the bracket's width ends the
+    # search: at TAIL_ULPS ulps of b, whatever the root's scale. A width of
+    # a few ulps of hi = 1 would be as wide as a root near 2e-15, the size
+    # of u* - U near r = 1e-7 on remark-full-dominance at lambda = 5
+    r = bracketed_root(lambda r: -1.0 if r < q else 1.0, 0.0, 1.0, -1.0, 1.0, 0.0, 0.0)
+    assert abs(r - q) <= 0.5 * timemap.TAIL_ULPS * math.ulp(q)
 
 
 # heights in (0, 1), with dyadic ones, which midpoint and secant steps hit exactly
