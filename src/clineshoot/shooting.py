@@ -387,9 +387,9 @@ def bisect_cline(p: Problem, cfg: IntegratorConfig, b: Bracket,
     whose profile nears 0 or 1 or is constant comes back rejected, `first`
     included.
 
-    Stops when the bracket width falls below tol_r, the terminal slope
-    magnitude falls below tol_v, or the bracket no longer splits in floating
-    point, whichever comes first.
+    The root is the first point whose terminal slope is below tol_v in size;
+    otherwise the bracket's midpoint once it is no wider than tol_r, or than
+    timemap.TAIL_ULPS = 8 ulps of its best point where that is wider.
     """
     _check_tolerances(tol_r, tol_v)
     seed: Optional[Trajectory] = None

@@ -76,16 +76,16 @@ def residual(p: Problem, rs, laps=0) -> np.ndarray:
     """G_j(r) = T_up + j T_down - omega2 for each height r and its laps j, an int
     or an array like rs; NaN where U >= 1 or u* >= 1, and where j > 0 and
     u* has no lower turning height in [-1, 0). T_down is computed only for
-    the heights with j > 0.
+    the heights with j > 0. The result has the shape of rs, 0-d for one height.
     """
     r = np.asarray(rs, dtype=float)
-    laps = np.broadcast_to(laps, r.shape)
+    laps = np.broadcast_to(laps, r.shape).ravel()
     with np.errstate(invalid="ignore", divide="ignore"):
-        t, top = _rise(p, np.where((0.0 < r) & (r < 1.0), r, np.nan))
+        t, top = _rise(p, np.where((0.0 < r) & (r < 1.0), r, np.nan).ravel())
         k = np.flatnonzero(laps > 0)
         if k.size:
             t[k] += laps[k] * _fall(p.f, p.lam, top[k])
-        return t - p.weight.omega2
+        return (t - p.weight.omega2).reshape(r.shape)
 
 
 def _rise(p: Problem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,14 +96,12 @@ def _rise(p: Problem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f, lam = p.f, p.lam
     a, left = lam * p.weight.alpha, -p.weight.omega1
     z_hi = np.sqrt(1.0 - r)
-    z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0) - left, z_hi, np.full_like(r, -left),
-               _time(f, a, r, z_hi, 1.0) - left,   # <= 0 where U >= 1
+    z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0), np.full_like(r, left), z_hi,
                np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi))
     u = r + z * z
     energy = a * z * z * _mean_f(f, r, z * z) / lam   # int_U^u* f
     y_hi = 1.0 - u
-    y = _roots(lambda i, y: y * _mean_f(f, u[i], y) - energy[i], y_hi, -energy,
-               y_hi * _mean_f(f, u, y_hi) - energy,   # <= 0 where u* >= 1
+    y = _roots(lambda i, y: y * _mean_f(f, u[i], y), energy, y_hi,
                np.minimum(energy / f.value(u), 0.5 * y_hi))
     return _time(f, lam, u + y, np.sqrt(y), -1.0), u + y
 
@@ -115,9 +113,7 @@ def _bottom(f, top: np.ndarray) -> np.ndarray:
     """
     zero = np.zeros_like(top)
     energy = top * _mean_f(f, zero, top)   # F(u*) = int_0^u* f
-    q = _roots(lambda i, q: -q * _mean_f(f, zero[i], -q) - energy[i], np.ones_like(top),
-               -energy, -_mean_f(f, zero, -np.ones_like(top)) - energy,   # <= 0 where none
-               top)
+    q = _roots(lambda i, q: -q * _mean_f(f, zero[i], -q), energy, np.ones_like(top), top)
     return -q
 
 
@@ -249,15 +245,16 @@ def solve(searches: list[_Search], values: Callable[[list[int], list[float]], li
         ys = values(live, list(points.values()))
 
 
-def _roots(fn, hi, y_lo, y_hi, first) -> np.ndarray:
-    """A root of fn(i, x) in [0, hi[i]] for each i with y_hi[i] > 0, NaN elsewhere.
+def _roots(g, target, hi, first) -> np.ndarray:
+    """x in [0, hi[i]] with g(i, x) = target[i] where g(i, hi[i]) > target[i], NaN elsewhere.
 
-    fn(i, 0) = y_lo[i] < 0 and fn(i, hi[i]) = y_hi[i]. Each root is one `brent` search from
-    first[i] to TAIL_ULPS ulps; `solve` runs them all, each round one fn call on the live i.
+    g(i, 0) = 0 < target[i]. Each x is one `brent` search from first[i] to TAIL_ULPS ulps;
+    `solve` runs them all, each round one g call on the live i.
     """
+    y_hi = g(slice(None), hi) - target
     x, live = np.full(hi.shape, np.nan), np.flatnonzero(y_hi > 0.0)
-    x[live] = solve([brent(0.0, hi[i], y_lo[i], y_hi[i], 0.0, 0.0, first[i]) for i in live],
-                    lambda k, xs: fn(live[k], np.array(xs)).tolist())
+    x[live] = solve([brent(0.0, hi[i], -target[i], y_hi[i], 0.0, 0.0, first[i]) for i in live],
+                    lambda k, xs: (g(live[k], np.array(xs)) - target[live[k]]).tolist())
     return x
 
 

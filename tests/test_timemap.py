@@ -1,5 +1,6 @@
 """The RK4-free time-map against the shooting pipeline."""
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -486,6 +487,38 @@ def test_residual_does_not_depend_on_the_batch(name):
     np.testing.assert_array_equal(timemap.residual(p, rs[1::3], laps[1::3]), grid[1::3])
 
 
+@pytest.mark.parametrize("laps", [0, 1])
+@pytest.mark.parametrize("name", ["prop1", "prop2"])
+def test_residual_of_one_height_is_0d_with_the_bits_of_a_1_element_call(name, laps):
+    # a float, a numpy scalar and a 0-d array; 0.002 is prop-2's G_1 bracket
+    p = bundled_problem(name)
+    for r in (0.3, 0.002):
+        one = timemap.residual(p, [r], laps)
+        for height in (r, np.float64(r), np.array(r)):
+            g = timemap.residual(p, height, laps)
+            assert g.shape == () and g.tobytes() == one.tobytes()
+
+
+# SHA-256 of G_0's bytes then G_1's on the 199 interior heights of a
+# 201-node grid, and how many of each are finite. Both f are polynomials, so
+# the bits rest on no libm function but the cos that starts each Newton
+# iteration of the Gauss-Legendre rule, and on numpy's sum over the last
+# axis; checked on one machine, as the pinned `find` digests
+RESIDUAL_PINS = [
+    ("prop1", 155, "79fcbfcbbf5c3ab8c19dbace10407b1633d369aa6698f973e3358a333b205397"),
+    ("remark_concave", 73, "9e127f1903d992bd1a39144cc9312c28b035eb450a5b94d85058ec9ac9ab0217"),
+]
+
+
+@pytest.mark.parametrize("name, finite, digest", RESIDUAL_PINS)
+def test_residual_keeps_its_bits_on_a_grid(name, finite, digest):
+    p = bundled_problem(name)
+    rs = np.linspace(0.0, 1.0, 201)[1:-1]
+    g_0, g_1 = timemap.residual(p, rs), timemap.residual(p, rs, 1)
+    assert np.isfinite(g_0).sum() == np.isfinite(g_1).sum() == finite
+    assert hashlib.sha256(g_0.tobytes() + g_1.tobytes()).hexdigest() == digest
+
+
 def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
     # prop-2's first time-map call, on the rejected bracket: the searches
     # for z and then for y each end within 8 rounds, the latter with 0.0025
@@ -507,34 +540,35 @@ def test_inner_searches_of_prop2s_first_call_end(prop2, monkeypatch):
     assert both.tobytes() == np.array(alone).tobytes()
 
 
-# toy increasing functions, one per element: the root q, the steepness s
-# and the end hi of each; element 3 has no bracket, and element 6 no root
-# in its bracket
+# toy increasing functions g(i, x), one per element, with g(i, 0) = 0: the
+# root q where g reaches its target, the steepness s and the end hi of each;
+# element 3 has no bracket, and element 6 no root in its bracket
 TOY_Q = np.array([0.3, 1e-3, 0.7, 0.5, 1.5, 0.2, 1.2])
 TOY_S = np.array([1.0, 1e8, 3.0, 1.0, 0.5, 1e3, 1.0])
 TOY_HI = np.array([1.0, 1.0, 1.0, math.nan, 2.0, 0.5, 1.0])
+TOY_TARGET = np.arctan(TOY_S * TOY_Q)
 LIVE = [0, 1, 2, 4, 5]
 
 
 def toy_roots(first, hi=TOY_HI, calls=None):
-    """_roots on the toy elements; calls, if given, records each fn call's (i, x)."""
-    def fn(i, x):
+    """_roots on the toy elements; calls, if given, records each g call's (i, x)."""
+    def g(i, x):
         if calls is not None:
-            calls.append((i.tolist(), x.tolist()))
-        return np.arctan(TOY_S[i] * (x - TOY_Q[i]))
+            calls.append((i, x.tolist()))
+        return np.arctan(TOY_S[i] * (x - TOY_Q[i])) + TOY_TARGET[i]
 
-    ends = np.arctan(-TOY_S * TOY_Q), np.arctan(TOY_S * (hi - TOY_Q))
-    return timemap._roots(fn, hi, *ends, first)
+    return timemap._roots(g, TOY_TARGET, hi, first)
 
 
 def test_roots_are_each_elements_root_to_float_resolution():
-    # an element with a nan hi, or without a sign change, is never
-    # evaluated and comes back nan
+    # the first call takes every element at its hi; an element with a nan
+    # hi, or without a sign change, is never evaluated again and comes back nan
     calls = []
     x = toy_roots(0.5 * TOY_HI, calls=calls)
+    assert calls[0][0] == slice(None) and np.array_equal(calls[0][1], TOY_HI, equal_nan=True)
     assert (np.abs(x - TOY_Q)[LIVE] <= np.spacing(TOY_Q[LIVE])).all()
     assert np.isnan(x[[3, 6]]).all()
-    assert {k for i, _ in calls for k in i} == set(LIVE)
+    assert {k for i, _ in calls[1:] for k in i.tolist()} == set(LIVE)
 
 
 def test_roots_take_the_midpoint_for_a_first_point_outside():
@@ -543,7 +577,7 @@ def test_roots_take_the_midpoint_for_a_first_point_outside():
     first = np.array([0.2, 1.0, -0.5, 0.1, math.nan, 0.0, 0.5])
     calls = []
     x = toy_roots(first, calls=calls)
-    assert calls[0] == (LIVE, [0.2, 0.5, 0.5, 1.0, 0.25])
+    assert (calls[1][0].tolist(), calls[1][1]) == (LIVE, [0.2, 0.5, 0.5, 1.0, 0.25])
     assert (np.abs(x - TOY_Q)[LIVE] <= np.spacing(TOY_Q[LIVE])).all()
 
 
