@@ -7,79 +7,8 @@ weight that is negative on the left side and positive on the right.
 
 __version__ = "0.1.0"
 
-from .integrator import (
-    BlowupError,
-    IntegratorConfig,
-    PhasePoint,
-    energy_profile,
-    integrate,
-    poincare_map,
-)
-from .nonlinearity import (
-    ArctanDamped,
-    CustomPolynomial,
-    DegreeOfDominance,
-    HatFamily,
-    Nonlinearity,
-    check_f_star,
-    nonlinearity_from_dict,
-)
-from .problem import (
-    Problem,
-    StepWeight,
-    neumann_necessary_integral,
-    problem_from_dict,
-    problem_from_json,
-    validate_conjecture_hypotheses,
-)
-from .reproduction import (
-    NamedInstance,
-    compare,
-    proposition_1,
-    proposition_2,
-    remark_instances,
-    sweep_cline_counts,
-)
-from .shooting import (
-    Bracket,
-    BracketLostError,
-    bisect_cline,
-    build_gamma,
-    find_all_clines,
-    find_brackets,
-)
+from .integrator import IntegratorConfig
+from .reproduction import proposition_1
+from .shooting import find_all_clines
 
-__all__ = [
-    "ArctanDamped",
-    "BlowupError",
-    "Bracket",
-    "BracketLostError",
-    "CustomPolynomial",
-    "DegreeOfDominance",
-    "HatFamily",
-    "IntegratorConfig",
-    "NamedInstance",
-    "Nonlinearity",
-    "PhasePoint",
-    "Problem",
-    "StepWeight",
-    "bisect_cline",
-    "build_gamma",
-    "check_f_star",
-    "compare",
-    "energy_profile",
-    "find_all_clines",
-    "find_brackets",
-    "integrate",
-    "neumann_necessary_integral",
-    "nonlinearity_from_dict",
-    "poincare_map",
-    "problem_from_dict",
-    "problem_from_json",
-    "proposition_1",
-    "proposition_2",
-    "remark_instances",
-    "sweep_cline_counts",
-    "validate_conjecture_hypotheses",
-    "__version__",
-]
+__all__ = ["IntegratorConfig", "__version__", "find_all_clines", "proposition_1"]

@@ -229,7 +229,7 @@ class ArctanDamped(Nonlinearity):
         return gpp * a + 2.0 * gp * ap + g * app
 
     def antiderivative(self, s: Scalar) -> Scalar:
-        return _gauss_legendre_antiderivative(self.value, s)
+        return _gauss_legendre_antiderivative(self, s)
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -270,8 +270,19 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_legendre_antiderivative(fn, s: Scalar) -> Scalar:
-    """Integral of the smooth vectorised `fn` from 0 to s, elementwise.
+def _mean_f(f: Nonlinearity, base: np.ndarray, width: np.ndarray, n: int) -> np.ndarray:
+    """Mean of f over [base, base + width] by the n-point Gauss-Legendre rule, elementwise.
+
+    width may be negative. A sum over the last axis, not a BLAS product,
+    whose rounding depends on the shape of the batch.
+    """
+    x, w = _gauss_legendre(n)
+    points = base[..., None] + (0.5 * width)[..., None] * (1.0 + x)
+    return 0.5 * (f.value(points) * w).sum(axis=-1)
+
+
+def _gauss_legendre_antiderivative(f: Nonlinearity, s: Scalar) -> Scalar:
+    """Integral of the smooth f from 0 to s, elementwise.
 
     Whole panels of width 1/256 run from 0 to the panel holding each query
     and are summed cumulatively outward from 0; one partial panel from that
@@ -280,12 +291,9 @@ def _gauss_legendre_antiderivative(fn, s: Scalar) -> Scalar:
     below double-precision round-off for the families here.
     """
     step = 1.0 / 256.0
-    gl_x, gl_w = _gauss_legendre(10)
 
     def panels(a, b):
-        half = 0.5 * (b - a)
-        points = (0.5 * (a + b))[..., None] + half[..., None] * gl_x
-        return half * np.sum(gl_w * fn(points), axis=-1)
+        return (b - a) * _mean_f(f, a, b - a, 10)
 
     q = np.asarray(s, dtype=float)
     idx = np.floor(q / step).astype(int)

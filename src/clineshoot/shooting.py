@@ -113,7 +113,7 @@ class Bracket:
             return
         if not self.r_lo < self.r_hi:
             raise ValueError(f"bracket endpoints out of order: {self.r_lo} >= {self.r_hi}")
-        if not self.v_lo * self.v_hi < 0.0:
+        if not (self.v_lo < 0.0 < self.v_hi or self.v_hi < 0.0 < self.v_lo):
             raise ValueError("bracket endpoints must have opposite terminal-v signs")
 
     @property

@@ -45,7 +45,7 @@ from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from .nonlinearity import _gauss_legendre
+from .nonlinearity import _gauss_legendre, _mean_f
 from .problem import Problem
 
 OUTER_NODES = 40
@@ -53,22 +53,11 @@ INNER_NODES = 24
 TAIL_ULPS = 8   # the least tolerance of a `brent` search, in ulps of its best point b
 
 
-def _mean_f(f, base: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Mean of f over [base, base + width] (width may be negative), elementwise.
-
-    A sum over the last axis, not a BLAS product, whose rounding depends on
-    the shape of the batch.
-    """
-    x, w = _gauss_legendre(INNER_NODES)
-    points = base[..., None] + (0.5 * width)[..., None] * (1.0 + x)
-    return 0.5 * (f.value(points) * w).sum(axis=-1)
-
-
 def _time(f, c: float, base: np.ndarray, z: np.ndarray, sign: float) -> np.ndarray:
     """int_0^z 2 dt / sqrt(2 c M(t)), M(t) the mean of f from base over sign * t^2."""
     x, w = _gauss_legendre(OUTER_NODES)
     t = (0.5 * z)[..., None] * (1.0 + x)
-    m = _mean_f(f, base[..., None], sign * t * t)
+    m = _mean_f(f, base[..., None], sign * t * t, INNER_NODES)
     return z * (w / np.sqrt(2.0 * c * m)).sum(axis=-1)
 
 
@@ -99,9 +88,9 @@ def _rise(p: Problem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = _roots(lambda i, z: _time(f, a, r[i], z, 1.0), np.full_like(r, left), z_hi,
                np.minimum(left * np.sqrt(0.5 * a * f.value(r)), 0.5 * z_hi))
     u = r + z * z
-    energy = a * z * z * _mean_f(f, r, z * z) / lam   # int_U^u* f
+    energy = a * z * z * _mean_f(f, r, z * z, INNER_NODES) / lam   # int_U^u* f
     y_hi = 1.0 - u
-    y = _roots(lambda i, y: y * _mean_f(f, u[i], y), energy, y_hi,
+    y = _roots(lambda i, y: y * _mean_f(f, u[i], y, INNER_NODES), energy, y_hi,
                np.minimum(energy / f.value(u), 0.5 * y_hi))
     return _time(f, lam, u + y, np.sqrt(y), -1.0), u + y
 
@@ -112,8 +101,9 @@ def _bottom(f, top: np.ndarray) -> np.ndarray:
     Each q is one `brent` search run by `solve`, from u*, its root for odd f.
     """
     zero = np.zeros_like(top)
-    energy = top * _mean_f(f, zero, top)   # F(u*) = int_0^u* f
-    q = _roots(lambda i, q: -q * _mean_f(f, zero[i], -q), energy, np.ones_like(top), top)
+    energy = top * _mean_f(f, zero, top, INNER_NODES)   # F(u*) = int_0^u* f
+    q = _roots(lambda i, q: -q * _mean_f(f, zero[i], -q, INNER_NODES), energy,
+               np.ones_like(top), top)
     return -q
 
 
@@ -276,11 +266,11 @@ def find_roots(p: Problem, spans: list[tuple[float, float]], tol: float
     if not spans:
         return []
     ends = np.array(spans, dtype=float)
-    g = residual(p, ends.ravel()).reshape(-1, 2)
+    g = residual(p, ends)
     laps = np.zeros(len(spans), dtype=int)
     turned, j = np.flatnonzero((g < 0.0).all(axis=1)), 1
     while turned.size:
-        g_j = residual(p, ends[turned].ravel(), j).reshape(-1, 2)
+        g_j = residual(p, ends[turned], j)
         split = g_j[:, 0] * g_j[:, 1] < 0.0
         g[turned[split]], laps[turned[split]] = g_j[split], j
         turned, j = turned[(g_j < 0.0).all(axis=1)], j + 1

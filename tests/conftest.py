@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from clineshoot import IntegratorConfig, find_all_clines, proposition_1, proposition_2
-from clineshoot.shooting import build_gamma
+from clineshoot.integrator import IntegratorConfig
+from clineshoot.reproduction import proposition_1, proposition_2
+from clineshoot.shooting import build_gamma, find_all_clines
 
 
 @pytest.fixture(scope="session")

@@ -187,19 +187,22 @@ class TestDerivatives:
         # at 10 nodes
         src = str(Path(clineshoot.__file__).resolve().parents[1])
         code = """if True:
-            import sys, clineshoot
+            import sys
+            from clineshoot.integrator import IntegratorConfig
+            from clineshoot.nonlinearity import ArctanDamped, HatFamily, check_f_star
+            from clineshoot.reproduction import proposition_2, remark_instances
+            from clineshoot.shooting import find_all_clines
             loaded = lambda: print('numpy.polynomial' in sys.modules)
             loaded()
-            clineshoot.check_f_star(clineshoot.HatFamily(h=3.0))
-            inst = {i.name: i for i in clineshoot.remark_instances()}['remark-full-dominance']
-            result = clineshoot.find_all_clines(inst.problem, clineshoot.IntegratorConfig(1e-3),
-                                                resolution=101)
+            check_f_star(HatFamily(h=3.0))
+            inst = {i.name: i for i in remark_instances()}['remark-full-dominance']
+            result = find_all_clines(inst.problem, IntegratorConfig(1e-3), resolution=101)
             print(len(result.clines))
             loaded()
-            result = clineshoot.find_all_clines(clineshoot.proposition_2().problem)
+            result = find_all_clines(proposition_2().problem)
             print(len(result.clines), len(result.rejected))
             loaded()
-            clineshoot.ArctanDamped(10.0).antiderivative(0.5)
+            ArctanDamped(10.0).antiderivative(0.5)
             loaded()
         """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -134,9 +134,16 @@ class TestBracketType:
         with pytest.raises(ValueError):
             Bracket(0.5, 0.4, -1.0, 1.0)
 
-    def test_sign_change_enforced(self):
+    @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 2.0), (-1.0, -2.0), (0.0, 1.0), (-1.0, 0.0),
+                                            (math.nan, 1.0), (-1.0, math.nan)])
+    def test_sign_change_enforced(self, v_lo, v_hi):
         with pytest.raises(ValueError):
-            Bracket(0.4, 0.5, 1.0, 2.0)
+            Bracket(0.4, 0.5, v_lo, v_hi)
+
+    @pytest.mark.parametrize("v_lo, v_hi", [(1e-200, -1e-200), (-5e-324, 5e-324)])
+    def test_tiny_opposite_signs_allowed(self, v_lo, v_hi):
+        # their product underflows to -0.0, but the signs are opposite
+        Bracket(0.1, 0.2, v_lo, v_hi)
 
     def test_degenerate_allowed(self):
         b = Bracket(0.4, 0.4, 0.0, 0.0)

@@ -363,9 +363,9 @@ def count_residual_calls(monkeypatch, laps=None):
     real = timemap.residual
 
     def counted(p, rs, j=0):
-        calls.append(np.asarray(rs).tolist())
+        calls.append(np.ravel(rs).tolist())
         if laps is not None:
-            laps.append(np.broadcast_to(j, np.shape(rs)).tolist())
+            laps.append(np.broadcast_to(j, np.shape(rs)).ravel().tolist())
         return real(p, rs, j)
 
     monkeypatch.setattr(timemap, "residual", counted)
