@@ -4,13 +4,13 @@ The weight is constant on each side of x = 0, so the interval is integrated
 as two smooth pieces with the state carried across the interface unchanged;
 each side's step is the largest value not exceeding the target that divides
 the side length exactly, making 0 and both endpoints exact grid nodes.
-Two marches run the two pieces. `_march` marches a float state with the
-RK4 kernel `_rk4_side`, for `integrate` and `poincare_map`. `_march_batch`
-marches a batch of columns over stacked (3, N) stage buffers, for
-`sweep_terminals`, which returns the terminal states of many initial
-heights as one `GammaCurve`. Both compute the same RK4 expressions with
-the same operands in the same order, so a column keeps the bits of its
-float march wherever f.value gives an array the bits it gives a float.
+Two marches run both pieces. `_march` marches a float state, for
+`integrate` and `poincare_map`. `_march_batch` marches a batch of columns
+over stacked (3, N) stage buffers, for `sweep_terminals`, which returns the
+terminal states of many initial heights as one `GammaCurve`. Both compute
+the same RK4 expressions with the same operands in the same order, so a
+column keeps the bits of its float march wherever f.value gives an array
+the bits it gives a float.
 """
 
 from __future__ import annotations
@@ -90,50 +90,45 @@ def step_plan(p: Problem, cfg: IntegratorConfig) -> tuple[int, float, int, float
 
 
 def _sides(p: Problem, cfg: IntegratorConfig):
-    """(c, h, n, x0) of the left piece, then the right one: each piece is n
-    RK4 steps of size h from x0 of u' = v, v' = c f(u)."""
+    """(c, h, n, x0, x1) of the left piece, then the right one: each piece is
+    n RK4 steps of size h from x0 to x1 of u' = v, v' = c f(u)."""
     w = p.weight
     n1, h1, n2, h2 = step_plan(p, cfg)
-    return (p.lam * w.alpha, h1, n1, w.omega1), (-p.lam, h2, n2, 0.0)
+    return (p.lam * w.alpha, h1, n1, w.omega1, 0.0), (-p.lam, h2, n2, 0.0, w.omega2)
 
 
-def _rk4_side(feval, c: float, h: float, n: int, u, v, x0: float, record=None):
-    """March n RK4 steps of u' = v, v' = c f(u) from the float state (u, v)
-    at x0; returns the final (u, v).
+def _march(p: Problem, cfg: IntegratorConfig, u, v, us=None, vs=None):
+    """March the float state (u, v) from omega1 over the left piece, then the
+    right one; the state carries across x = 0 unchanged. Returns the state
+    at omega2, and appends each step's u and v to `us` and `vs` when given.
 
-    A step that leaves [-BLOWUP_BOUND, BLOWUP_BOUND]^2, or turns u or v
-    nan, raises BlowupError at that step's x. `record(u, v)` is called
-    after every step when given.
+    A step that leaves [-BLOWUP_BOUND, BLOWUP_BOUND]^2, or turns u or v nan,
+    raises BlowupError at that step's x: x0 + i h, or the piece's end x1 at
+    its last step, so the x is the node `sample_grid` puts there.
     """
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for i in range(n):
-        # k1 = (v, c f(u)); k2 = (v2, c f(u2)); k3 = (v3, c f(u3)); k4 = (v4, c f(u4))
-        k1v = c * feval(u)
-        u2 = hh * v + u
-        v2 = hh * k1v + v
-        k2v = c * feval(u2)
-        u3 = hh * v2 + u
-        v3 = hh * k2v + v
-        k3v = c * feval(u3)
-        u4 = h * v3 + u
-        v4 = h * k3v + v
-        k4v = c * feval(u4)
-        u, v = ((2.0 * (v2 + v3) + v + v4) * h6 + u,
-                (2.0 * (k2v + k3v) + k1v + k4v) * h6 + v)
-        if not (-BLOWUP_BOUND <= u <= BLOWUP_BOUND and -BLOWUP_BOUND <= v <= BLOWUP_BOUND):
-            raise BlowupError(x0 + (i + 1) * h, u, v)
-        if record is not None:
-            record(u, v)
-    return u, v
-
-
-def _march(p: Problem, cfg: IntegratorConfig, u, v, record=None):
-    """Run `_rk4_side` over the left piece, then the right one; the state
-    (u, v) carries across x = 0 unchanged. Returns the state at omega2.
-    """
-    for c, h, n, x0 in _sides(p, cfg):
-        u, v = _rk4_side(p.f.value, c, h, n, u, v, x0, record)
+    feval = p.f.value
+    for c, h, n, x0, x1 in _sides(p, cfg):
+        hh = 0.5 * h
+        h6 = h / 6.0
+        for i in range(1, n + 1):
+            # k1 = (v, c f(u)); k2 = (v2, c f(u2)); k3 = (v3, c f(u3)); k4 = (v4, c f(u4))
+            k1v = c * feval(u)
+            u2 = hh * v + u
+            v2 = hh * k1v + v
+            k2v = c * feval(u2)
+            u3 = hh * v2 + u
+            v3 = hh * k2v + v
+            k3v = c * feval(u3)
+            u4 = h * v3 + u
+            v4 = h * k3v + v
+            k4v = c * feval(u4)
+            u, v = ((2.0 * (v2 + v3) + v + v4) * h6 + u,
+                    (2.0 * (k2v + k3v) + k1v + k4v) * h6 + v)
+            if not (-BLOWUP_BOUND <= u <= BLOWUP_BOUND and -BLOWUP_BOUND <= v <= BLOWUP_BOUND):
+                raise BlowupError(x0 + i * h if i < n else x1, u, v)
+            if us is not None:
+                us.append(u)
+                vs.append(v)
     return u, v
 
 
@@ -148,7 +143,7 @@ def _march_batch(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> np.ndarra
     step's state z. The next state goes into B_2, whose rows are dead by
     then, and B_1 and B_2 swap. The buffers and their views are made once,
     here, so a step allocates nothing but what f.value returns. Each step
-    computes `_rk4_side`'s expressions with the same operands in the same
+    computes `_march`'s expressions with the same operands in the same
     order (IEEE + and * commute exactly, so every value keeps its bits),
     with 0-d constants, which numpy combines with an array faster than a
     Python float. After every step `_mark_blown` marks the columns that left
@@ -162,7 +157,7 @@ def _march_batch(p: Problem, cfg: IntegratorConfig, rs: np.ndarray) -> np.ndarra
     # (u_i, c f(u_i), rows 0:2, rows 1:3) of each buffer
     state, stage2, (u3, f3, z3, k3), (u4, f4, z4, k4) = (
         (b[0], b[2], b[0:2], b[1:3]) for b in buffers)
-    for c, h, n, _ in _sides(p, cfg):
+    for c, h, n, _, _ in _sides(p, cfg):
         c, hh, h, h6 = (np.array(a) for a in (c, 0.5 * h, h, h / 6.0))
         for _ in range(n):
             u, f1, z, k1 = state
@@ -214,12 +209,7 @@ def integrate(p: Problem, cfg: IntegratorConfig, z0: PhasePoint) -> Trajectory:
     """
     xs, split = sample_grid(p, cfg)
     us, vs = [z0.u], [z0.v]
-
-    def record(u, v):
-        us.append(u)
-        vs.append(v)
-
-    _march(p, cfg, z0.u, z0.v, record=record)
+    _march(p, cfg, z0.u, z0.v, us, vs)
     return Trajectory(xs=xs, us=np.array(us), vs=np.array(vs), split_index=split)
 
 

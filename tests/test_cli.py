@@ -99,13 +99,23 @@ class TestCheckF:
         assert "in conjecture scope: True" in out
 
     # SHA-256 of the stdout, which prints f'(0) and f'(1) at 17 digits; these
-    # polynomial f call no libm, so the bytes do not depend on the CPU
-    @pytest.mark.parametrize("config, digest", [
-        ("prop1.json", "5dbeb4d4867a8993a09aa9a826e51ee2e9e4e2d39fef4b96a97e67549b0664d2"),
-        ("remark_concave.json", "d6ee0bb9e39c087731d1148a04e2898197f740d581778b24d6379001bcf1b4dd"),
-    ])
-    def test_stdout_is_pinned(self, config, digest, capsys):
-        assert main(["check-f", str(REPO_CONFIGS / config)]) == 0
+    # polynomial f call no libm, so the bytes do not depend on the CPU. k = -1
+    # on prop-1's habitat is out of scope (f(s)/s is not strictly decreasing)
+    # and exits 1
+    @pytest.mark.parametrize("config, code, digest", [
+        ("prop1.json", 0, "5dbeb4d4867a8993a09aa9a826e51ee2e9e4e2d39fef4b96a97e67549b0664d2"),
+        ("remark_concave.json", 0, "d6ee0bb9e39c087731d1148a04e2898197f740d581778b24d6379001bcf1b4dd"),
+        ({"weight": {"alpha": 1.0, "omega1": -0.21, "omega2": 0.2},
+          "f": {"kind": "degree_of_dominance", "k": -1.0}, "lambda": 45.0},
+         1, "ba7e7713a9380662ad422e3e1024bffc1b887acc10784dc4801a59664e293690"),
+    ], ids=["prop1", "remark_concave", "dominance-minus-1"])
+    def test_stdout_is_pinned(self, config, code, digest, tmp_path, capsys):
+        if isinstance(config, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+        else:
+            path = REPO_CONFIGS / config
+        assert main(["check-f", str(path)]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_positive_mean_fails_hypotheses(self, tmp_path, capsys):

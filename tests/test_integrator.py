@@ -15,6 +15,7 @@ from clineshoot.integrator import (
     energy_profile,
     integrate,
     poincare_map,
+    sample_grid,
     step_plan,
     sweep_terminals,
 )
@@ -116,6 +117,7 @@ class TestBlowup:
             integrate(p, default_cfg, PhasePoint(5.0, 0.0))
         err = exc_info.value
         assert p.weight.omega1 < err.x <= p.weight.omega2
+        assert err.x in sample_grid(p, default_cfg)[0]
         assert max(abs(err.u), abs(err.v)) > BLOWUP_BOUND
 
     @pytest.mark.parametrize("r", [5.0, -0.5, 2.0])
@@ -298,19 +300,28 @@ class TestStackedMarch:
                 sweep = assert_columns_match_poincare_map(p, cfg, np.array([0.4, 0.75][:width]))
                 assert sweep.u_end.shape == sweep.v_end.shape == (width,)
 
-    @pytest.mark.parametrize("k", [1.0, 2.0])
-    def test_blow_ups_at_the_last_step_of_either_side(self, prop1, k):
-        # 2.03125 leaves the bound at the left side's last step, x = 0, and
-        # 1.85546875 at the march's last, x = omega2, at H and at H/2
+    @pytest.mark.parametrize("march", [poincare_map, integrate])
+    @pytest.mark.parametrize("target, blow_ups", [
+        # at H = 0.0041 and at H/2, 2.03125 leaves the bound at the left
+        # side's last step, x = 0, and 1.85546875 at the march's last,
+        # x = omega2
+        (0.0041, ((2.03125, 0.0), (1.85546875, 0.2))),
+        (0.00205, ((2.03125, 0.0), (1.85546875, 0.2))),
+        # the left side's 328 steps end where omega1 + 328 h1 reads
+        # 2.8e-17, not 0
+        (6.42e-4, ((2.0265942605773852, 0.0),)),
+    ], ids=["H", "H/2", "6.42e-4"])
+    def test_blow_ups_at_the_last_step_of_either_side(self, prop1, march, target, blow_ups):
+        # a blow-up is reported at the node sample_grid puts at the side's end
         p = prop1.problem
-        cfg = IntegratorConfig(coarsest_step(p) / k)
-        for r, x in ((2.03125, 0.0), (1.85546875, p.weight.omega2)):
+        cfg = IntegratorConfig(target)
+        for r, x in blow_ups:
             with pytest.raises(BlowupError) as exc_info:
-                poincare_map(p, cfg, PhasePoint(r, 0.0))
+                march(p, cfg, PhasePoint(r, 0.0))
             assert exc_info.value.x == x
-        rs = np.array([0.4, 2.03125, 1.85546875, 0.75])
+        rs = np.array([0.4, *(r for r, _ in blow_ups), 0.75])
         sweep = assert_columns_match_poincare_map(p, cfg, rs)
-        assert sweep.ok.tolist() == [True, False, False, True]
+        assert sweep.ok.tolist() == [True, *(False for _ in blow_ups), True]
 
     def test_terminals_own_their_data(self, prop1):
         sweep = sweep_terminals(prop1.problem, IntegratorConfig(1e-3), np.linspace(0.0, 1.0, 11))
